@@ -195,7 +195,7 @@ def _run_for(interp: Interpreter, op: Operation, env: dict):
     carried = list(values[3:])
     observer = interp.loop_observer
     if observer is not None:
-        observer(op, max(0, -(-(ub - lb) // step)) if step > 0 else 0)
+        observer(op, max(0, -(-(ub - lb) // step)) if step > 0 else 0, 1)
     if interp.vectorize:
         from repro.ir.vectorize import (
             try_vectorized_loop,
@@ -347,7 +347,7 @@ def _emit_for(op: Operation, ctx: FnCompiler):
             lb, ub, step = frame[lb_i], frame[ub_i], frame[st_i]
             obs = interp.loop_observer
             if obs is not None:
-                obs(op, _observed_trips(lb, ub, step))
+                obs(op, _observed_trips(lb, ub, step), 1)
             if (
                 fast_path is not None
                 and interp.vectorize
@@ -371,7 +371,7 @@ def _emit_for(op: Operation, ctx: FnCompiler):
         lb, ub, step = frame[lb_i], frame[ub_i], frame[st_i]
         obs = interp.loop_observer
         if obs is not None:
-            obs(op, _observed_trips(lb, ub, step))
+            obs(op, _observed_trips(lb, ub, step), 1)
         if reducible and interp.vectorize:
             finals = try_vectorized_reduction(
                 interp, op, frame[0], lb, ub, step

@@ -61,6 +61,11 @@ class Use:
         self.index = index
         self.pos = -1
 
+    def __reduce__(self):
+        # pickled together with its value, which drops its uses list
+        value = self.operation._operands[self.index]
+        return _unpickled_use, (value, self.operation, self.index, self.pos)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Use({self.operation.name}, {self.index})"
 
@@ -120,8 +125,43 @@ class SSAValue:
     def owner_block(self) -> "Block | None":
         raise NotImplementedError
 
+    # -- pickling --------------------------------------------------------------
+
+    def __reduce__(self):
+        """Pickle without :attr:`uses`.
+
+        Following each value's links to its users makes pickle recurse
+        from definition to user across a whole block, past the default
+        recursion limit on modest kernels.  A loaded value starts with an
+        empty list, and each use re-registers itself at its saved
+        position (:meth:`Use.__reduce__`).
+        """
+        _, slots = object.__getstate__(self)
+        del slots["uses"]
+        return _unpickled_value, (type(self),), (None, slots)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} : {self.type.print()}>"
+
+
+def _unpickled_value(cls: type) -> SSAValue:
+    value = cls.__new__(cls)
+    value.uses = []
+    return value
+
+
+def _unpickled_use(
+    value: SSAValue, operation: "Operation", index: int, pos: int
+) -> Use:
+    """Recreate a use and put it back at position ``pos`` of its value's
+    :attr:`~SSAValue.uses`, so the list keeps its pickled order."""
+    use = Use(operation, index)
+    use.pos = pos
+    uses = value.uses
+    if len(uses) <= pos:
+        uses.extend([None] * (pos + 1 - len(uses)))
+    uses[pos] = use
+    return use
 
 
 class OpResult(SSAValue):

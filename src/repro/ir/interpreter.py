@@ -83,13 +83,12 @@ class Interpreter:
         self.compiled = compiled
         #: enable the NumPy whole-loop tier (both engines honour this)
         self.vectorize = vectorize
-        #: optional ``(loop_op, trips)`` callback fired once per ``scf.for``
-        #: execution — the cycle-accounting hook of the kernel runner.  A
-        #: batching observer may accept ``(loop_op, trips, count)``: the
-        #: vectorized nest fast path charges ``count`` identical inner-loop
-        #: executions in one call (two-argument observers get ``count``
-        #: separate calls instead).
-        self.loop_observer: Callable[[Operation, int], None] | None = None
+        #: optional ``(loop_op, trips, count)`` callback for ``count``
+        #: executions of an ``scf.for`` with ``trips`` iterations each —
+        #: the cycle-accounting hook of the kernel runner.  The scalar
+        #: walk fires it once per execution (``count == 1``); the
+        #: whole-space fast paths batch identical inner-loop executions.
+        self.loop_observer: Callable[[Operation, int, int], None] | None = None
         #: the FpgaExecutor driving this interpreter, if any — compiled
         #: device-op closures bind to it directly.
         self.host_executor = None

@@ -1,105 +1,70 @@
-"""Vectorized loop execution for the interpreter.
+"""Whole-space loop execution for the interpreter.
 
-Interpreting multi-million-trip loops op-by-op in Python is prohibitively
-slow, so loops whose behaviour is provable are executed with NumPy over
-the whole iteration space at once.  Four loop shapes are recognised (the
-analysis is cached per loop op, so each loop is classified exactly once):
+Interpreting multi-million-trip loops op by op in Python is slow, so a
+loop whose behaviour is provable runs as NumPy over its whole iteration
+space at once.  :func:`_classify` is the one planner: it plans every
+loop op — ``scf.for`` roots and rank-1 or rank-n ``omp.loop_nest`` —
+exactly once (the plan is cached on the module root) and describes it
+as one plan made of **nest levels** and **store roles**.
 
-**Elementwise loops** (no iter_args, no reduction):
+**Nest levels.**  A loop is a depth-d nest; a rank-1 loop with a
+straight-line body is depth 1.  The root contributes one level per
+``omp.loop_nest`` dimension (one for ``scf.for``), and every perfectly
+nested ``scf.for`` below it one more — including a ``simdlen``
+main/remainder pair, which :func:`_match_unroll_pair` proves to be one
+loop re-split and stitches back into one level.  The trip structure of
+every level is fixed over the space: the bounds of deeper levels may
+only depend on values defined outside the nest or on IV-independent
+body ops (a per-level *prelude*, evaluated only where the scalar walk
+would reach it).  A depth-1 elementwise loop whose bounds are runtime
+data (saxpy's loaded ``n``, SGESL's ``j = k+1, n``) is one runtime
+segment, so it has no minimum-trip floor: the short tail of a
+triangular launch sweep never falls off the fast tier.
 
-* every memory subscript must be affine in the induction variable with a
-  non-zero stride (injective — no scatter collisions), or loop-invariant
-  for loads;
-* the body must be straight-line (no nested regions) and consist of
-  elementwise arith/math/memref ops;
-* :func:`repro.transforms.loop_analysis.loop_carried_dependences` must
-  find nothing.
+**Store roles.**  Every store in the nest takes one role:
 
-**Reduction loops over iter_args** — ``%acc`` carried through
-``scf.for ... iter_args`` whose yielded value is
-``combine(%acc, %expr)`` for an add/mul/min/max combiner, with ``%expr``
-elementwise and independent of the accumulator.  ``%expr`` is evaluated
-vectorized, then folded with a *sequential* NumPy reduction.
+* *covers the space* (``elementwise``, ``nest_elementwise``): each
+  subscript dimension is affine in one IV with a non-zero stride or
+  invariant, and together they reach every level, so no cell is written
+  twice.  At depth 1 the test is :func:`_loop_is_vectorizable`:
+  :func:`~repro.transforms.loop_analysis.loop_carried_dependences`
+  admits saxpy's in-place ``y(i) = y(i) + a*x(i)``, and several stores
+  to one buffer may write disjoint lattices (unrolled clones).  Deeper
+  nests load no buffer they store.
+* *reduces* (``memref_reduction``, ``nest_reduction``): ``P[idx] =
+  combine(P[idx], expr)`` for an add/mul/min/max combiner whose load and
+  store subscripts are provably equal (SSA-identical, or structurally
+  equal chains such as the two loads of ``bins(i)`` in ``h(bins(i)) =
+  h(bins(i)) + w(i)``), with nothing else touching ``P``.  In a deeper
+  nest the cell is invariant along the innermost level and covers every
+  outer one, so each cell folds one row.  At depth 1 the cell may be
+  invariant (one chain), periodic (the round-robin ``(i ...) mod N``) or
+  indirect, and colliding cells fold in iteration order.
+* *scatters* (``scatter_store``, ``nest_scatter``): a subscript is
+  *indirect* — loaded from an index array nothing in the nest stores
+  to.  Whole-space fancy assignment does not promise scalar order for
+  duplicate cells, so every store of the nest is deferred and applied
+  only after a runtime **injectivity proof** of each subscript tuple
+  that no affine dimensions already cover: ``monotone`` (O(n)), then
+  ``unique`` (O(n log n)); several varying columns are lexsorted and
+  compared pairwise.  A failed proof logs a reasoned bail and reruns
+  the loop on the scalar tier, with nothing mutated.
 
-**Reduction loops over memref accumulators** — the shape the round-robin
-reduction rewrite produces: ``P[idx] = combine(P[idx], %expr)`` where the
-load and store share *provably equal* subscript values (SSA-identical, or
-structurally equal chains — including two separate loads of the same
-index-array cell, the frontend's lowering of ``h(bins(i))``) and nothing
-else touches ``P``.  The subscript may be loop-invariant (a plain scalar
-reduction, rank-0 included), vary per iteration (the periodic
-``(i ...) mod N`` round-robin pattern), or be *indirect* — loaded from an
-index array — with arbitrary collisions: repeated-index combining uses
-``np.ufunc.at``, which applies updates strictly in iteration order, so a
-colliding histogram ``h(bins(i)) = h(bins(i)) + w(i)`` needs no
-injectivity proof and stays bit-exact in float32.
+``scf.for`` loops carrying ``iter_args`` fold ``combine(%acc, %expr)``
+per carried value (``iter_reduction``).  Imperfect outer/inner pairs
+whose inner trip count varies with the outer IV — triangular ``j =
+i+1, n``, or CSR ``row_ptr(i) .. row_ptr(i+1)-1`` with the offsets
+runtime-proved monotone — are ragged, not rectangular:
+:class:`_SegmentedNest` flattens them with prefix sums
+(``nest_segmented``).
 
-**Scatter-store loops** — elementwise bodies whose store subscript is
-*indirect*: ``A[idx(i)] = %expr`` where ``idx`` is loaded from a memref
-nothing in the body stores to (``transforms.loop_analysis`` classifies
-the subscript ``indirect``).  Unlike the accumulator form, a plain
-scatter must not write one cell twice — whole-space NumPy fancy
-assignment does not promise scalar iteration order for duplicate indices
-— so the store is guarded by an **injectivity proof**, a small lattice
-evaluated per store subscript, strongest proof first:
-
-1. ``affine``   — static: a subscript dimension ``a*iv + b`` with
-   ``a != 0`` never repeats (no runtime work; the pre-existing
-   elementwise path);
-2. ``monotone`` — runtime, O(n): the loaded index vector is strictly
-   increasing/decreasing, hence injective;
-3. ``unique``   — runtime, O(n log n): ``np.unique`` finds no duplicate;
-4. ``⊥``        — no proof: the loop logs a *reasoned* bail-out naming
-   the failed proof and re-runs on the scalar tier (the deferred-store
-   evaluation has mutated nothing at that point).
-
-One statically injective (affine) dimension proves the whole subscript
-tuple; otherwise any single indirect dimension passing the runtime proof
-does.  Store application is deferred until every store's proof succeeds.
-
-**Whole-space loop nests** — beyond the four rank-1 shapes, a rank-n
-``omp.loop_nest`` or a *perfect chain* of ``scf.for`` loops (the form
-``lower-omp-to-hls`` emits for ``collapse(n)``) collapses back into one
-NumPy evaluation over the full iteration space: ``nest_elementwise``
-when the stores affinely cover every dimension, ``nest_reduction``
-when the innermost dimension folds into a memref accumulator with an
-ordered per-cell accumulate, or ``nest_scatter`` when a store subscript
-inside the nest is *indirect* — the rank-1 injectivity-proof lattice is
-lifted to the whole flattened space (a tuple-wise ``lexsort`` duplicate
-check when several dimensions vary), with every store deferred until
-all proofs pass (see :func:`_nest_vector_plan`).  Step accounting and
-inner-loop cycle observers replay the scalar nested walk exactly, so
-every tier stays bit-identical in results *and* modelled numbers.  The
-plan also re-stitches the ``simdlen``-unrolled main/remainder loop
-pairs ``lower-omp-to-hls`` emits at factor > 1: when the main body is
-a proven structural F-fold clone of the remainder body, the pair
-collapses back into one dimension spanning ``[main.lb, remainder.ub)``
-and the remainder body drives the whole space (step/observer
-accounting still charges both loops exactly as the scalar walk would).
-
-**Segmented (triangular / CSR) nests** — ``nest_segmented`` covers the
-imperfect shapes whose inner trip count *varies* with the outer IV, the
-paper's two remaining scalar cliffs:
-
-* the *nest* flavour: an outer loop whose body is ``prologue /
-  inner reduction loop / epilogue`` where the inner bounds are affine
-  in the outer IV (triangular ``j = k+1, n``) or loaded from a
-  monotone offset array (CSR row loops — SpMV's
-  ``do jj = row_ptr(i), row_ptr(i+1)-1``).  The whole space is
-  flattened with prefix sums over the per-row trip counts; the inner
-  reduction folds per segment with an ordered ``accumulate`` (equal
-  rows) or in-order ``ufunc.at`` over segment ids (ragged rows), both
-  bit-exact in f32.  Offset-array bounds are runtime-proved
-  *monotone non-decreasing*; shuffled offsets log a reasoned bail.
-* the *span* flavour: a rank-1 elementwise loop whose bounds are
-  runtime data (loaded, like SGESL's ``j = k+1, n`` after hoisting) is
-  one runtime segment — it evaluates exactly like ``elementwise`` but
-  with **no minimum-trip-count floor**, so the triangular tail of a
-  launch sweep never falls off the fast tier.
-
-Per-segment observer counts are batched (one call per distinct trip
-count) and cycle sums stay exact because modelled cycles are
-integer-valued floats.
+Every rectangular plan runs through :func:`_run_nest`, the ragged one
+through :func:`_run_segmented`.  Both charge interpreter steps and fire
+the loop observer exactly as the scalar nested walk would (batched by
+``count``; modelled cycles are integer-valued floats, so sums stay
+exact), apply deferred stores with :func:`_apply_stores` and fold with
+:func:`_ordered_fold`.  A loop no plan fits logs its reason on
+``repro.ir.vectorize`` at DEBUG and runs scalar.
 
 Float32 ordering note: per-element semantics are identical to the scalar
 interpreter — NumPy applies the same operation per lane, and no
@@ -118,6 +83,7 @@ scalar engine is unbounded).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -331,7 +297,7 @@ def _loop_is_vectorizable(loop: Operation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reduction recognition
+# Plans
 # ---------------------------------------------------------------------------
 
 
@@ -355,96 +321,81 @@ class _MemrefReduction:
 
 
 @dataclass(frozen=True)
-class _ScatterStore:
-    """Deferred-store plan for ``A[idx(i)] = expr`` scatter loops.
+class _ChainLevel:
+    """One extra nest dimension contributed by a chain member.
 
-    ``proof_dims`` holds, per store, the subscript dimensions whose
-    loaded index vector must pass the runtime injectivity proof — empty
-    when a statically injective (affine) dimension already proves the
-    tuple.
+    ``bounds`` is the ``(lb, exclusive ub, step)`` value triple of the
+    *dimension* (for a stitched main/remainder pair: the main loop's lb,
+    the remainder's ub and step — together they span the original,
+    un-unrolled range).  ``stitch`` is None for a plain ``scf.for``
+    member, else ``(main_for, rem_for, main_opcount, rem_opcount)`` for
+    a proven ``simdlen`` main/remainder pair whose step/observer
+    accounting must charge *both* loops like the scalar walk does.
     """
 
-    stores: tuple[Operation, ...]  # in body op order
+    bounds: tuple[SSAValue, SSAValue, SSAValue]
+    stitch: tuple[Operation, Operation, int, int] | None = None
+
+
+@dataclass(frozen=True)
+class _NestScatter:
+    """Deferred stores of a nest, applied by :func:`_apply_stores`.
+
+    ``proof_dims`` holds, per store, the subscript dimensions whose
+    values join the runtime injectivity proof over the flattened space —
+    empty when affine dimensions already cover every nest level.  All
+    stores (even purely affine ones) are deferred, so a failed proof
+    leaves nothing mutated.
+    """
+
+    stores: tuple[Operation, ...]  # in program op order
     proof_dims: tuple[tuple[int, ...], ...]
-    skip: frozenset[int]  # ids of the deferred stores
+    skip: frozenset[int]
 
 
-def _analyze_scatter_store(
-    loop: Operation,
-) -> tuple[_ScatterStore | None, str | None]:
-    """Classify an indirect-store loop; ``(plan, None)`` on success,
-    ``(None, reason)`` when the body *looks* like a scatter but fails a
-    proof obligation (the reason becomes the logged bail-out), and
-    ``(None, None)`` when the shape is something else entirely."""
-    from repro.transforms.loop_analysis import classify_index, root_memref
+@dataclass(frozen=True)
+class _NestPlan:
+    """Whole-space plan for a rectangular depth-d loop nest.
 
-    body = loop.regions[0].block
-    if len(body.args) != 1:
-        return None, None
-    iv = body.args[0]
-    for op in body.ops:
-        if op.regions or op.name not in _SUPPORTED:
-            return None, None
-    stores = [op for op in body.ops if op.name == "memref.store"]
-    loaded = {
-        id(root_memref(op.operands[0]))
-        for op in body.ops
-        if op.name == "memref.load"
-    }
-    store_roots: set[int] = set()
-    proof_dims: list[tuple[int, ...]] = []
-    has_indirect = False
-    for store in stores:
-        if len(store.operands) == 2:
-            return None, None  # rank-0 store: the reduction form's territory
-        root = id(root_memref(store.operands[1]))
-        if root in store_roots:
-            return None, (
-                "two scatter stores to one buffer cannot be ordered"
-            )
-        store_roots.add(root)
-        indirect: list[int] = []
-        statically_injective = False
-        for dim, idx in enumerate(store.operands[2:]):
-            pattern = classify_index(idx, iv, body)
-            if pattern.kind == "affine" and pattern.parameter != 0:
-                statically_injective = True
-            elif pattern.kind == "indirect":
-                indirect.append(dim)
-            elif pattern.kind != "invariant":
-                return None, (
-                    "store subscript is neither affine nor a gather from "
-                    "an un-stored index array"
-                )
-        if not indirect and not statically_injective:
-            return None, None  # invariant-only subscript: not a scatter
-        has_indirect = has_indirect or bool(indirect)
-        proof_dims.append(() if statically_injective else tuple(indirect))
-    if not has_indirect:
-        return None, None  # plain affine stores: the elementwise path's job
-    if loaded & store_roots:
-        return None, (
-            "a scattered-to buffer is also read in the body, so deferred "
-            "store application could reorder a read-after-write"
-        )
-    for op in body.ops:
-        if op.name == "memref.load":
-            for idx in op.operands[1:]:
-                if not _load_index_ok(idx, iv, body):
-                    return None, "load subscript is not affine/invariant/gather"
-    plan = _ScatterStore(
-        stores=tuple(stores),
-        proof_dims=tuple(proof_dims),
-        skip=frozenset(id(op) for op in stores),
-    )
-    return plan, None
+    A nest is rooted at a rank-n ``omp.loop_nest`` (``root_dims == n``)
+    or at one ``scf.for`` (``root_dims == 1``); a rank-1 loop with a
+    straight-line body is the depth-1 case.  The nest may extend through
+    perfectly nested ``scf.for`` members (``chain``), each contributing
+    one level whose bounds are loop-invariant — including a
+    ``simdlen``-unrolled main/remainder pair re-stitched into a single
+    level (see :class:`_ChainLevel`).
+
+    ``charge_specs`` reproduce the scalar walk's step accounting: each
+    ``(dims, ops)`` entry charges ``prod(trips[:dims]) * ops`` steps —
+    one step per op visit per execution of that block.  ``observer_specs``
+    fire the interpreter's loop observer for each chain member exactly as
+    often as the scalar walk would (cycle accounting); stitched levels
+    instead charge/observe through their ``_ChainLevel.stitch`` info.
+    ``prelude`` holds, per chain member, the IV-independent body ops its
+    bounds may depend on; each level is pre-evaluated (step-neutral)
+    only when its containing body would execute under the scalar walk,
+    so the iteration space can be sized before the vector program runs
+    without ever evaluating an expression the scalar tier would not
+    reach.  The store roles are ``reduction`` (a fold along the
+    innermost level, or of colliding cells at depth 1), ``scatter``
+    (deferred stores behind an injectivity proof), or neither (the
+    compiled program stores directly).  ``span`` marks a depth-1 loop
+    whose bounds are runtime data: one runtime segment, evaluated with
+    no minimum-trip floor.
+    """
+
+    ivs: tuple[SSAValue, ...]  # one per dimension, outermost first
+    root_dims: int
+    chain: tuple[_ChainLevel, ...]  # levels below the root
+    charge_specs: tuple[tuple[int, int], ...]
+    observer_specs: tuple[tuple[int, Operation], ...]
+    prelude: tuple[tuple[Operation, ...], ...]  # one entry per chain member
+    reduction: _MemrefReduction | None  # innermost-dim reduction fold
+    scatter: _NestScatter | None = None  # deferred indirect stores
+    span: bool = False  # runtime-bounded depth-1 loop: no trip floor
 
 
 def _analyze_iter_reduction(loop: Operation) -> _IterReduction | None:
-    if loop.name != "scf.for":
-        return None
-    from repro.transforms.loop_analysis import classify_index
-
     body = loop.regions[0].block
     if len(body.args) < 2:
         return None
@@ -488,13 +439,6 @@ def _analyze_iter_reduction(loop: Operation) -> _IterReduction | None:
                 if not _load_index_ok(idx, iv, body):
                     return None
     return _IterReduction(tuple(combiners), frozenset(combiner_ids))
-
-
-def _analyze_memref_reduction(loop: Operation) -> _MemrefReduction | None:
-    body = loop.regions[0].block
-    if len(body.args) != 1:
-        return None
-    return _analyze_memref_reduction_body(body, body.args[0])
 
 
 def _analyze_memref_reduction_body(
@@ -571,7 +515,7 @@ def _analyze_memref_reduction_body(
 
 
 # ---------------------------------------------------------------------------
-# Cached per-loop classification
+# The planner: cached per loop op
 # ---------------------------------------------------------------------------
 #
 # The cache hangs off the *root* op of the module/function the loop
@@ -596,81 +540,46 @@ def _cache_for(loop: Operation) -> dict[int, tuple]:
 
 
 def _classify(loop: Operation) -> tuple:
+    """Plan ``loop`` once: the cached ``(loop, mode, plan, program)``.
+
+    ``scf.for`` loops carrying iter_args are ``iter_reduction``
+    candidates; every other loop op is planned as a depth-d nest by
+    :func:`_nest_vector_plan`, with imperfect outer/inner pairs getting
+    a second chance as a ragged :class:`_SegmentedNest`.  A loop no plan
+    fits is logged with its reason at DEBUG.
+    """
     key = id(loop)
-    _analysis_cache = _cache_for(loop)
-    cached = _analysis_cache.get(key)
+    cache = _cache_for(loop)
+    cached = cache.get(key)
     if cached is not None and cached[0] is loop:
         return cached
-    mode: str | None = None
-    plan: Any = None
-    program = None
-    bail_kind: str | None = None
-    bail_reason: str | None = None
+    mode = plan = program = reason = bail_kind = None
     if len(loop.regions) >= 1 and len(loop.regions[0].blocks) == 1:
         body = loop.regions[0].blocks[0]
-        if len(body.args) == 1:
-            if _loop_is_vectorizable(loop):
-                from repro.transforms.loop_analysis import bound_is_runtime
-
-                if bound_is_runtime(loop.operands[0]) or bound_is_runtime(
-                    loop.operands[1]
-                ):
-                    # span flavour: a runtime-bounded elementwise loop is
-                    # one runtime segment — same evaluation, no static
-                    # minimum-trip-count floor (the triangular cliff)
-                    mode = "nest_segmented"
-                    plan = _SegmentedSpan()
-                else:
-                    mode = "elementwise"
-            else:
-                plan = _analyze_memref_reduction(loop)
-                if plan is not None:
-                    mode = "memref_reduction"
-                else:
-                    plan, bail_reason = _analyze_scatter_store(loop)
-                    if plan is not None:
-                        mode = "scatter_store"
-                    elif bail_reason is not None:
-                        bail_kind = "scatter-store"
-            if mode is None and bail_reason is None and any(
-                op.name == "scf.for" for op in body.ops
-            ):
-                # A perfectly nested loop chain: whole-space evaluation
-                # of the collapsed iteration space (rank-n nests that
-                # lower-omp-to-hls produced from collapse(n)).
-                mode, plan, program, bail_reason = _nest_vector_plan(loop)
-                if mode is None:
-                    # imperfect nests get a second chance as a segmented
-                    # (triangular / CSR) shape before bailing
-                    seg = _segmented_nest_plan(loop)
-                    if seg[0] is not None:
-                        mode, plan, program, bail_reason = seg
-                    elif seg[3] is not None:
-                        bail_kind = "segmented nest"
-                        bail_reason = seg[3]
-                    else:
-                        bail_kind = (
-                            f"rank-{_chain_depth(loop)} {loop.name} nest"
-                        )
-        else:
+        if loop.name == "scf.for" and len(body.args) != 1:
             plan = _analyze_iter_reduction(loop)
             if plan is not None:
                 mode = "iter_reduction"
-        if mode is not None and program is None:
-            # Rank-1 fast paths: the induction variable is the sole iv
-            # slot (iter_args feed skipped combiners, never the program).
-            program = _compile_vector_body(
-                list(body.ops),
-                plan.skip if plan is not None else frozenset(),
-                [body.args[0]],
-            )
+                # the induction variable is the sole iv slot (iter_args
+                # feed skipped combiners, never the program)
+                program = _compile_vector_body(
+                    list(body.ops), plan.skip, [body.args[0]]
+                )
+        else:
+            mode, plan, program, reason = _nest_vector_plan(loop)
+            if mode is None:
+                seg = _segmented_nest_plan(loop)
+                if seg[0] is not None:
+                    mode, plan, program, reason = seg
+                elif seg[3] is not None:
+                    bail_kind, reason = "segmented nest", seg[3]
     cached = (loop, mode, plan, program)
     if mode is None and logger.isEnabledFor(logging.DEBUG):
-        if bail_reason is not None:
+        if reason is not None:
             logger.debug(
                 "scalar bail-out: %s loop not vectorized: %s",
-                bail_kind or loop.name,
-                bail_reason,
+                bail_kind or f"rank-{_chain_depth(loop)} {loop.name} nest",
+                reason,
             )
         else:
             logger.debug(
@@ -679,8 +588,53 @@ def _classify(loop: Operation) -> tuple:
                 loop.name,
                 len(loop.regions[0].blocks[0].ops) if loop.regions else 0,
             )
-    _analysis_cache[key] = cached
+    cache[key] = cached
     return cached
+
+
+def _classify_guarded(interp, loop: Operation) -> tuple:
+    """Classification that degrades instead of crashing.
+
+    The planner is side-effect free, so an engine bug inside the
+    vectorizer's analysis must never take down a run the scalar tier
+    could complete: the crash is recorded as a ``vectorized -> scalar``
+    degradation (once — the cache is poisoned with a no-mode entry) and
+    the caller takes its normal scalar bail path.  The cache is consulted
+    here too, so the poisoned entry short-circuits before the crashed
+    planner runs again.
+    """
+    cache = _cache_for(loop)
+    cached = cache.get(id(loop))
+    if cached is not None and cached[0] is loop:
+        return cached
+    try:
+        return _classify(loop)
+    except Exception as error:  # noqa: BLE001 - degrade, never crash
+        cached = (loop, None, None, None)
+        cache[id(loop)] = cached
+        from repro.reliability.report import record_degradation
+
+        record_degradation(
+            interp,
+            "vectorized",
+            "scalar",
+            f"{loop.name} classification",
+            error,
+        )
+        return cached
+
+
+def invalidate_analysis(root: Operation) -> None:
+    """Drop cached loop classifications under ``root`` (called by the
+    pass manager and the pattern rewriter after in-place mutation)."""
+    cache = _cache_for(root)
+    for op in root.walk():
+        cache.pop(id(op), None)
+
+
+# ---------------------------------------------------------------------------
+# Nest levels and store roles
+# ---------------------------------------------------------------------------
 
 
 def _chain_depth(loop: Operation) -> int:
@@ -693,75 +647,6 @@ def _chain_depth(loop: Operation) -> int:
             return depth
         depth += 1
         body = nested[0].regions[0].block
-
-
-@dataclass(frozen=True)
-class _ChainLevel:
-    """One extra nest dimension contributed by a chain member.
-
-    ``bounds`` is the ``(lb, exclusive ub, step)`` value triple of the
-    *dimension* (for a stitched main/remainder pair: the main loop's lb,
-    the remainder's ub and step — together they span the original,
-    un-unrolled range).  ``stitch`` is None for a plain ``scf.for``
-    member, else ``(main_for, rem_for, main_opcount, rem_opcount)`` for
-    a proven ``simdlen`` main/remainder pair whose step/observer
-    accounting must charge *both* loops like the scalar walk does.
-    """
-
-    bounds: tuple[SSAValue, SSAValue, SSAValue]
-    stitch: tuple[Operation, Operation, int, int] | None = None
-
-
-@dataclass(frozen=True)
-class _NestScatter:
-    """Deferred-store plan for indirect subscripts inside a nest.
-
-    ``proof_dims`` holds, per store, the subscript dimensions whose
-    index vectors join the runtime injectivity proof over the flattened
-    space — empty when the subscript already covers every nest dim with
-    statically injective affine dimensions.  All stores (even purely
-    affine ones) are deferred so a failed proof leaves nothing mutated.
-    """
-
-    stores: tuple[Operation, ...]  # in program op order
-    proof_dims: tuple[tuple[int, ...], ...]
-    skip: frozenset[int]
-
-
-@dataclass(frozen=True)
-class _NestPlan:
-    """Whole-space plan for a rank-n loop nest.
-
-    A nest is either a rank-n ``omp.loop_nest`` (``root_dims == rank``)
-    or a *perfect chain* of ``scf.for`` loops rooted at one outer loop
-    (``root_dims == 1``); in both forms the chain may extend through
-    further perfectly nested ``scf.for`` members (``chain``), each
-    contributing one extra dimension whose bounds are loop-invariant —
-    including a ``simdlen``-unrolled main/remainder pair re-stitched
-    into a single dimension (see :class:`_ChainLevel`).
-
-    ``charge_specs`` reproduce the scalar walk's step accounting: each
-    ``(dims, ops)`` entry charges ``prod(trips[:dims]) * ops`` steps —
-    one step per op visit per execution of that block.  ``observer_specs``
-    fire the interpreter's loop observer for each chain member exactly as
-    often as the scalar walk would (cycle accounting); stitched levels
-    instead charge/observe through their ``_ChainLevel.stitch`` info.
-    ``prelude`` holds, per chain member, the IV-independent body ops its
-    bounds may depend on; each level is pre-evaluated (step-neutral)
-    only when its containing body would execute under the scalar walk,
-    so the iteration space can be sized before the vector program runs
-    without ever evaluating an expression the scalar tier would not
-    reach.
-    """
-
-    ivs: tuple[SSAValue, ...]  # one per dimension, outermost first
-    root_dims: int
-    chain: tuple[_ChainLevel, ...]  # levels below the root
-    charge_specs: tuple[tuple[int, int], ...]
-    observer_specs: tuple[tuple[int, Operation], ...]
-    prelude: tuple[tuple[Operation, ...], ...]  # one entry per chain member
-    reduction: _MemrefReduction | None  # innermost-dim reduction fold
-    scatter: _NestScatter | None = None  # deferred indirect stores
 
 
 def _defined_outside(value: SSAValue, root_body: Block) -> bool:
@@ -1000,16 +885,22 @@ def _match_unroll_pair(main: Operation, rem: Operation) -> int | None:
 
 
 def _nest_vector_plan(loop: Operation):
-    """Classify a loop nest for whole-space evaluation.
+    """Plan ``loop`` — an ``scf.for`` or ``omp.loop_nest`` carrying no
+    iter_args — as a depth-d nest: walk its levels, then give every
+    store a role (see the module docstring).
 
-    ``loop`` is a rank-n ``omp.loop_nest`` or an ``scf.for`` whose body
-    perfectly nests further loops.  Returns ``(mode, plan, program,
-    reason)`` where mode is ``"nest_elementwise"`` (dependence-free body,
-    stores cover every dimension), ``"nest_reduction"`` (the innermost
-    dimension folds into a memref accumulator whose subscripts are
-    invariant along it) or None with a reasoned bail-out diagnostic.
+    Returns ``(mode, plan, program, reason)``.  Depth-1 modes are
+    ``elementwise`` (``nest_segmented`` when the bounds are runtime
+    data), ``memref_reduction`` and ``scatter_store``; deeper nests are
+    ``nest_elementwise``, ``nest_reduction`` or ``nest_scatter``.  A
+    None mode comes with the reason for the DEBUG log, or with None when
+    the loop is no whole-space shape at all.
     """
-    from repro.transforms.loop_analysis import classify_index, root_memref
+    from repro.transforms.loop_analysis import (
+        bound_is_runtime,
+        classify_index,
+        root_memref,
+    )
 
     root_body = loop.regions[0].block
     if loop.name == "omp.loop_nest":
@@ -1018,7 +909,7 @@ def _nest_vector_plan(loop: Operation):
         ivs = [root_body.args[0]]
     root_dims = len(ivs)
 
-    # -- walk the perfect chain ------------------------------------------------
+    # -- levels: walk the perfect chain ---------------------------------------
     chain: list[_ChainLevel] = []
     charge_specs: list[tuple[int, int]] = []
     observer_specs: list[tuple[int, Operation]] = []
@@ -1093,8 +984,6 @@ def _nest_vector_plan(loop: Operation):
         body = inner_body
 
     rank = len(ivs)
-    if rank < 2:
-        return None, None, None, "nest has a single dimension"
     if not _body_is_vectorizable(innermost):
         return None, None, None, "body has nested regions or unsupported ops"
 
@@ -1150,29 +1039,60 @@ def _nest_vector_plan(loop: Operation):
                     "variable"
                 )
 
-    def loads_are_affine(skip: frozenset[int]) -> str | None:
+    def load_ok(idx: SSAValue) -> bool:
         # ``indirect`` is safe for loads: gathers cannot collide, and the
         # classification already proves the index array is never stored
         # anywhere in the nest.
+        if rank == 1:
+            return _load_index_ok(idx, ivs[0], root_body)
+        return all(
+            classify_index(idx, iv, root_body).kind
+            in ("affine", "invariant", "indirect")
+            for iv in ivs
+        )
+
+    def loads_reason(skip: frozenset[int]) -> str | None:
         for op in loads:
-            if id(op) in skip:
-                continue
-            for idx in op.operands[1:]:
-                for iv in ivs:
-                    if classify_index(idx, iv, root_body).kind not in (
-                        "affine", "invariant", "indirect",
-                    ):
-                        return "load subscript is not affine/invariant/gather"
+            if id(op) not in skip and not all(
+                load_ok(idx) for idx in op.operands[1:]
+            ):
+                return "load subscript is not affine/invariant/gather"
         return None
 
     program_ops = [*extra_ops, *innermost.ops]
 
-    # -- innermost-dim reduction: P[f(outer ivs)] = P[...] (+) expr ------------
+    def planned(mode, reduction=None, scatter=None, span=False):
+        plan = _NestPlan(
+            ivs=tuple(ivs),
+            root_dims=root_dims,
+            chain=tuple(chain),
+            charge_specs=tuple(charge_specs),
+            observer_specs=tuple(observer_specs),
+            prelude=tuple(prelude_levels),
+            reduction=reduction,
+            scatter=scatter,
+            span=span,
+        )
+        role = reduction or scatter
+        skip = role.skip if role is not None else frozenset()
+        return mode, plan, _compile_vector_body(program_ops, skip, ivs), None
+
+    # -- depth 1: the in-place elementwise test comes first --------------------
+    if rank == 1 and _loop_is_vectorizable(loop):
+        # a runtime-bounded loop is one runtime segment: no trip floor
+        span = bound_is_runtime(loop.operands[0]) or bound_is_runtime(
+            loop.operands[1]
+        )
+        return planned("nest_segmented" if span else "elementwise", span=span)
+
+    # -- reduces: P[f(outer ivs)] = P[...] (+) expr ----------------------------
     reduction = _analyze_memref_reduction_body(innermost, ivs[-1])
     if reduction is not None:
         acc_root = root_memref(reduction.acc)
         covered: set[int] = set()
-        for idx in reduction.indices:
+        # at depth 1 any cell folds (colliding ones in iteration order);
+        # deeper, each cell must be one row along the innermost level
+        for idx in reduction.indices if rank > 1 else ():
             affine_dim: int | None = None
             for dim, iv in enumerate(ivs):
                 pattern = classify_index(idx, iv, root_body)
@@ -1198,28 +1118,19 @@ def _nest_vector_plan(loop: Operation):
                 "accumulator subscripts do not cover the outer nest dims"
             )
         for op in loads:
-            if id(op) in reduction.skip:
-                continue
-            if root_memref(op.operands[0]) is acc_root:
+            if id(op) not in reduction.skip and (
+                root_memref(op.operands[0]) is acc_root
+            ):
                 return None, None, None, (
                     "accumulator read outside the combiner chain"
                 )
-        reason = loads_are_affine(reduction.skip)
+        reason = loads_reason(reduction.skip)
         if reason is not None:
             return None, None, None, reason
-        plan = _NestPlan(
-            ivs=tuple(ivs),
-            root_dims=root_dims,
-            chain=tuple(chain),
-            charge_specs=tuple(charge_specs),
-            observer_specs=tuple(observer_specs),
-            prelude=tuple(prelude_levels),
-            reduction=reduction,
-        )
-        program = _compile_vector_body(program_ops, reduction.skip, ivs)
-        return "nest_reduction", plan, program, None
+        mode = "memref_reduction" if rank == 1 else "nest_reduction"
+        return planned(mode, reduction=reduction)
 
-    # -- elementwise / scatter: dependence-free, stores injective --------------
+    # -- covers the space, or scatters behind an injectivity proof -------------
     if loaded & set(store_counts):
         return None, None, None, (
             "a buffer is both loaded and stored in the nest body"
@@ -1227,7 +1138,6 @@ def _nest_vector_plan(loop: Operation):
     if any(count > 1 for count in store_counts.values()):
         return None, None, None, "multiple stores to one buffer"
     proof_dims: list[tuple[int, ...]] = []
-    needs_proof = False
     for op in stores:
         if len(op.operands) == 2:
             return None, None, None, (
@@ -1263,77 +1173,33 @@ def _nest_vector_plan(loop: Operation):
             # indirect dims cannot introduce collisions
             proof_dims.append(())
         elif store_has_indirect:
-            # the PR 4 injectivity lattice, lifted to nest level: prove
-            # the full subscript *tuple* injective over the flat space
+            # prove the full subscript *tuple* injective over the space
             proof_dims.append(tuple(range(len(op.operands) - 2)))
-            needs_proof = True
         else:
             return None, None, None, (
                 "store subscripts do not cover every nest dim"
             )
-    reason = loads_are_affine(frozenset())
+    reason = loads_reason(frozenset())
     if reason is not None:
         return None, None, None, reason
-    scatter = None
-    skip: frozenset[int] = frozenset()
-    if needs_proof:
-        # defer *every* store so a failed proof leaves nothing mutated
-        scatter = _NestScatter(
-            stores=tuple(stores),
-            proof_dims=tuple(proof_dims),
-            skip=frozenset(id(op) for op in stores),
-        )
-        skip = scatter.skip
-    plan = _NestPlan(
-        ivs=tuple(ivs),
-        root_dims=root_dims,
-        chain=tuple(chain),
-        charge_specs=tuple(charge_specs),
-        observer_specs=tuple(observer_specs),
-        prelude=tuple(prelude_levels),
-        reduction=None,
-        scatter=scatter,
+    if not any(proof_dims):
+        if rank == 1:
+            return None, None, None, None  # covered by the depth-1 test
+        return planned("nest_elementwise")
+    # defer *every* store so a failed proof leaves nothing mutated
+    scatter = _NestScatter(
+        stores=tuple(stores),
+        proof_dims=tuple(proof_dims),
+        skip=frozenset(id(op) for op in stores),
     )
-    program = _compile_vector_body(program_ops, skip, ivs)
-    mode = "nest_scatter" if scatter is not None else "nest_elementwise"
-    return mode, plan, program, None
-
-
-def _classify_nest(loop: Operation) -> tuple:
-    """Cached classification for rank>=2 ``omp.loop_nest`` ops."""
-    key = id(loop)
-    _analysis_cache = _cache_for(loop)
-    cached = _analysis_cache.get(key)
-    if cached is not None and cached[0] is loop:
-        return cached
-    mode, plan, program, reason = _nest_vector_plan(loop)
-    if mode is None:
-        logger.debug(
-            "scalar bail-out: rank-%d omp.loop_nest not vectorized: %s",
-            len(loop.regions[0].block.args),
-            reason,
-        )
-    cached = (loop, mode, plan, program)
-    _analysis_cache[key] = cached
-    return cached
+    return planned(
+        "scatter_store" if rank == 1 else "nest_scatter", scatter=scatter
+    )
 
 
 # ---------------------------------------------------------------------------
-# Segmented (triangular / CSR) nests
+# Ragged (triangular / CSR) nests
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SegmentedSpan:
-    """Span flavour of ``nest_segmented``: a rank-1 elementwise loop
-    whose bounds are runtime data (SGESL's triangular ``j = k+1, n``
-    after hoisting).  Evaluation is the plain elementwise fast path with
-    *no* minimum-trip-count floor — each outer iteration is one runtime
-    segment, and the floor is what made the triangular tail a scalar
-    cliff.  The plan only exists to carry the empty skip set through the
-    generic body compile."""
-
-    skip: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -1350,8 +1216,10 @@ class _SegmentedNest:
     expression over it, and the fold runs per segment in iteration
     order (bit-exact f32).  Phase B (``epilogue_program``) then runs the
     epilogue per row with the accumulator readback preset to the folded
-    per-row values.  Nothing is mutated until every runtime proof (step
-    sign, monotone offsets, NaN hazard) has passed.
+    per-row values; its stores (``stores``, injective per row, so they
+    need no proof) are deferred like a scatter's.  Nothing is mutated
+    until every runtime proof (step sign, monotone offsets, NaN hazard)
+    has passed.
 
     ``needs_monotone`` names the bounds (``"lb"``/``"ub"``) classified
     as offset-array loads; those vectors are runtime-proved monotone
@@ -1374,6 +1242,7 @@ class _SegmentedNest:
     row_program: Any  # phase A over the outer IV
     inner_program: Any  # flat space [outer, inner]
     epilogue_program: Any  # phase B over the outer IV
+    stores: _NestScatter  # the epilogue's deferred stores
 
 
 def _segmented_nest_plan(loop: Operation):
@@ -1556,7 +1425,13 @@ def _segmented_nest_plan(loop: Operation):
     row_skip = (
         frozenset({id(init_store)}) if init_store is not None else frozenset()
     )
-    epi_skip = (
+    epi_stores = tuple(op for op in epilogue if op.name == "memref.store")
+    stores = _NestScatter(
+        stores=epi_stores,
+        proof_dims=((),) * len(epi_stores),
+        skip=frozenset(id(op) for op in epi_stores),
+    )
+    epi_skip = stores.skip | (
         frozenset({id(readback)}) if readback is not None else frozenset()
     )
     plan = _SegmentedNest(
@@ -1576,252 +1451,18 @@ def _segmented_nest_plan(loop: Operation):
             [iv_o, inner_body.args[0]],
         ),
         epilogue_program=_compile_vector_body(epilogue, epi_skip, [iv_o]),
+        stores=stores,
     )
     return "nest_segmented", plan, plan.row_program, None
 
 
-def _run_segmented_span(interp, loop: Operation, env, lb, ub, step) -> bool:
-    """The span flavour at runtime: the elementwise evaluation with no
-    minimum-trip-count floor (one runtime segment per dispatch)."""
-    _, _, _, program = _classify(loop)
-    trips = _trip_count(lb, ub, step)
-    if trips == 0:
-        return True
-    body = loop.regions[0].block
-    ivs = np.arange(lb, lb + trips * step, step, dtype=np.int64)
-    program.run(interp, env, ivs)
-    interp.steps += trips * max(1, len(body.ops))
-    return True
+# ---------------------------------------------------------------------------
+# Execution
+# ---------------------------------------------------------------------------
 
 
-def _run_segmented(interp, loop: Operation, env, lb, ub, step, plan) -> bool:
-    """Execute a classified segmented nest whole-space.  True when
-    handled — observers and step accounting then exactly match the
-    scalar nested walk; a False return has mutated nothing (stores and
-    accumulator writebacks are all deferred past the runtime proofs), so
-    the scalar walk can rerun safely."""
-    trips_o = _trip_count(lb, ub, step)
-    if trips_o == 0:
-        return True  # the scalar walk would do nothing either
-    i_vec = np.arange(lb, lb + trips_o * step, step, dtype=np.int64)
-    frame_a = plan.row_program.run(interp, env, i_vec)
-
-    def row_value(v: SSAValue):
-        slot = plan.row_program.slots.get(v)
-        if slot is not None:
-            return frame_a[slot]
-        return interp.get(env, v)
-
-    inner_step = row_value(plan.bounds[2])
-    if np.ndim(inner_step) != 0:
-        return False  # step varies per row: outside the contract
-    inner_step = int(inner_step)
-    if inner_step <= 0:
-        return False  # the scalar walk decides (zero-trip or diverging)
-    lb_vec = np.broadcast_to(
-        np.asarray(row_value(plan.bounds[0]), dtype=np.int64), (trips_o,)
-    )
-    ub_vec = np.broadcast_to(
-        np.asarray(row_value(plan.bounds[1]), dtype=np.int64), (trips_o,)
-    )
-    for which, vec in (("lb", lb_vec), ("ub", ub_vec)):
-        if which in plan.needs_monotone and trips_o > 1 and bool(
-            np.any(np.diff(vec) < 0)
-        ):
-            logger.debug(
-                "scalar bail-out: segmented nest %s offsets are not "
-                "monotone non-decreasing (shuffled offset array); "
-                "rerunning the loop on the scalar tier",
-                which,
-            )
-            return False
-    trips_vec = np.maximum(0, -((lb_vec - ub_vec) // inner_step))
-    total = int(trips_vec.sum())
-    if trips_o + total < _MIN_TRIPS:
-        return False  # scalar wins on constant factors
-
-    reduction = plan.reduction
-    acc_arr = row_value(reduction.acc)
-    dtype = acc_arr.dtype
-    ufunc = _REDUCERS[reduction.op_name]
-    cell_values = [row_value(i) for i in reduction.indices]
-    cell = tuple(
-        np.asarray(v) if np.ndim(v) else int(v) for v in cell_values
-    )
-    if plan.init_value is not None:
-        init_rows = _as_vector(row_value(plan.init_value), trips_o, dtype)
-    else:
-        init_rows = _as_vector(
-            acc_arr[cell] if cell else acc_arr[()], trips_o, dtype
-        )
-
-    folded_all = np.empty(trips_o, dtype=dtype)
-    cum = np.cumsum(trips_vec)
-    r0 = 0
-    while r0 < trips_o:
-        if total <= _MAX_NEST_ELEMS:
-            r1 = trips_o
-        else:
-            # Bound peak memory: whole rows per chunk, so segments never
-            # straddle a chunk boundary and every fold stays per-row.
-            base = int(cum[r0 - 1]) if r0 else 0
-            r1 = int(
-                np.searchsorted(cum, base + _MAX_NEST_ELEMS, side="right")
-            )
-            r1 = min(max(r1, r0 + 1), trips_o)
-        seg = trips_vec[r0:r1]
-        rows_n = r1 - r0
-        ctotal = int(seg.sum())
-        init_chunk = init_rows[r0:r1]
-        if ctotal == 0:
-            folded_all[r0:r1] = init_chunk  # empty segments keep the init
-            r0 = r1
-            continue
-        starts = np.cumsum(seg) - seg
-        outer_flat = np.repeat(i_vec[r0:r1], seg)
-        inner_flat = (
-            np.repeat(lb_vec[r0:r1], seg)
-            + (np.arange(ctotal, dtype=np.int64) - np.repeat(starts, seg))
-            * inner_step
-        )
-
-        def resolve(v: SSAValue, _r0=r0, _r1=r1, _seg=seg):
-            slot = plan.row_program.slots.get(v)
-            if slot is not None:
-                val = frame_a[slot]
-                if np.ndim(val) == 0:
-                    return val
-                return np.repeat(val[_r0:_r1], _seg)
-            return interp.get(env, v)
-
-        frame_i = plan.inner_program.run_with(
-            interp, env, [outer_flat, inner_flat], resolve
-        )
-        slot = plan.inner_program.slots.get(reduction.expr)
-        expr_vec = _as_vector(
-            frame_i[slot] if slot is not None else resolve(reduction.expr),
-            ctotal,
-            dtype,
-        )
-        if _minmax_nan_hazard(reduction.op_name, init_chunk, expr_vec):
-            logger.debug(
-                "scalar bail-out: %s reduction input contains NaN "
-                "(np.minimum/np.maximum propagate NaN where the scalar "
-                "engine's min/max ignore a NaN rhs); rerunning the loop "
-                "on the scalar tier",
-                reduction.op_name,
-            )
-            return False  # nothing mutated yet: all writes are deferred
-        t0 = int(seg[0])
-        if bool(np.all(seg == t0)):
-            # equal rows: one ordered accumulate over an init column
-            expr_mat = expr_vec.reshape(rows_n, t0)
-            if ufunc is np.minimum or ufunc is np.maximum:
-                folded = ufunc(init_chunk, ufunc.reduce(expr_mat, axis=1))
-            else:
-                seq = np.empty((rows_n, t0 + 1), dtype=dtype)
-                seq[:, 0] = init_chunk
-                seq[:, 1:] = expr_mat
-                folded = ufunc.accumulate(seq, axis=1)[:, -1]
-        else:
-            # ragged rows: in-order per-cell combine over segment ids
-            folded = init_chunk.astype(dtype, copy=True)
-            seg_ids = np.repeat(np.arange(rows_n), seg)
-            ufunc.at(folded, seg_ids, expr_vec)
-        folded_all[r0:r1] = folded
-        r0 = r1
-
-    # -- every proof passed: run the epilogue and write the folds back ---------
-    def resolve_epi(v: SSAValue):
-        if plan.readback is not None and v is plan.readback.results[0]:
-            return folded_all
-        return row_value(v)
-
-    plan.epilogue_program.run_with(interp, env, [i_vec], resolve_epi)
-    if plan.acc_shared:
-        # the scalar walk leaves the last row's fold in the shared cell
-        if cell:
-            acc_arr[cell] = folded_all[-1]
-        else:
-            acc_arr[()] = folded_all[-1]
-    elif plan.init_value is not None:
-        acc_arr[cell] = folded_all  # init store ran even for empty rows
-    else:
-        nz = trips_vec > 0
-        if bool(nz.all()):
-            acc_arr[cell] = folded_all
-        else:
-            # zero-trip rows never touched their cell in the scalar walk
-            cell_nz = tuple(c[nz] if np.ndim(c) else c for c in cell)
-            acc_arr[cell_nz] = folded_all[nz]
-
-    interp.steps += trips_o * plan.outer_ops + total * plan.inner_ops
-    observer = interp.loop_observer
-    if observer is not None:
-        # one observer call per distinct per-row trip count, batched —
-        # modelled cycles are integer-valued floats, so sums stay exact
-        uniq, counts = np.unique(trips_vec, return_counts=True)
-        for t, c in zip(uniq, counts):
-            _fire_observer(observer, plan.inner_for, int(t), int(c))
-    return True
-
-
-def _classify_guarded(interp, loop: Operation, classifier) -> tuple:
-    """Classification that degrades instead of crashing.
-
-    The classifiers are side-effect free, so an engine bug inside the
-    vectorizer's analysis must never take down a run the scalar tier
-    could complete: the crash is recorded as a ``vectorized -> scalar``
-    degradation (once — the cache is poisoned with a no-mode entry) and
-    the caller takes its normal scalar bail path.  The cache is consulted
-    here too, so the poisoned entry short-circuits before the crashed
-    classifier runs again.
-    """
-    cache = _cache_for(loop)
-    cached = cache.get(id(loop))
-    if cached is not None and cached[0] is loop:
-        return cached
-    try:
-        return classifier(loop)
-    except Exception as error:  # noqa: BLE001 - degrade, never crash
-        cached = (loop, None, None, None)
-        cache[id(loop)] = cached
-        from repro.reliability.report import record_degradation
-
-        record_degradation(
-            interp,
-            "vectorized",
-            "scalar",
-            f"{loop.name} classification",
-            error,
-        )
-        return cached
-
-
-def _accepts_count(observer) -> bool:
-    """True when the observer accepts the batching ``count`` argument."""
-    import inspect
-
-    try:
-        inspect.signature(observer).bind("op", "trips", "count")
-    except TypeError:
-        return False
-    return True
-
-
-def _fire_observer(observer, op: Operation, trips: int, count: int) -> None:
-    """Fire the loop observer as often as the scalar walk would.
-
-    Batched observers (``observer(op, trips, count)``) get one call;
-    two-argument observers are called ``count`` times.  Arity is probed
-    by signature, not by catching TypeError — an error raised *inside*
-    the observer must propagate, not trigger duplicate calls.
-    """
-    if _accepts_count(observer):
-        observer(op, trips, count)
-    else:
-        for _ in range(count):
-            observer(op, trips)
+def _trip_count(lb, ub, step) -> int:
+    return max(0, -(-(ub - lb) // step)) if step > 0 else 0
 
 
 def _flatten_space(dim_values: list) -> list:
@@ -1840,8 +1481,8 @@ def _flatten_space(dim_values: list) -> list:
     return vecs
 
 
-def _run_nest(interp, loop: Operation, env, root_bounds, plan, program) -> bool:
-    """Execute a classified nest whole-space.  ``root_bounds`` holds one
+def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
+    """Execute a rectangular plan whole-space.  ``root_bounds`` holds one
     ``(lb, exclusive ub, step)`` triple per root dimension; chain-member
     bounds are read from the environment (after the step-neutral prelude
     evaluation).  Returns True when handled — observers and step
@@ -1850,11 +1491,9 @@ def _run_nest(interp, loop: Operation, env, root_bounds, plan, program) -> bool:
     """
     trips = [_trip_count(lb, ub, step) for lb, ub, step in root_bounds]
     bounds = list(root_bounds)
-    total = 1
-    for t in trips:
-        total *= t
+    total = math.prod(trips)
     #: (dims, main_for, rem_for, main_ops, rem_ops, main_trips, rem_trips)
-    stitch_runtime: list[tuple] = []
+    stitches: list[tuple] = []
     for level, level_prelude in zip(plan.chain, plan.prelude):
         if total == 0:
             # The scalar walk never reaches this level: its bound
@@ -1888,7 +1527,7 @@ def _run_nest(interp, loop: Operation, env, root_bounds, plan, program) -> bool:
             )
             if m_step <= 0:
                 return False
-            stitch_runtime.append((
+            stitches.append((
                 len(trips), main_for, rem_for, main_ops, rem_ops,
                 _trip_count(m_lb, m_ub, m_step),
                 _trip_count(r_lb, r_ub, r_step),
@@ -1896,190 +1535,476 @@ def _run_nest(interp, loop: Operation, env, root_bounds, plan, program) -> bool:
         bounds.append((lb, ub, step))
         trips.append(_trip_count(lb, ub, step))
         total *= trips[-1]
-    if 0 < total < _MIN_TRIPS:
+    if 0 < total < _MIN_TRIPS and not plan.span:
         return False  # scalar wins on constant factors
 
-    def commit() -> bool:
-        steps_charged = 0
-        for dims, op_count in plan.charge_specs:
-            executions = 1
-            for t in trips[:dims]:
-                executions *= t
-            steps_charged += executions * op_count
-        observer = interp.loop_observer
-        for entry in stitch_runtime:
-            dims, main_for, rem_for, main_ops, rem_ops, m_t, r_t = entry
-            executions = 1
-            for t in trips[:dims]:
-                executions *= t
-            steps_charged += executions * (m_t * main_ops + r_t * rem_ops)
-            if observer is not None and executions:
-                _fire_observer(observer, main_for, m_t, executions)
-                _fire_observer(observer, rem_for, r_t, executions)
-        interp.steps += steps_charged
-        if observer is not None:
-            for dims, chain_op in plan.observer_specs:
-                count = 1
-                for t in trips[:dims]:
-                    count *= t
-                if count:
-                    _fire_observer(observer, chain_op, trips[dims], count)
-        return True
+    if total:
+        reduction = plan.reduction
+        if len(trips) == 1:
+            lb, _, step = bounds[0]
+            spaces = [[np.arange(lb, lb + total * step, step, dtype=np.int64)]]
+        else:
+            dim_values = [
+                np.arange(lb, lb + t * step, step, dtype=np.int64)
+                for (lb, _, step), t in zip(bounds, trips)
+            ]
+            outer = [dim_values[0]]
+            if total > _MAX_NEST_ELEMS:
+                # Bound peak memory: evaluate chunks of outermost-dim
+                # slices (the whole-space temporaries scale with the
+                # *product* of the dims).  Chunks commit one by one, so a
+                # NaN check or an injectivity proof, which must pass over
+                # the whole space before anything is stored, keeps its
+                # nest scalar instead.
+                if plan.scatter is not None or (
+                    reduction is not None
+                    and _REDUCERS[reduction.op_name] in (np.minimum, np.maximum)
+                ):
+                    logger.debug(
+                        "scalar bail-out: nest exceeds the whole-space size "
+                        "bound (its NaN check or injectivity proof needs one "
+                        "pass); rerunning the loop on the scalar tier",
+                    )
+                    return False
+                per_chunk = max(1, _MAX_NEST_ELEMS // (total // trips[0]))
+                outer = [
+                    dim_values[0][start : start + per_chunk]
+                    for start in range(0, trips[0], per_chunk)
+                ]
+            spaces = (
+                _flatten_space([chunk, *dim_values[1:]]) for chunk in outer
+            )
+        for vecs in spaces:
+            frame = program.run(interp, env, vecs)
+            if plan.scatter is not None:
+                value = program.lookup(frame, interp, env)
+                if not _apply_stores(plan.scatter, value, len(vecs[0])):
+                    return False  # failed proof: nothing was mutated
+            elif reduction is not None:
+                value = program.lookup(frame, interp, env)
+                array = value(reduction.acc)
+                cells = [value(i) for i in reduction.indices]
+                if len(trips) == 1 and any(map(_is_vector, cells)):
+                    # depth 1 with a varying cell: cells may collide
+                    width = None
+                    key = tuple([c if _is_vector(c) else int(c) for c in cells])
+                else:
+                    # each cell is invariant along the innermost level:
+                    # one representative per row
+                    width = trips[-1]
+                    key = tuple([
+                        c[::width] if _is_vector(c) else int(c) for c in cells
+                    ])
+                vec = _as_vector(
+                    value(reduction.expr), len(vecs[0]), array.dtype
+                )
+                if not _ordered_fold(reduction.op_name, array, key, vec, width):
+                    return False  # single pass (see above): nothing stored
 
-    if total == 0:
-        return commit()
+    steps = 0
+    for dims, op_count in plan.charge_specs:
+        steps += math.prod(trips[:dims]) * op_count
+    observer = interp.loop_observer
+    for dims, main_for, rem_for, main_ops, rem_ops, m_t, r_t in stitches:
+        executions = math.prod(trips[:dims])
+        steps += executions * (m_t * main_ops + r_t * rem_ops)
+        if observer is not None and executions:
+            observer(main_for, m_t, executions)
+            observer(rem_for, r_t, executions)
+    interp.steps += steps
+    if observer is not None:
+        for dims, chain_op in plan.observer_specs:
+            count = math.prod(trips[:dims])
+            if count:
+                observer(chain_op, trips[dims], count)
+    return True
 
-    reduction = plan.reduction
-    red_trips = trips[-1] if reduction is not None else 1
-    dim_values = [
-        np.arange(lb, lb + t * step, step, dtype=np.int64)
-        for (lb, _, step), t in zip(bounds, trips)
-    ]
-    if total <= _MAX_NEST_ELEMS:
-        outer_chunks = [dim_values[0]]
-    else:
-        # Bound peak memory: evaluate chunks of outermost-dim slices (the
-        # whole-space temporaries scale with the *product* of the dims).
-        inner_total = total // trips[0]
-        per_chunk = max(1, _MAX_NEST_ELEMS // max(1, inner_total))
-        outer_chunks = [
-            dim_values[0][start : start + per_chunk]
-            for start in range(0, trips[0], per_chunk)
-        ]
-        if reduction is not None and _REDUCERS[reduction.op_name] in (
-            np.minimum, np.maximum,
+
+def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
+    """Execute a ragged (triangular / CSR) plan whole-space.  True when
+    handled — observers and step accounting then exactly match the
+    scalar nested walk; a False return has mutated nothing (stores and
+    accumulator writebacks are all deferred past the runtime proofs), so
+    the scalar walk can rerun safely."""
+    trips_o = _trip_count(lb, ub, step)
+    if trips_o == 0:
+        return True  # the scalar walk would do nothing either
+    i_vec = np.arange(lb, lb + trips_o * step, step, dtype=np.int64)
+    frame_a = plan.row_program.run(interp, env, [i_vec])
+    row_value = plan.row_program.lookup(frame_a, interp, env)
+    inner_step = row_value(plan.bounds[2])
+    if np.ndim(inner_step) != 0:
+        return False  # step varies per row: outside the contract
+    inner_step = int(inner_step)
+    if inner_step <= 0:
+        return False  # the scalar walk decides (zero-trip or diverging)
+    lb_vec = np.broadcast_to(
+        np.asarray(row_value(plan.bounds[0]), dtype=np.int64), (trips_o,)
+    )
+    ub_vec = np.broadcast_to(
+        np.asarray(row_value(plan.bounds[1]), dtype=np.int64), (trips_o,)
+    )
+    for which, vec in (("lb", lb_vec), ("ub", ub_vec)):
+        if which in plan.needs_monotone and trips_o > 1 and bool(
+            np.any(np.diff(vec) < 0)
         ):
-            # Chunked evaluation commits chunk-by-chunk, but a NaN found
-            # in a later chunk must abort *before* anything was stored —
-            # stay scalar rather than risk a partial update.
             logger.debug(
-                "scalar bail-out: min/max nest reduction exceeds the "
-                "whole-space size bound (NaN check needs one pass); "
+                "scalar bail-out: segmented nest %s offsets are not "
+                "monotone non-decreasing (shuffled offset array); "
                 "rerunning the loop on the scalar tier",
+                which,
             )
             return False
-    if plan.scatter is not None and len(outer_chunks) > 1:
-        # Injectivity must hold over the *whole* space: chunked
-        # evaluation commits chunk-by-chunk before later chunks are
-        # proved, so oversized scatter nests stay scalar.
+    trips_vec = np.maximum(0, -((lb_vec - ub_vec) // inner_step))
+    total = int(trips_vec.sum())
+    if trips_o + total < _MIN_TRIPS:
+        return False  # scalar wins on constant factors
+
+    reduction = plan.reduction
+    acc_arr = row_value(reduction.acc)
+    dtype = acc_arr.dtype
+    cell_values = [row_value(i) for i in reduction.indices]
+    cell = tuple(
+        np.asarray(v) if np.ndim(v) else int(v) for v in cell_values
+    )
+    if plan.init_value is not None:
+        init = row_value(plan.init_value)
+    else:
+        init = acc_arr[cell]
+    # per-row folds start from the init values; empty rows keep them
+    folded_all = np.array(_as_vector(init, trips_o, dtype), dtype=dtype)
+    cum = np.cumsum(trips_vec)
+    r0 = 0
+    while r0 < trips_o:
+        if total <= _MAX_NEST_ELEMS:
+            r1 = trips_o
+        else:
+            # Bound peak memory: whole rows per chunk, so segments never
+            # straddle a chunk boundary and every fold stays per-row.
+            base = int(cum[r0 - 1]) if r0 else 0
+            r1 = int(
+                np.searchsorted(cum, base + _MAX_NEST_ELEMS, side="right")
+            )
+            r1 = min(max(r1, r0 + 1), trips_o)
+        seg = trips_vec[r0:r1]
+        ctotal = int(seg.sum())
+        if ctotal:
+            starts = np.cumsum(seg) - seg
+            outer_flat = np.repeat(i_vec[r0:r1], seg)
+            inner_flat = (
+                np.repeat(lb_vec[r0:r1], seg)
+                + (np.arange(ctotal, dtype=np.int64) - np.repeat(starts, seg))
+                * inner_step
+            )
+
+            def resolve(v: SSAValue, _r0=r0, _r1=r1, _seg=seg):
+                slot = plan.row_program.slots.get(v)
+                if slot is not None:
+                    val = frame_a[slot]
+                    if np.ndim(val) == 0:
+                        return val
+                    return np.repeat(val[_r0:_r1], _seg)
+                return interp.get(env, v)
+
+            frame_i = plan.inner_program.run(
+                interp, env, [outer_flat, inner_flat], resolve
+            )
+            slot = plan.inner_program.slots.get(reduction.expr)
+            expr_vec = _as_vector(
+                frame_i[slot] if slot is not None else resolve(reduction.expr),
+                ctotal,
+                dtype,
+            )
+            t0 = int(seg[0])
+            if bool(np.all(seg == t0)):
+                key, width = (slice(None),), t0  # equal rows
+            else:
+                key, width = (np.repeat(np.arange(r1 - r0), seg),), None
+            if not _ordered_fold(
+                reduction.op_name, folded_all[r0:r1], key, expr_vec, width
+            ):
+                return False  # nothing mutated yet: all writes are deferred
+        r0 = r1
+
+    # -- every proof passed: run the epilogue and write the folds back ---------
+    def resolve_epi(v: SSAValue):
+        if plan.readback is not None and v is plan.readback.results[0]:
+            return folded_all
+        return row_value(v)
+
+    frame_e = plan.epilogue_program.run(interp, env, [i_vec], resolve_epi)
+
+    def epi_value(v: SSAValue):
+        slot = plan.epilogue_program.slots.get(v)
+        return frame_e[slot] if slot is not None else resolve_epi(v)
+
+    _apply_stores(plan.stores, epi_value, trips_o)
+    if plan.acc_shared:
+        # the scalar walk leaves the last row's fold in the shared cell
+        acc_arr[cell] = folded_all[-1]
+    elif plan.init_value is not None:
+        acc_arr[cell] = folded_all  # init store ran even for empty rows
+    else:
+        nz = trips_vec > 0
+        if bool(nz.all()):
+            acc_arr[cell] = folded_all
+        else:
+            # zero-trip rows never touched their cell in the scalar walk
+            cell_nz = tuple(c[nz] if np.ndim(c) else c for c in cell)
+            acc_arr[cell_nz] = folded_all[nz]
+
+    interp.steps += trips_o * plan.outer_ops + total * plan.inner_ops
+    observer = interp.loop_observer
+    if observer is not None:
+        # one observer call per distinct per-row trip count, batched —
+        # modelled cycles are integer-valued floats, so sums stay exact
+        uniq, counts = np.unique(trips_vec, return_counts=True)
+        for t, c in zip(uniq, counts):
+            observer(plan.inner_for, int(t), int(c))
+    return True
+
+
+def _apply_stores(deferred: _NestScatter, value, total: int) -> bool:
+    """Prove every deferred store injective over the ``total``-point
+    flat space, then apply them all in op order.  ``value`` resolves an
+    SSA value of the evaluated space.  False (nothing mutated) means the
+    scalar walk must rerun."""
+    resolved = []
+    for store, dims_to_prove in zip(deferred.stores, deferred.proof_dims):
+        indices = [value(i) for i in store.operands[2:]]
+        if dims_to_prove and _prove_injective_tuple(
+            [indices[d] for d in dims_to_prove], total
+        ) is None:
+            logger.debug(
+                "scalar bail-out: scatter store failed the injectivity "
+                "proof (the subscript tuple has duplicate entries over the "
+                "iteration space; neither monotone nor unique); rerunning "
+                "the loop on the scalar tier",
+            )
+            return False
+        resolved.append((store, indices))
+    for store, indices in resolved:
+        key = tuple(
+            np.asarray(i) if np.ndim(i) else int(i) for i in indices
+        )
+        value(store.operands[1])[key if len(key) > 1 else key[0]] = value(
+            store.operands[0]
+        )
+    return True
+
+
+def _prove_injective(vec: np.ndarray) -> str | None:
+    """Runtime tiers of the injectivity-proof lattice (see the module
+    docstring): ``monotone`` (O(n)) before ``unique`` (O(n log n));
+    None when the vector has duplicates."""
+    if vec.size <= 1:
+        return "trivial"
+    deltas = np.diff(vec)
+    if bool(np.all(deltas > 0)) or bool(np.all(deltas < 0)):
+        return "monotone"
+    if np.unique(vec).size == vec.size:
+        return "unique"
+    return None
+
+
+def _prove_injective_tuple(columns, total: int) -> str | None:
+    """The injectivity lattice lifted to a subscript *tuple* over the
+    flattened nest space: a single varying column uses the rank-1 tiers
+    (monotone before unique); several columns are lexsorted together and
+    proved duplicate-free by adjacent comparison (O(n log n))."""
+    arrays = [np.broadcast_to(np.asarray(c), (total,)) for c in columns]
+    if total <= 1:
+        return "trivial"
+    if len(arrays) == 1:
+        return _prove_injective(arrays[0])
+    order = np.lexsort(arrays)
+    dup = np.ones(total - 1, dtype=bool)
+    for a in arrays:
+        sorted_col = a[order]
+        dup &= sorted_col[1:] == sorted_col[:-1]
+    return None if bool(dup.any()) else "tuple-unique"
+
+
+def _ordered_fold(
+    op_name: str, target: np.ndarray, key, vec: np.ndarray, width
+) -> bool:
+    """Combine ``vec`` into the cells ``target[key]`` strictly in
+    iteration order, with the scalar engine's rounding.
+
+    With a ``width``, cell ``r`` of ``key`` takes ``vec[r*width :
+    (r+1)*width]``: a scalar ``key`` is one chain, and equal-length rows
+    fold together with one ``ufunc.accumulate``.  Without one, ``key``
+    holds a full subscript per element of ``vec`` and colliding cells
+    (ragged rows, repeated indices) fold with in-order ``ufunc.at``.
+    Returns False with nothing mutated when a NaN meets a min/max
+    combiner, because Python ``min``/``max`` ignore a NaN rhs where
+    ``np.minimum``/``np.maximum`` propagate it."""
+    ufunc = _REDUCERS[op_name]
+    minmax = ufunc is np.minimum or ufunc is np.maximum
+    if minmax and vec.dtype.kind == "f" and (
+        bool(np.isnan(vec).any()) or bool(np.isnan(target).any())
+    ):
         logger.debug(
-            "scalar bail-out: scatter nest exceeds the whole-space size "
-            "bound (injectivity needs one pass); rerunning the loop on "
+            "scalar bail-out: %s reduction input contains NaN "
+            "(np.minimum/np.maximum propagate NaN where the scalar "
+            "engine's min/max ignore a NaN rhs); rerunning the loop on "
             "the scalar tier",
+            op_name,
         )
         return False
-
-    for chunk in outer_chunks:
-        vecs = _flatten_space([chunk, *dim_values[1:]])
-        frame = program.run(interp, env, vecs)
-        if plan.scatter is not None:
-            if not _apply_nest_scatter(
-                interp, env, plan.scatter, program, frame, len(vecs[0])
-            ):
-                return False  # failed proof: nothing was mutated
-            continue
-        if reduction is None:
-            continue  # stores were applied by the compiled program
-
-        def value(v: SSAValue, frame=frame):  # bind this chunk's frame
-            slot = program.slots.get(v)
-            if slot is not None:
-                return frame[slot]
-            return interp.get(env, v)
-
-        array = value(reduction.acc)
-        dtype = array.dtype
-        chunk_total = len(vecs[0])
-        outer_n = chunk_total // red_trips
-        vec = _as_vector(value(reduction.expr), chunk_total, dtype)
-        if _minmax_nan_hazard(reduction.op_name, array, vec):
-            logger.debug(
-                "scalar bail-out: %s reduction input contains NaN "
-                "(np.minimum/np.maximum propagate NaN where the scalar "
-                "engine's min/max ignore a NaN rhs); rerunning the loop "
-                "on the scalar tier",
-                reduction.op_name,
-            )
-            return False  # single chunk (see above): nothing stored yet
-        # Subscripts are invariant along the reduction dim (the fastest-
-        # varying axis), so one representative per outer point suffices.
-        cell = tuple(
-            np.asarray(i)[::red_trips] if np.ndim(i) else int(i)
-            for i in (value(i) for i in reduction.indices)
-        )
-        init = array[cell]
-        expr_mat = vec.reshape(outer_n, red_trips)
-        ufunc = _REDUCERS[reduction.op_name]
-        if ufunc is np.minimum or ufunc is np.maximum:
-            folded = ufunc(init, ufunc.reduce(expr_mat, axis=1))
+    if width is None:
+        ufunc.at(target, key if len(key) > 1 else key[0], vec)
+        return True
+    init = target[key]
+    if not isinstance(init, np.ndarray):
+        # one chain, folded 1-D (cheaper than a one-row matrix)
+        if minmax:
+            folded = ufunc(init, ufunc.reduce(vec))
         else:
-            # Ordered fold per accumulator cell: bit-exact f32, matching
-            # the scalar walk's left-to-right combine order.
-            seq = np.empty((outer_n, red_trips + 1), dtype=dtype)
-            seq[:, 0] = init
-            seq[:, 1:] = expr_mat
-            folded = ufunc.accumulate(seq, axis=1)[:, -1]
-        array[cell] = folded
+            seq = np.empty(width + 1, dtype=target.dtype)
+            seq[0] = init
+            seq[1:] = vec
+            folded = ufunc.accumulate(seq)[-1]
+    elif minmax:
+        folded = ufunc(init, ufunc.reduce(vec.reshape(-1, width), axis=1))
+    else:
+        seq = np.empty((len(init), width + 1), dtype=target.dtype)
+        seq[:, 0] = init
+        seq[:, 1:] = vec.reshape(-1, width)
+        folded = ufunc.accumulate(seq, axis=1)[:, -1]
+    target[key] = folded
+    return True
 
-    return commit()
+
+def _is_vector(value) -> bool:
+    """True for a per-element vector, False for a scalar (``np.ndim``
+    is too slow for the per-launch hot path)."""
+    return isinstance(value, np.ndarray) and value.ndim > 0
+
+
+def _dtype_for(ty) -> np.dtype:
+    from repro.ir.types import FloatType
+
+    if isinstance(ty, FloatType):
+        return np.dtype(np.float32 if ty.width == 32 else np.float64)
+    return np.dtype(np.int64)
+
+
+def _as_vector(value, trips: int, dtype) -> np.ndarray:
+    vec = np.asarray(value)
+    if vec.ndim == 0:
+        return np.full(trips, vec[()], dtype=dtype)
+    return vec.astype(dtype, copy=False)
+
+
+def _to_python(value, ty):
+    from repro.ir.types import FloatType
+
+    if isinstance(ty, FloatType):
+        return float(value)
+    return int(value)
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+#
+# The dispatch sites in ``dialects/scf.py`` and ``dialects/omp.py`` look
+# these four entries up by name, and each hands one family of modes to
+# the shared executors.
+
+
+def try_vectorized_loop(
+    interp, loop: Operation, env, lb: int, ub: int, step: int
+) -> bool:
+    """Execute an ``elementwise`` or ``scatter_store`` loop whole-space.
+    Returns True when handled (the scalar path must run otherwise)."""
+    _, mode, plan, program = _classify_guarded(interp, loop)
+    if mode not in ("elementwise", "scatter_store"):
+        return False
+    return _run_nest(interp, env, ((lb, ub, step),), plan, program)
 
 
 def try_vectorized_nest(
     interp, loop: Operation, env, lb: int, ub: int, step: int
 ) -> bool:
-    """Whole-space evaluation of a perfect ``scf.for`` nest rooted at
-    ``loop``.  Returns True when handled; the scalar walk must run
-    otherwise."""
-    _, mode, plan, program = _classify_guarded(interp, loop, _classify)
-    if mode == "nest_segmented":
-        if isinstance(plan, _SegmentedSpan):
-            return _run_segmented_span(interp, loop, env, lb, ub, step)
-        return _run_segmented(interp, loop, env, lb, ub, step, plan)
-    if mode not in ("nest_elementwise", "nest_reduction", "nest_scatter"):
+    """Whole-space evaluation of a nest rooted at the ``scf.for``
+    ``loop``, or of a runtime-bounded span.  Returns True when handled;
+    the scalar walk must run otherwise."""
+    _, mode, plan, program = _classify_guarded(interp, loop)
+    if isinstance(plan, _SegmentedNest):
+        return _run_segmented(interp, env, lb, ub, step, plan)
+    if mode not in (
+        "nest_elementwise", "nest_reduction", "nest_scatter", "nest_segmented",
+    ):
         return False
-    return _run_nest(interp, loop, env, [(lb, ub, step)], plan, program)
+    return _run_nest(interp, env, ((lb, ub, step),), plan, program)
 
 
 def try_vectorized_loop_nest(
     interp, loop: Operation, env, lbs, ubs, steps
 ) -> bool:
-    """Whole-iteration-space evaluation of a rank-n ``omp.loop_nest``
-    (elementwise, or folding an innermost-dim reduction).
+    """Whole-iteration-space evaluation of a rank-n ``omp.loop_nest``.
 
     ``ubs`` are already exclusive.  Returns True when handled; the
     scalar nested walk must run otherwise.  Step accounting matches the
     scalar walk exactly (one step per body op per innermost iteration).
     """
-    _, mode, plan, program = _classify_guarded(interp, loop, _classify_nest)
+    _, mode, plan, program = _classify_guarded(interp, loop)
     if mode is None:
         return False
-    return _run_nest(
-        interp, loop, env, list(zip(lbs, ubs, steps)), plan, program
-    )
+    return _run_nest(interp, env, tuple(zip(lbs, ubs, steps)), plan, program)
+
+
+def try_vectorized_reduction(
+    interp, loop: Operation, env, lb: int, ub: int, step: int
+) -> list | None:
+    """Execute a recognised reduction loop vectorized.
+
+    Returns the loop's final result values when handled (``[]`` for
+    memref-accumulator loops, which have no results); None means the
+    scalar path must run.
+    """
+    _, mode, plan, program = _classify_guarded(interp, loop)
+    if mode not in ("iter_reduction", "memref_reduction"):
+        return None
+    trips = _trip_count(lb, ub, step)
+    if trips < _MIN_TRIPS:
+        return None  # zero-trip loops included: the scalar walk is free
+    if mode == "memref_reduction":
+        handled = _run_nest(interp, env, ((lb, ub, step),), plan, program)
+        return [] if handled else None
+    ivs = np.arange(lb, lb + trips * step, step, dtype=np.int64)
+    value = program.lookup(program.run(interp, env, [ivs]), interp, env)
+    finals = []
+    for op_name, expr, position in plan.combiners:
+        result_type = loop.results[position].type
+        dtype = _dtype_for(result_type)
+        acc = np.array(interp.get(env, loop.operands[3 + position]), dtype)
+        vec = _as_vector(value(expr), trips, dtype)
+        if not _ordered_fold(op_name, acc, (), vec, trips):
+            return None  # evaluation was side-effect free: rerun scalar
+        finals.append(_to_python(acc[()], result_type))
+    interp.steps += trips * max(1, len(loop.regions[0].block.ops))
+    return finals
 
 
 def loop_vector_mode(loop: Operation) -> tuple[str | None, Any]:
-    """Classify ``loop`` once: ``("elementwise", None)``,
-    ``("iter_reduction", plan)``, ``("memref_reduction", plan)``,
-    ``("scatter_store", plan)``, ``("nest_elementwise", plan)`` /
-    ``("nest_reduction", plan)`` / ``("nest_scatter", plan)`` for
-    perfect loop-nest chain roots, ``("nest_segmented", plan)`` for
-    runtime-bounded span loops and triangular/CSR outer-inner pairs, or
-    ``(None, None)``.  Cached per loop op."""
+    """Classify ``loop`` once and return ``(mode, plan)``.
+
+    Depth-1 loops are ``elementwise``, ``memref_reduction`` or
+    ``scatter_store``, and ``nest_segmented`` when their bounds are
+    runtime data; ``scf.for`` loops carrying iter_args are
+    ``iter_reduction``; nest roots are ``nest_elementwise``,
+    ``nest_reduction`` or ``nest_scatter``, and ragged triangular/CSR
+    outer-inner pairs ``nest_segmented``.  ``(None, None)`` means the
+    loop runs scalar.  Cached per loop op."""
     cached = _classify(loop)
     return cached[1], cached[2]
 
 
-def invalidate_analysis(root: Operation) -> None:
-    """Drop cached loop classifications under ``root`` (called by the
-    pass manager / rewrite driver after in-place mutation)."""
-    cache = _cache_for(root)
-    for op in root.walk():
-        cache.pop(id(op), None)
-
-
 # ---------------------------------------------------------------------------
-# Elementwise body evaluation (shared by all fast paths)
+# Body evaluation (shared by every plan)
 # ---------------------------------------------------------------------------
 #
 # The body is translated *once per loop op* into a small slot-frame
@@ -2094,8 +2019,7 @@ class _VectorProgram:
     Frame slot 0 holds the instruction tuple itself, so a run needs only
     one template copy plus the outer-value fetches.  ``iv_slots`` holds
     one slot per induction variable (rank-n ``omp.loop_nest`` bodies have
-    several); ``run`` accepts a single iv vector for rank 1 or a sequence
-    of per-dimension vectors otherwise.
+    several).
     """
 
     __slots__ = ("template", "slots", "iv_slots", "outer")
@@ -2107,35 +2031,35 @@ class _VectorProgram:
         #: loop-invariant values fetched from the interpreter env per run
         self.outer = outer
 
-    def run(self, interp, env, ivs) -> list:
+    def run(self, interp, env, ivs, resolve=None) -> list:
+        """Evaluate the body over ``ivs``, one index vector per iv slot.
+        Outer values come from the interpreter environment, or through
+        ``resolve`` when given — the segmented runner feeds per-row phase
+        values that way (prologue results repeated per segment, the
+        folded accumulator preset for the epilogue readback)."""
         frame = self.template.copy()
-        if len(self.iv_slots) == 1:
-            frame[self.iv_slots[0]] = ivs
+        for slot, vec in zip(self.iv_slots, ivs):
+            frame[slot] = vec
+        if resolve is None:
+            get = interp.get
+            for slot, value in self.outer:
+                frame[slot] = get(env, value)
         else:
-            for slot, vec in zip(self.iv_slots, ivs):
-                frame[slot] = vec
-        get = interp.get
-        for slot, value in self.outer:
-            frame[slot] = get(env, value)
+            for slot, value in self.outer:
+                frame[slot] = resolve(value)
         for instr in frame[0]:
             instr(frame)
         return frame
 
-    def run_with(self, interp, env, ivs, resolve) -> list:
-        """Like :meth:`run`, but every outer-value fetch goes through
-        ``resolve`` — the segmented nest runner uses this to feed
-        per-row phase values (prologue results repeated per segment, the
-        folded accumulator preset for the epilogue readback) where
-        :meth:`run` would consult the interpreter environment.  ``ivs``
-        is always a sequence with one vector per iv slot."""
-        frame = self.template.copy()
-        for slot, vec in zip(self.iv_slots, ivs):
-            frame[slot] = vec
-        for slot, value in self.outer:
-            frame[slot] = resolve(value)
-        for instr in frame[0]:
-            instr(frame)
-        return frame
+    def lookup(self, frame, interp, env):
+        """Resolver for the values of one evaluated ``frame``."""
+        slots = self.slots
+
+        def value(v: SSAValue):
+            slot = slots.get(v)
+            return frame[slot] if slot is not None else interp.get(env, v)
+
+        return value
 
 
 class _VectorCompiler:
@@ -2279,273 +2203,3 @@ def _compile_vector_body(
 
     ctx.template[0] = tuple(ctx.instrs)
     return _VectorProgram(ctx.template, ctx.slots, iv_slots, tuple(ctx.outer))
-
-
-def _trip_count(lb, ub, step) -> int:
-    return max(0, -(-(ub - lb) // step)) if step > 0 else 0
-
-
-# ---------------------------------------------------------------------------
-# Elementwise fast path
-# ---------------------------------------------------------------------------
-
-
-def _prove_injective(vec: np.ndarray) -> str | None:
-    """Runtime tiers of the injectivity-proof lattice (see the module
-    docstring): ``monotone`` (O(n)) before ``unique`` (O(n log n));
-    None when the vector has duplicates."""
-    if vec.size <= 1:
-        return "trivial"
-    deltas = np.diff(vec)
-    if bool(np.all(deltas > 0)) or bool(np.all(deltas < 0)):
-        return "monotone"
-    if np.unique(vec).size == vec.size:
-        return "unique"
-    return None
-
-
-def _prove_injective_tuple(columns, total: int) -> str | None:
-    """The injectivity lattice lifted to a subscript *tuple* over the
-    flattened nest space: a single varying column uses the rank-1 tiers
-    (monotone before unique); several columns are lexsorted together and
-    proved duplicate-free by adjacent comparison (O(n log n))."""
-    arrays = [np.broadcast_to(np.asarray(c), (total,)) for c in columns]
-    if total <= 1:
-        return "trivial"
-    if len(arrays) == 1:
-        return _prove_injective(arrays[0])
-    order = np.lexsort(arrays)
-    dup = np.ones(total - 1, dtype=bool)
-    for a in arrays:
-        sorted_col = a[order]
-        dup &= sorted_col[1:] == sorted_col[:-1]
-    return None if bool(dup.any()) else "tuple-unique"
-
-
-def _apply_nest_scatter(
-    interp, env, scatter: _NestScatter, program, frame, total: int
-) -> bool:
-    """Prove every deferred nest store injective over the flat space,
-    then apply them in op order.  False (nothing mutated — all stores
-    were skipped from the compiled program) means the scalar walk must
-    rerun."""
-
-    def value(v: SSAValue):
-        slot = program.slots.get(v)
-        if slot is not None:
-            return frame[slot]
-        return interp.get(env, v)
-
-    resolved = []
-    for store, dims_to_prove in zip(scatter.stores, scatter.proof_dims):
-        indices = [value(i) for i in store.operands[2:]]
-        if dims_to_prove:
-            proof = _prove_injective_tuple(
-                [indices[d] for d in dims_to_prove], total
-            )
-            if proof is None:
-                logger.debug(
-                    "scalar bail-out: nest scatter store failed the "
-                    "injectivity proof (subscript tuple has duplicate "
-                    "entries over the flattened space); rerunning the "
-                    "loop on the scalar tier",
-                )
-                return False
-        resolved.append((store, indices))
-    for store, indices in resolved:
-        array = value(store.operands[1])
-        key = tuple(
-            np.asarray(i) if np.ndim(i) else int(i) for i in indices
-        )
-        array[key if len(key) > 1 else key[0]] = value(store.operands[0])
-    return True
-
-
-def try_vectorized_loop(
-    interp, loop: Operation, env, lb: int, ub: int, step: int
-) -> bool:
-    """Execute the loop vectorized if provably safe.  Returns True when
-    handled (the scalar path must run otherwise)."""
-    _, mode, plan, program = _classify_guarded(interp, loop, _classify)
-    if mode not in ("elementwise", "scatter_store"):
-        return False
-    trips = _trip_count(lb, ub, step)
-    if trips == 0:
-        return True
-    if trips < _MIN_TRIPS:
-        return False  # scalar is cheaper for short loops
-    body = loop.regions[0].block
-    ivs = np.arange(lb, lb + trips * step, step, dtype=np.int64)
-    frame = program.run(interp, env, ivs)
-
-    if mode == "scatter_store":
-        # Stores were deferred (skipped from the compiled body), so the
-        # evaluation above mutated nothing: prove every store's subscript
-        # injective *before* applying any of them, and fall back to the
-        # scalar walk cleanly when a proof fails.
-        def value(v: SSAValue):
-            slot = program.slots.get(v)
-            if slot is not None:
-                return frame[slot]
-            return interp.get(env, v)
-
-        resolved = []
-        for store, proof_dims in zip(plan.stores, plan.proof_dims):
-            indices = [value(i) for i in store.operands[2:]]
-            proof = "affine" if not proof_dims else None
-            for dim in proof_dims:
-                proof = _prove_injective(np.asarray(indices[dim]))
-                if proof is not None:
-                    break
-            if proof is None:
-                logger.debug(
-                    "scalar bail-out: scatter store failed the "
-                    "injectivity proof (index vector has duplicate "
-                    "entries; neither monotone nor unique); rerunning "
-                    "the loop on the scalar tier",
-                )
-                return False
-            resolved.append((store, indices))
-        for store, indices in resolved:
-            array = value(store.operands[1])
-            key = tuple(
-                np.asarray(i) if np.ndim(i) else int(i) for i in indices
-            )
-            array[key if len(key) > 1 else key[0]] = value(store.operands[0])
-
-    # Account interpreter steps as if the loop ran scalar, so CPU-baseline
-    # time models are independent of this fast path.
-    interp.steps += trips * max(1, len(body.ops))
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Reduction fast paths
-# ---------------------------------------------------------------------------
-
-
-def _dtype_for(ty) -> np.dtype:
-    from repro.ir.types import FloatType
-
-    if isinstance(ty, FloatType):
-        return np.dtype(np.float32 if ty.width == 32 else np.float64)
-    return np.dtype(np.int64)
-
-
-def _as_vector(value, trips: int, dtype) -> np.ndarray:
-    vec = np.asarray(value)
-    if vec.ndim == 0:
-        return np.full(trips, vec[()], dtype=dtype)
-    return vec.astype(dtype, copy=False)
-
-
-def _minmax_nan_hazard(op_name: str, init, vec: np.ndarray) -> bool:
-    """NaNs make ``np.minimum``/``np.maximum`` diverge from the scalar
-    engine's Python ``min``/``max`` (which ignore a NaN rhs); those
-    inputs must take the scalar path."""
-    ufunc = _REDUCERS[op_name]
-    if ufunc is not np.minimum and ufunc is not np.maximum:
-        return False
-    if vec.dtype.kind != "f":
-        return False
-    # init is a scalar for iter_args reductions and the whole accumulator
-    # array for the memref form
-    return bool(np.isnan(vec).any()) or bool(np.isnan(init).any())
-
-
-def _reduce_chain(op_name: str, init, vec: np.ndarray, dtype) -> Any:
-    """Fold ``init ⊕ vec[0] ⊕ vec[1] ⊕ ...`` with the scalar engine's
-    rounding order (ordered accumulate for add/mul)."""
-    ufunc = _REDUCERS[op_name]
-    if ufunc is np.minimum or ufunc is np.maximum:
-        partial = ufunc.reduce(vec)
-        return ufunc(np.asarray(init).astype(dtype, copy=False)[()], partial)
-    seq = np.empty(len(vec) + 1, dtype=dtype)
-    seq[0] = init
-    seq[1:] = vec
-    return ufunc.accumulate(seq)[-1]
-
-
-def _to_python(value, ty):
-    from repro.ir.types import FloatType
-
-    if isinstance(ty, FloatType):
-        return float(value)
-    return int(value)
-
-
-def try_vectorized_reduction(
-    interp, loop: Operation, env, lb: int, ub: int, step: int
-) -> list | None:
-    """Execute a recognised reduction loop vectorized.
-
-    Returns the loop's final result values when handled (``[]`` for
-    memref-accumulator loops, which have no results); None means the
-    scalar path must run.
-    """
-    _, mode, plan, program = _classify_guarded(interp, loop, _classify)
-    if mode not in ("iter_reduction", "memref_reduction"):
-        return None
-    trips = _trip_count(lb, ub, step)
-    if trips < _MIN_TRIPS:
-        return None
-    body = loop.regions[0].block
-    ivs = np.arange(lb, lb + trips * step, step, dtype=np.int64)
-    frame = program.run(interp, env, ivs)
-
-    def value(v: SSAValue):
-        slot = program.slots.get(v)
-        if slot is not None:
-            return frame[slot]
-        return interp.get(env, v)
-
-    if mode == "iter_reduction":
-        finals = []
-        for op_name, expr, position in plan.combiners:
-            result_type = loop.results[position].type
-            dtype = _dtype_for(result_type)
-            init = interp.get(env, loop.operands[3 + position])
-            vec = _as_vector(value(expr), trips, dtype)
-            if _minmax_nan_hazard(op_name, init, vec):
-                logger.debug(
-                    "scalar bail-out: %s reduction input contains NaN "
-                    "(np.minimum/np.maximum propagate NaN where the "
-                    "scalar engine's min/max ignore a NaN rhs); "
-                    "rerunning the loop on the scalar tier",
-                    op_name,
-                )
-                return None  # evaluation was side-effect free: rerun scalar
-            reduced = _reduce_chain(op_name, init, vec, dtype)
-            finals.append(_to_python(reduced, result_type))
-        interp.steps += trips * max(1, len(body.ops))
-        return finals
-
-    array = value(plan.acc)
-    dtype = array.dtype
-    index_values = [value(i) for i in plan.indices]
-    vec = _as_vector(value(plan.expr), trips, dtype)
-    if _minmax_nan_hazard(plan.op_name, array, vec):
-        logger.debug(
-            "scalar bail-out: %s reduction input contains NaN "
-            "(np.minimum/np.maximum propagate NaN where the scalar "
-            "engine's min/max ignore a NaN rhs); rerunning the loop on "
-            "the scalar tier",
-            plan.op_name,
-        )
-        return None  # the accumulator is untouched so far: rerun scalar
-    if all(np.ndim(i) == 0 for i in index_values):
-        cell = tuple(int(i) for i in index_values)
-        init = array[cell] if cell else array[()]
-        reduced = _reduce_chain(plan.op_name, init, vec, dtype)
-        if cell:
-            array[cell] = reduced
-        else:
-            array[()] = reduced
-    else:
-        indices = tuple(
-            np.asarray(i) if np.ndim(i) else int(i) for i in index_values
-        )
-        ufunc = _REDUCERS[plan.op_name]
-        ufunc.at(array, indices if len(indices) > 1 else indices[0], vec)
-    interp.steps += trips * max(1, len(body.ops))
-    return []

@@ -18,14 +18,17 @@ trip observations as the serial model: outermost loops are sharded
 exactly (each CU pays its own pipeline fill plus ``block * II``), and
 the cycles of loops nested inside them are distributed proportionally
 to each CU's share of outer iterations (exact for rectangular nests,
-the standard balanced-load model for triangular ones).
+the standard balanced-load model for triangular ones).  There is one
+accounting path: every run aggregates its per-loop ``{trips: count}``
+multiset and is priced as the makespan over the CUs, a single-CU build
+being the N=1 case.
 
 Reliability: a *watchdog step budget* bounds how many interpreter steps
 one kernel execution may retire — a hung (or injected-hang) kernel
 raises a typed :class:`~repro.reliability.errors.WatchdogTimeout`
-instead of spinning.  An aborted execution discards its cycle stack and
-the executor rolls its step counter back via :meth:`reset_steps`, so a
-retried kernel reproduces fault-free accounting exactly.
+instead of spinning.  An aborted execution discards its observations
+and the executor rolls its step counter back via :meth:`reset_steps`,
+so a retried kernel reproduces fault-free accounting exactly.
 """
 
 from __future__ import annotations
@@ -76,13 +79,9 @@ class KernelRunner:
             bitstream.device_module, compiled=compiled, vectorize=vectorize
         )
         self._interp.loop_observer = self._observe_loop
-        self._cycle_stack: list[float] = []
-        self._design_stack: list[KernelSchedule] = []
         self._compute_units = max(1, getattr(bitstream, "compute_units", 1))
-        # Per-run {id(loop op): {trips: count}} observation multisets —
-        # only populated on multi-CU builds (``None`` entries keep the
-        # single-CU path free of aggregation work).
-        self._agg_stack: list[dict[int, dict[int, int]] | None] = []
+        # Per-run {id(loop op): {trips: count}} observation multisets.
+        self._agg_stack: list[dict[int, dict[int, int]]] = []
 
     @property
     def interpreter_steps(self) -> int:
@@ -120,9 +119,8 @@ class KernelRunner:
         if budget is not None:
             budget_limit = interp.steps + budget
             interp.max_steps = min(saved_max, budget_limit)
-        self._cycle_stack.append(float(design.start_overhead_cycles))
-        self._design_stack.append(design)
-        self._agg_stack.append({} if self._compute_units > 1 else None)
+        agg: dict[int, dict[int, int]] = {}
+        self._agg_stack.append(agg)
         try:
             interp.call(kernel_name, *args)
         except InterpreterError as error:
@@ -135,39 +133,31 @@ class KernelRunner:
             raise
         finally:
             interp.max_steps = saved_max
-            cycles = self._cycle_stack.pop()
-            self._design_stack.pop()
-            agg = self._agg_stack.pop()
-        per_cu: tuple[float, ...] = ()
-        if agg is not None:
-            cycles, per_cu = self._multi_cu_makespan(design, agg, cycles)
+            self._agg_stack.pop()
+        cycles, per_cu = self._makespan(design, agg)
         seconds = self.bitstream.board.cycles_to_seconds(cycles)
-        return KernelRun(cycles=cycles, seconds=seconds, per_cu_cycles=per_cu)
+        return KernelRun(
+            cycles=cycles,
+            seconds=seconds,
+            per_cu_cycles=per_cu if self._compute_units > 1 else (),
+        )
 
     # -- cycle accounting -------------------------------------------------------------
 
-    def _observe_loop(self, op: Operation, trips: int, count: int = 1) -> None:
-        """Charge one loop execution (``count`` identical executions when
-        the vectorized nest fast path batches its inner loops).  Cycle
-        values are integer-valued floats, so ``count * cycles`` is exact
-        — bit-identical to ``count`` repeated additions."""
-        if self._design_stack:
-            schedule = self._design_stack[-1].loops.get(id(op))
-            if schedule is not None:
-                self._cycle_stack[-1] += count * schedule.cycles(trips)
-                agg = self._agg_stack[-1]
-                if agg is not None:
-                    per_loop = agg.setdefault(id(op), {})
-                    per_loop[trips] = per_loop.get(trips, 0) + count
+    def _observe_loop(self, op: Operation, trips: int, count: int) -> None:
+        """Record ``count`` executions of ``op`` with ``trips`` iterations
+        each (the whole-space fast paths batch identical inner-loop
+        executions) in the running kernel's multiset."""
+        if self._agg_stack:
+            per_loop = self._agg_stack[-1].setdefault(id(op), {})
+            per_loop[trips] = per_loop.get(trips, 0) + count
 
-    def _multi_cu_makespan(
-        self,
-        design: KernelSchedule,
-        agg: dict[int, dict[int, int]],
-        serial_cycles: float,
+    def _makespan(
+        self, design: KernelSchedule, agg: dict[int, dict[int, int]]
     ) -> tuple[float, tuple[float, ...]]:
         """Shard the observed iteration space over the CUs and return
-        ``(makespan, per-CU cycles)``.
+        ``(makespan, per-CU cycles)``; a single-CU build is the N=1 case,
+        whose makespan is the serial cycle count.
 
         Outermost loops are sharded exactly: ``divmod(trips, N)`` splits
         each observed execution into contiguous blocks, the remainder
@@ -192,7 +182,7 @@ class KernelRunner:
                 if schedule.outermost:
                     base, rem = divmod(trips, n)
                     for cu in range(n):
-                        block = base + (1 if cu < rem else 0)
+                        block = base + 1 if cu < rem else base
                         outer_cycles[cu] += count * schedule.cycles(block)
                         outer_iters[cu] += count * block
                 else:
@@ -201,11 +191,11 @@ class KernelRunner:
         if total_outer == 0:
             # Nothing to shard (scalar kernel or zero-trip loops): CU 0
             # runs the whole kernel, the replicas just spin up.
-            return serial_cycles, (serial_cycles,) + (overhead,) * (n - 1)
-        per_cu = tuple(
-            overhead
-            + outer_cycles[cu]
-            + inner_cycles * (outer_iters[cu] / total_outer)
-            for cu in range(n)
-        )
-        return max(per_cu), per_cu
+            serial = overhead + inner_cycles
+            return serial, (serial,) + (overhead,) * (n - 1)
+        per_cu = []
+        for cycles, iters in zip(outer_cycles, outer_iters):
+            per_cu.append(
+                overhead + cycles + inner_cycles * (iters / total_outer)
+            )
+        return max(per_cu), tuple(per_cu)

@@ -38,8 +38,9 @@ from pathlib import Path
 from repro.reliability.errors import DataIntegrityError
 from repro.session import KernelOverrides, TargetConfig
 
-#: Bump together with the on-disk layout / key serialization.
-STORE_VERSION = 1
+#: Bump together with the on-disk layout, the key serialization or the
+#: pickle form of the artifacts: a new version addresses old entries away.
+STORE_VERSION = 2
 
 #: Stage names the store addresses, in pipeline order.
 STAGES = ("frontend", "host_device", "device_build", "program")

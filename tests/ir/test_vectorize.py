@@ -286,7 +286,7 @@ class TestGatherLoads:
         assert mode == "scatter_store"
         # the single store's subscript has no static (affine) proof, so
         # dimension 0 must pass the runtime injectivity proof
-        assert plan.proof_dims == ((0,),)
+        assert plan.scatter.proof_dims == ((0,),)
 
 
 def _scatter_module(n: int, scale: bool = False):
@@ -319,6 +319,28 @@ def _scatter_module(n: int, scale: bool = False):
     inner.insert(scf.Yield())
     b.insert(func.ReturnOp())
     return module, loop
+
+
+class TestDepthOneIsSinglePass:
+    def test_size_bound_does_not_split_a_depth_one_scatter(self, monkeypatch):
+        """The whole-space size bound splits deeper nests only: a depth-1
+        scatter far above it is still proved injective and applied in
+        one pass, instead of bailing to the scalar tier."""
+        import repro.ir.vectorize as vectorize
+
+        monkeypatch.setattr(vectorize, "_MAX_NEST_ELEMS", 64)
+        n = 256
+        module, loop = _scatter_module(n)
+        x_arg, idx_arg, y_arg = module.body.first_op.body.args
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal(n).astype(np.float32)
+        idx = rng.permutation(n).astype(np.int32)
+        y = np.zeros(n, np.float32)
+        env = {x_arg: x, idx_arg: idx, y_arg: y}
+        assert try_vectorized_loop(Interpreter(module), loop, env, 0, n, 1)
+        expected = np.zeros(n, np.float32)
+        expected[idx] = x
+        assert y.tobytes() == expected.tobytes()
 
 
 def _accumulate_scatter_module(n: int, nb: int):

@@ -123,32 +123,85 @@ def test_rank_n_nests_vectorize_whole_space(name, expected_mode):
     assert _device_root_mode(name) == expected_mode
 
 
+_SESSIONS: dict[str, object] = {}
+
+_NR, _MR, _NE, _NS, _SS = (
+    "nest_reduction", "memref_reduction", "nest_elementwise",
+    "nest_segmented", "scatter_store",
+)
+
+
 @pytest.mark.parametrize(
-    "name, expected_modes",
+    "name, simdlen, expected_modes",
     [
-        # outer row loop is the segmented nest; the inner reduction loop
-        # classifies on its own but is subsumed by the whole-space plan
-        ("spmv", ["memref_reduction", "nest_segmented"]),
-        # both device loops are runtime-bounded rank-1 spans
-        ("sgesl", ["nest_segmented", "nest_segmented"]),
+        # the collapse(3) nest with its in-place k reduction; at simdlen
+        # > 1 the k loop's main/remainder pair reads and writes c, so it
+        # does not stitch, the outer levels bail and the k loops fold on
+        # their own
+        ("batched_gemm", None, [_NR, _NR, _NR, _MR]),
+        ("batched_gemm", 2, [None, None, None, _MR, _MR, _NR, _MR]),
+        ("batched_gemm", 4,
+         [None, None, None, _MR, _MR, _MR, _MR, _NR, _MR]),
+        ("dot", None, [_MR]),
+        ("dot", 2, [None, _MR]),
+        ("dot", 4, [None, _MR]),
+        # the k-tiled nests stay on the scalar walk; only the innermost
+        # k loops fold
+        ("gemm", None, [None, None, None, _MR]),
+        ("gemm", 2, [None, None, None, _MR, None, _MR, None, None, _MR]),
+        ("gemm", 4,
+         [None, None, None, _MR, None, _MR, None, _MR, None, _MR, None,
+          None, _MR]),
+        ("histogram", None, [_MR, _SS]),
+        ("histogram", 2, [None, _MR, None, _SS]),
+        ("histogram", 4, [None, _MR, None, _SS]),
+        # the rank-3 chain root and its middle level classify whole-space;
+        # the runtime-bounded innermost loops are spans
+        ("heat3d", None, [_NE, _NE, _NS]),
+        ("heat3d", 2, [_NE, _NE, _NS, _NS]),
+        ("heat3d", 4, [_NE, _NE, _NS, _NS]),
+        ("jacobi2d", None, [_NE, _NS]),
+        ("jacobi2d", 2, [_NE, _NS, _NS]),
+        ("jacobi2d", 4, [_NE, _NS, _NS]),
+        # runtime-bounded rank-1 spans (the loop bound is loaded)
+        ("saxpy", None, [_NS, _NS]),
+        ("saxpy", 2, [_NS, _NS]),
+        ("saxpy", 4, [_NS, _NS]),
+        ("sgesl", None, [_NS, _NS]),
+        ("sgesl", 2, [_NS, _NS, _NS, _NS]),
+        ("sgesl", 4, [_NS, _NS, _NS, _NS]),
+        # the CSR row loop is the segmented nest; its inner reduction
+        # loop classifies on its own but is subsumed by the row plan
+        ("spmv", None, [_NS, _MR]),
+        ("spmv", 2, [None, _MR, _MR, _NS, _MR]),
+        ("spmv", 4, [None, _MR, _MR, _MR, _MR, _NS, _MR]),
     ],
 )
-def test_segmented_kernels_vectorize(name, expected_modes):
-    """Guard against silent scalar fallback for the segmented tier:
-    spmv's CSR row loop and sgesl's runtime-bounded solve loops must
-    classify ``nest_segmented`` — before PR 7 both ran the scalar walk
-    (spmv's imperfect nest bailed; sgesl's runtime trip counts never
-    reached the ``_MIN_TRIPS`` floor check) and this suite stayed green
-    while the fast tier was silently lost."""
+def test_segmented_kernels_vectorize(name, simdlen, expected_modes):
+    """Guard against silent scalar fallback on every gallery loop: the
+    vectorizer mode of each device ``scf.for``, in walk order and with
+    the loops that stay scalar (``None``) included, is pinned for every
+    workload at ``simdlen`` None, 2 and 4.  A regression here keeps the
+    conformance suite green (the scalar walk is always correct) while
+    silently losing the fast tier (spmv's imperfect nest once bailed,
+    and sgesl's runtime trip counts once never reached the
+    ``_MIN_TRIPS`` floor check, with nothing failing)."""
     from repro.ir.vectorize import loop_vector_mode
+    from repro.session import KernelOverrides, Session
 
-    program = _program(name)
+    if simdlen is None:
+        program = _program(name)
+    else:
+        session = _SESSIONS.setdefault(
+            name, Session(get_workload(name).source)
+        )
+        program = session.program(KernelOverrides(simdlen=simdlen))
     modes = [
         loop_vector_mode(op)[0]
         for op in program.device_module.walk()
         if op.name == "scf.for"
     ]
-    assert sorted(m for m in modes if m is not None) == expected_modes
+    assert modes == expected_modes
 
 
 def test_simdlen_unroll_pair_stitches_back_whole_space():

@@ -153,7 +153,6 @@ class TestDegradationInRunReport:
         # runs, and cached classifications short-circuit the crash
         vectorize.invalidate_analysis(saxpy_program.device_module)
         monkeypatch.setattr(vectorize, "_classify", _crash)
-        monkeypatch.setattr(vectorize, "_classify_nest", _crash)
         candidate = run_saxpy(saxpy_program, compiled=False)
         assert_bit_identical(saxpy_baseline, candidate)
         report = candidate[1].report

@@ -19,17 +19,28 @@ def serial_result():
     return explore_workload("saxpy", simdlen_factors=FACTORS)
 
 
-def test_parallel_sweep_table_identical_to_serial(serial_result):
+@pytest.mark.parametrize(
+    "name, factors",
+    # heat3d's simdlen-2 program crosses the process boundary as a
+    # pickle, which once overflowed the recursion limit
+    [("saxpy", FACTORS), ("heat3d", (1, 2))],
+)
+def test_parallel_sweep_table_identical_to_serial(
+    name, factors, serial_result
+):
     """The ordering bugfix pin: worker completion order must never
     reorder rows or change any value."""
-    parallel = explore_workload(
-        "saxpy", simdlen_factors=FACTORS, workers=2
+    serial = (
+        serial_result
+        if name == "saxpy"
+        else explore_workload(name, simdlen_factors=factors)
     )
-    assert parallel.table() == serial_result.table()
-    assert parallel.best.simdlen == serial_result.best.simdlen
+    parallel = explore_workload(name, simdlen_factors=factors, workers=2)
+    assert parallel.table() == serial.table()
+    assert parallel.best.simdlen == serial.best.simdlen
     assert [
         (p.simdlen, p.reduction_copies) for p in parallel.points
-    ] == [(f, 8) for f in FACTORS]
+    ] == [(f, 8) for f in factors]
 
 
 def test_parallel_keep_programs_returns_runnable_programs():

@@ -14,6 +14,7 @@ import pytest
 
 from repro.reliability import FrontendError, ReproError, wrap_error
 from repro.session import KernelOverrides, Session
+from repro.workloads import all_workloads, get_workload
 from tests.conftest import SAXPY_MINI, run_offload_saxpy
 
 
@@ -70,6 +71,43 @@ def test_program_round_trip_reruns_bit_identically(session):
     assert r1.interpreter_steps == r2.interpreter_steps
     assert r1.device_time_ms == r2.device_time_ms
     assert r1.kernel_cycles == r2.kernel_cycles
+
+
+_GALLERY_SESSIONS: dict[str, Session] = {}
+
+
+@pytest.mark.parametrize("simdlen", [None, 2, 4])
+@pytest.mark.parametrize("name", [w.name for w in all_workloads()])
+def test_gallery_program_round_trip_reruns_bit_identically(name, simdlen):
+    """Every gallery program pickles at the default recursion limit and
+    reruns bit-identically.  Values pickle without their def-use links
+    (heat3d at simdlen 2 once raised RecursionError following them), so
+    the loaded copy must have rebuilt every use at its old position."""
+    workload = get_workload(name)
+    session = _GALLERY_SESSIONS.setdefault(name, workload.session())
+    program = session.program(KernelOverrides(simdlen=simdlen))
+    copy = _round_trip(program)
+    for module in (copy.host_module, copy.device_module):
+        for op in module.walk():
+            for index, (value, use) in enumerate(
+                zip(op.operands, op._operand_uses)
+            ):
+                assert (use.operation, use.index) == (op, index)
+                assert value.uses[use.pos] is use
+                assert None not in value.uses
+    runs = []
+    for candidate in (program, copy):
+        result, instance = workload.run(candidate)
+        outputs = {
+            pos: np.asarray(arg).tobytes()
+            for pos, arg in instance.outputs().items()
+        }
+        runs.append((result, outputs))
+    (ours, our_outputs), (theirs, their_outputs) = runs
+    assert their_outputs == our_outputs
+    assert theirs.interpreter_steps == ours.interpreter_steps
+    assert theirs.device_time_ms == ours.device_time_ms
+    assert theirs.kernel_cycles == ours.kernel_cycles
 
 
 def test_program_reruns_bit_identically_in_fresh_process(tmp_path):
