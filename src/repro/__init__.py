@@ -19,8 +19,8 @@ by its options, later stages re-runnable with different overrides)::
 
     wide = session.program(KernelOverrides(simdlen=8))  # device build only
 
-:func:`compile_fortran` remains as the one-shot convenience over a fresh
-session.  Pass pipelines are declarative
+``compile_fortran(source, board=None)`` is the one-shot form, a fresh
+session's ``program()``.  Pass pipelines are declarative
 (``PassManager.parse("lower-omp-to-hls{reduction_copies=4},cse")``) and
 observable through :class:`Instrumentation` (stage snapshots, per-pass
 timing, artifact-build counters).

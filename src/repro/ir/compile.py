@@ -13,30 +13,36 @@ emits a chain of specialized Python closures:
   arithmetic is folded transitively at compile time);
 * ``scf.for`` / ``scf.if`` / ``scf.while`` compile to native Python
   loops/branches around their compiled bodies;
-* ops without a compiled form (``device.*``, ``omp.*``, anything a caller
-  overrode) fall back to the interpreter impl, looked up at *run* time so
-  per-executor bindings keep working — the frame is wrapped in a
-  dict-compatible proxy for those handlers;
-* compiled artifacts are cached per module (and per set of overridden
-  core ops), so the ~2k kernel launches of one SGESL run — and every run
-  after the first — reuse a single compiled artifact.
+* ops without a compiled form (``omp.*``, ``fir.*``, HLS streams) run
+  their interpreter impl — the frame is wrapped in a dict-compatible
+  proxy for those handlers;
+* a compiled function depends only on its IR, so it is cached on the
+  module's root op (:func:`~repro.ir.core.analysis_cache`, beside the
+  vectorizer's loop plans) and dies with the module: the ~2k kernel
+  launches of one SGESL run — and every run after the first — reuse
+  one compiled artifact.
 
 Step accounting is preserved *exactly*: straight-line segments bump
 ``interp.steps`` by their op count in one add, loops bump per iteration,
 so the CPU-baseline time model (seconds-per-step) and the step limit see
 the same numbers as scalar interpretation.
 
-Functions that cannot be compiled (multi-block regions, overridden
-terminators, exotic constants) transparently fall back to the scalar
-interpreter — compilation is an optimization, never a semantics change.
+Functions that cannot be compiled (multi-block regions, terminators
+without a compiled form, exotic constants) transparently fall back to
+the scalar interpreter — compilation is an optimization, never a
+semantics change.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable
 
-from repro.ir.core import Operation, SSAValue
+from repro.ir.core import (
+    Operation,
+    SSAValue,
+    analysis_cache,
+    invalidate_analysis,
+)
 from repro.ir.traits import IsTerminator
 
 #: Closure executing one compiled op: ``(interp, frame) -> None``.
@@ -51,10 +57,6 @@ Emitter = Callable[[Operation, "FnCompiler"], "OpClosure | None"]
 
 _EMITTERS: dict[str, Emitter] = {}
 _SELF_STEPPING: set[str] = set()
-#: emitters that dispatch on runtime interpreter state themselves (the
-#: executor-bound device ops): a per-instance impl override does not
-#: invalidate them, so they are excluded from the overridden-ops scan.
-_IMPL_INDEPENDENT: set[str] = set()
 
 #: sentinel for "slot not yet computed" in frames
 _UNSET = object()
@@ -63,20 +65,13 @@ _UNSET = object()
 NOT_CONST = object()
 
 
-def compiled_for(
-    op_name: str,
-    *,
-    counts_own_steps: bool = False,
-    impl_independent: bool = False,
-):
+def compiled_for(op_name: str, *, counts_own_steps: bool = False):
     """Register a compiled-form emitter for ``op_name`` (decorator)."""
 
     def register(fn: Emitter) -> Emitter:
         _EMITTERS[op_name] = fn
         if counts_own_steps:
             _SELF_STEPPING.add(op_name)
-        if impl_independent:
-            _IMPL_INDEPENDENT.add(op_name)
         return fn
 
     return register
@@ -205,8 +200,7 @@ class FnCompiler:
     """Compilation context for one ``func.func``: slot table, constant
     tracking and block compilation helpers used by the dialect emitters."""
 
-    def __init__(self, overridden: frozenset[str]):
-        self.overridden = overridden
+    def __init__(self):
         #: slot 0 is reserved for the FrameEnv proxy
         self.slots: dict[SSAValue, int] = {}
         self.template: list = [None]
@@ -246,28 +240,28 @@ class FnCompiler:
         closure contributes no runtime work (folded / no-op)."""
         name = op.name
         emitter = _EMITTERS.get(name)
-        if emitter is None or name in self.overridden:
+        if emitter is None:
             if op.has_trait(IsTerminator):
-                # A terminator we cannot compile natively (or that the
-                # caller overrode) changes control flow: bail out.
+                # A terminator we cannot compile natively changes
+                # control flow: bail out.
                 raise CannotCompile(name)
             return self.fallback(op), True
         return emitter(op, self), name in _SELF_STEPPING
 
     def fallback(self, op: Operation) -> OpClosure:
-        """Dispatch through ``interp.impls`` at run time (device ops, omp
-        ops, anything overridden per-interpreter)."""
+        """Run ``op`` through its interpreter impl (omp ops and other
+        ops without a compiled form)."""
+        from repro.ir.interpreter import _GLOBAL_IMPLS, InterpreterError
+
         self.needs_env = True
         name = op.name
+        handler = _GLOBAL_IMPLS.get(name)
 
         def run(interp, frame):
-            from repro.ir.interpreter import InterpreterError
-
             steps = interp.steps + 1
             interp.steps = steps
             if steps > interp.max_steps:
                 raise InterpreterError("interpreter step limit exceeded")
-            handler = interp.impls.get(name)
             if handler is None:
                 raise InterpreterError(
                     f"no interpreter impl for op {name!r}"
@@ -297,7 +291,7 @@ class FnCompiler:
                 # The enclosing construct only executes the *final*
                 # terminator's operand slots; a mid-block terminator would
                 # silently run the dead code after it — stay scalar.
-                if op is not last or op.name in self.overridden:
+                if op is not last:
                     raise CannotCompile(op.name)
                 bulk += 1
                 continue
@@ -342,9 +336,7 @@ class CompiledFunction:
         return result
 
 
-def compile_function(
-    func_op: Operation, overridden: frozenset[str]
-) -> CompiledFunction | None:
+def compile_function(func_op: Operation) -> CompiledFunction | None:
     """Compile one ``func.func`` body, or None when it must stay scalar."""
     from repro.ir.attributes import StringAttr
 
@@ -355,13 +347,11 @@ def compile_function(
     sym = func_op.attributes.get("sym_name")
     name = sym.value if isinstance(sym, StringAttr) else "<anonymous>"
 
-    ctx = FnCompiler(overridden)
+    ctx = FnCompiler()
     arg_slots = ctx.slot_list(body.args)
     try:
         last = body.ops[-1] if body.ops else None
         if last is not None and last.name == "func.return":
-            if "func.return" in overridden:
-                return None
             ret_slots = ctx.slot_list(last._operands)
             block_run = ctx.compile_body(
                 body.ops, allow_terminators=("func.return",)
@@ -391,84 +381,28 @@ def compile_function(
 
 
 # ---------------------------------------------------------------------------
-# Module-level compilation cache
+# Compilation cache
 # ---------------------------------------------------------------------------
 
 
-class ModuleCompilation:
-    """Lazy per-function compilation of one module."""
+def get_compiled_function(func_op: Operation) -> CompiledFunction | None:
+    """The block-JIT artifact for ``func_op`` (None -> scalar path),
+    compiled on first use and cached on the module's root op.
 
-    __slots__ = ("module", "overridden", "functions")
-
-    def __init__(self, module: Operation, overridden: frozenset[str]):
-        self.module = module
-        self.overridden = overridden
-        #: name -> CompiledFunction | None (None = scalar fallback)
-        self.functions: dict[str, CompiledFunction | None] = {}
-
-    def get_function(
-        self, name: str, func_op: Operation
-    ) -> CompiledFunction | None:
-        if name not in self.functions:
-            self.functions[name] = compile_function(func_op, self.overridden)
-        return self.functions[name]
-
-
-#: Compiled artifacts keyed by (module identity, overridden op names).
-#: Strong module refs pin ids; a small LRU bound keeps long DSE sessions
-#: from accumulating. Modules are assumed not to be mutated between
-#: executions (the pipeline transforms before it ever executes) — call
-#: :func:`invalidate_compilation` if a transform must re-run afterwards.
-_MODULE_CACHE: "OrderedDict[tuple[int, frozenset[str]], ModuleCompilation]" = (
-    OrderedDict()
-)
-_MODULE_CACHE_CAP = 64
-
-
-def get_module_compilation(
-    module: Operation, overridden: frozenset[str]
-) -> ModuleCompilation:
-    key = (id(module), overridden)
-    cached = _MODULE_CACHE.get(key)
-    if cached is not None and cached.module is module:
-        _MODULE_CACHE.move_to_end(key)
-        return cached
-    compilation = ModuleCompilation(module, overridden)
-    _MODULE_CACHE[key] = compilation
-    while len(_MODULE_CACHE) > _MODULE_CACHE_CAP:
-        _MODULE_CACHE.popitem(last=False)
-    return compilation
-
-
-def invalidate_compilation(module: Operation) -> None:
-    """Drop cached artifacts for ``module`` (after in-place mutation).
-
-    Called automatically by the pass manager and the rewrite driver;
-    transforms mutating IR outside those paths must call it themselves
-    before the module is executed again.
+    Modules are assumed not to be mutated between executions (the
+    pipeline transforms before it ever executes); the pass manager and
+    the rewrite driver drop the cache after a mutation, and other
+    transforms must call :func:`invalidate_compilation` themselves.
     """
-    for key in [k for k in _MODULE_CACHE if k[0] == id(module)]:
-        del _MODULE_CACHE[key]
-    from repro.ir.vectorize import invalidate_analysis
-
-    invalidate_analysis(module)
-
-
-#: Terminators the compiler executes structurally (reading operand slots)
-#: rather than through their impls; overriding one forces the scalar path.
-CHECKED_TERMINATORS = frozenset(
-    {"func.return", "scf.yield", "scf.condition", "omp.yield",
-     "omp.terminator"}
-)
+    cache = analysis_cache(func_op)
+    entry = cache.get(id(func_op))
+    if entry is None or entry[0] is not func_op:
+        # a module-global lookup at call time, so a wrapper bound to the
+        # name (the benchmark's span tracer) sees every compile
+        entry = cache[id(func_op)] = (func_op, compile_function(func_op))
+    return entry[1]
 
 
-def overridden_native_ops(impls: dict[str, Any]) -> frozenset[str]:
-    """Native ops whose impl differs from the registered global one for
-    this interpreter instance (these must use the fallback path)."""
-    from repro.ir.interpreter import _GLOBAL_IMPLS
-
-    return frozenset(
-        name
-        for name in (set(_EMITTERS) | CHECKED_TERMINATORS) - _IMPL_INDEPENDENT
-        if name in impls and impls[name] is not _GLOBAL_IMPLS.get(name)
-    )
+#: Drops the compiled functions and loop plans of a module (or of the
+#: module a nested op belongs to) after in-place mutation.
+invalidate_compilation = invalidate_analysis

@@ -220,8 +220,9 @@ class Operation:
         "attributes",
         "regions",
         "parent",
-        # Lazily attached per-root analysis state (e.g. the vectorizer's
-        # loop-classification cache).  Never printed, cloned or compared;
+        # Lazily attached per-root analysis state (the block-JIT's
+        # compiled functions and the vectorizer's loop plans; see
+        # analysis_cache).  Never printed, cloned or compared;
         # lives and dies with the op so cached plans cannot outlive the
         # module they reference.
         "analysis_cache",
@@ -436,6 +437,35 @@ class UnregisteredOp(Operation):
     def __init__(self, op_name: str, **kwargs):
         self.op_name = op_name
         super().__init__(**kwargs)
+
+
+def _root_op(op: Operation) -> Operation:
+    parent = op.parent_op
+    while parent is not None:
+        op, parent = parent, parent.parent_op
+    return op
+
+
+def analysis_cache(op: Operation) -> dict:
+    """The analysis cache of ``op``'s root op, created on first use.
+
+    Compiled functions and loop plans hold strong references into the
+    IR, so they live on the root and die with it.  Entries are keyed by
+    ``id(op)`` with ``op`` kept in the value, so an id recycled by the
+    allocator can never alias a stale entry.
+    """
+    root = _root_op(op)
+    cache = getattr(root, "analysis_cache", None)
+    if cache is None:
+        cache = root.analysis_cache = {}
+    return cache
+
+
+def invalidate_analysis(op: Operation) -> None:
+    """Drop every cached analysis of ``op``'s root — compiled functions
+    and loop plans alike (called by the pass manager and the pattern
+    rewriter after in-place mutation)."""
+    _root_op(op).analysis_cache = None
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Executes modules functionally: memrefs are NumPy arrays, scalars are Python
 numbers.  Dialect modules register implementations with the :func:`impl`
-decorator; the runtime package adds handlers for ``device`` ops that talk
-to the simulated board.
+decorator, one global table for every interpreter.  The host runtime
+binds through :attr:`Interpreter.host_executor`: the ``device`` ops and
+``memref.dma_start``/``memref.wait`` hand their work to the attached
+:class:`~repro.runtime.executor.FpgaExecutor` (without one, a ``device``
+op raises and a DMA is a plain copy).
 
 The interpreter is the ground truth for *correctness* — performance numbers
 come from the analytic FPGA/CPU models, not from wall-clock interpretation.
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro.ir.compile import get_compiled_function
 from repro.ir.core import Block, IRError, Operation, SSAValue
 
 
@@ -67,16 +71,12 @@ class Interpreter:
     def __init__(
         self,
         module: Operation,
-        extra_impls: dict[str, OpImpl] | None = None,
         max_steps: int = 500_000_000,
         *,
         compiled: bool = True,
         vectorize: bool = True,
     ):
         self.module = module
-        self.impls: dict[str, OpImpl] = dict(_GLOBAL_IMPLS)
-        if extra_impls:
-            self.impls.update(extra_impls)
         self.max_steps = max_steps
         self.steps = 0
         #: enable the block-JIT tier (falls back to scalar per function)
@@ -89,14 +89,13 @@ class Interpreter:
         #: walk fires it once per execution (``count == 1``); the
         #: whole-space fast paths batch identical inner-loop executions.
         self.loop_observer: Callable[[Operation, int, int], None] | None = None
-        #: the FpgaExecutor driving this interpreter, if any — compiled
-        #: device-op closures bind to it directly.
+        #: the FpgaExecutor driving this interpreter, if any — the device
+        #: ops and DMAs do their work through it
         self.host_executor = None
         #: optional :class:`~repro.reliability.report.RunReport` — engine
         #: tier degradations are recorded here when an executor armed one
         self.reliability_report = None
         self._functions: dict[str, Operation] | None = None
-        self._compilation = None
         #: functions whose block-JIT compilation crashed this session —
         #: recorded once, then permanently served by the scalar tier
         self._degraded_functions: set[str] = set()
@@ -136,7 +135,7 @@ class Interpreter:
             )
         if self.compiled and name not in self._degraded_functions:
             try:
-                compiled_fn = self._compiled_function(name, func)
+                compiled_fn = self._compiled_function(func)
             except Exception as error:  # noqa: BLE001 - degrade, never crash
                 self._degraded_functions.add(name)
                 from repro.reliability.report import record_degradation
@@ -151,19 +150,10 @@ class Interpreter:
             return result.values
         return ()
 
-    def _compiled_function(self, name: str, func: Operation):
-        """Block-JIT artifact for ``func`` (None -> scalar path)."""
-        compilation = self._compilation
-        if compilation is None:
-            from repro.ir.compile import (
-                get_module_compilation,
-                overridden_native_ops,
-            )
-
-            compilation = self._compilation = get_module_compilation(
-                self.module, overridden_native_ops(self.impls)
-            )
-        return compilation.get_function(name, func)
+    def _compiled_function(self, func: Operation):
+        """Block-JIT artifact for ``func`` (None -> scalar path); a method
+        so the degradation tests can make compilation crash."""
+        return get_compiled_function(func)
 
     def run_block(
         self, block: Block, env: dict, args: Sequence[Any] = ()
@@ -181,7 +171,7 @@ class Interpreter:
         self.steps += 1
         if self.steps > self.max_steps:
             raise InterpreterError("interpreter step limit exceeded")
-        handler = self.impls.get(op.name)
+        handler = _GLOBAL_IMPLS.get(op.name)
         if handler is None:
             raise InterpreterError(f"no interpreter impl for op {op.name!r}")
         return handler(self, op, env)

@@ -94,8 +94,10 @@ from repro.ir.core import (
     Operation,
     OpResult,
     SSAValue,
+    analysis_cache,
     semantic_attributes,
 )
+from repro.ir.core import invalidate_analysis  # noqa: F401 - public name
 
 #: Bail-out diagnostics: enable with
 #: ``logging.getLogger("repro.ir.vectorize").setLevel(logging.DEBUG)`` to
@@ -518,25 +520,11 @@ def _analyze_memref_reduction_body(
 # The planner: cached per loop op
 # ---------------------------------------------------------------------------
 #
-# The cache hangs off the *root* op of the module/function the loop
-# lives in (``Operation.analysis_cache``), so cached plans — which hold
-# strong references to body ops and, through ``.parent`` chains, the
-# whole module — live exactly as long as the module itself.  A process
-# that compiles and drops many programs (the ROADMAP's long-running
-# service model) leaks nothing: dropping the program drops the module
-# drops the cache.  Entries are keyed by ``id(loop)`` with the loop op
-# kept in the value, so an id recycled by the allocator can never alias
-# a stale entry.
-
-
-def _cache_for(loop: Operation) -> dict[int, tuple]:
-    root = loop
-    while root.parent_op is not None:
-        root = root.parent_op
-    cache = getattr(root, "analysis_cache", None)
-    if cache is None:
-        cache = root.analysis_cache = {}
-    return cache
+# Plans live in the root op's ``analysis_cache`` (see
+# :func:`repro.ir.core.analysis_cache`), beside the block-JIT's compiled
+# functions: they hold strong references into the module, so they live
+# exactly as long as the module itself.  A process that compiles and
+# drops many programs leaks nothing.
 
 
 def _classify(loop: Operation) -> tuple:
@@ -549,7 +537,7 @@ def _classify(loop: Operation) -> tuple:
     fits is logged with its reason at DEBUG.
     """
     key = id(loop)
-    cache = _cache_for(loop)
+    cache = analysis_cache(loop)
     cached = cache.get(key)
     if cached is not None and cached[0] is loop:
         return cached
@@ -603,7 +591,7 @@ def _classify_guarded(interp, loop: Operation) -> tuple:
     here too, so the poisoned entry short-circuits before the crashed
     planner runs again.
     """
-    cache = _cache_for(loop)
+    cache = analysis_cache(loop)
     cached = cache.get(id(loop))
     if cached is not None and cached[0] is loop:
         return cached
@@ -622,14 +610,6 @@ def _classify_guarded(interp, loop: Operation) -> tuple:
             error,
         )
         return cached
-
-
-def invalidate_analysis(root: Operation) -> None:
-    """Drop cached loop classifications under ``root`` (called by the
-    pass manager and the pattern rewriter after in-place mutation)."""
-    cache = _cache_for(root)
-    for op in root.walk():
-        cache.pop(id(op), None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """One-shot compiler driver: Fortran+OpenMP source -> host C++ + FPGA
 bitstream (Figure 2 of the paper).
 
-:func:`compile_fortran` is a thin shim over the staged
+:func:`compile_fortran` is the one-shot form of the staged
 :class:`repro.session.Session` API — it builds a fresh session, runs
 every stage once and returns the assembled
 :class:`~repro.session.CompiledProgram`.  Use a :class:`Session` directly
@@ -16,10 +16,8 @@ side::
     base = session.program()
     wide = session.program(KernelOverrides(simdlen=8))   # device build only
 
-The legacy keyword arguments (``memory_space_policy``,
-``default_reduction_copies``, ``shared_bundle``, ``capture_stages``)
-still work bit-identically but emit a :class:`DeprecationWarning`; their
-replacements are :class:`~repro.session.TargetConfig`,
+Memory-space policies, kernel knobs and IR snapshots are configured on
+the session: :class:`~repro.session.TargetConfig`,
 :class:`~repro.session.KernelOverrides` and
 :class:`~repro.ir.pass_manager.Instrumentation`.
 
@@ -36,17 +34,9 @@ Pipeline stages (each named as in the paper's Figure 2):
 
 from __future__ import annotations
 
-import warnings
-
 from repro.fpga.board import U280Board
-from repro.ir.pass_manager import Instrumentation, PipelineStage
-from repro.session import (
-    CompiledProgram,
-    KernelOverrides,
-    Session,
-    TargetConfig,
-)
-from repro.transforms import MemorySpacePolicy
+from repro.ir.pass_manager import PipelineStage
+from repro.session import CompiledProgram, Session, TargetConfig
 
 __all__ = [
     "CompiledProgram",
@@ -57,49 +47,10 @@ __all__ = [
 
 
 def compile_fortran(
-    source: str,
-    *,
-    board: U280Board | None = None,
-    memory_space_policy: MemorySpacePolicy | None = None,
-    default_reduction_copies: int | None = None,
-    shared_bundle: bool | None = None,
-    capture_stages: bool | None = None,
+    source: str, *, board: U280Board | None = None
 ) -> CompiledProgram:
     """Run the full Figure-2 pipeline over Fortran+OpenMP source."""
-    legacy = [
-        name
-        for name, value in (
-            ("memory_space_policy", memory_space_policy),
-            ("default_reduction_copies", default_reduction_copies),
-            ("shared_bundle", shared_bundle),
-            ("capture_stages", capture_stages),
-        )
-        if value is not None
-    ]
-    if legacy:
-        warnings.warn(
-            f"compile_fortran({', '.join(legacy)}=...) is deprecated; "
-            "build a repro.session.Session with TargetConfig / "
-            "KernelOverrides / Instrumentation instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    session = Session(
-        source,
-        target=TargetConfig(
-            board=board, memory_space_policy=memory_space_policy
-        ),
-        instrumentation=Instrumentation(capture_ir=bool(capture_stages)),
-    )
-    return session.program(
-        KernelOverrides(
-            reduction_copies=(
-                8 if default_reduction_copies is None
-                else default_reduction_copies
-            ),
-            shared_bundle=bool(shared_bundle),
-        )
-    )
+    return Session(source, target=TargetConfig(board=board)).program()
 
 
 def compile_workload(name: str, **kwargs) -> CompiledProgram:

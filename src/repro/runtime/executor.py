@@ -1,7 +1,12 @@
 """Host-program executor against the simulated FPGA.
 
-Interprets the *host* module (post device-dialect lowering), binding the
-``device`` ops to the simulated OpenCL runtime:
+Interprets the *host* module (post device-dialect lowering) with the
+executor attached as the interpreter's ``host_executor``.  The ``device``
+ops' global impls and compiled forms (registered below) and those of
+``memref.dma_start``/``memref.wait`` (in :mod:`repro.dialects.memref`)
+call its :meth:`~FpgaExecutor.alloc`, :meth:`~FpgaExecutor.dma_start`,
+:meth:`~FpgaExecutor.dma_wait` and :meth:`~FpgaExecutor.launch` or its
+buffer table, so every engine tier runs one simulated OpenCL runtime:
 
 * functional semantics — buffers are NumPy arrays, kernels execute via
   the IR interpreter on the device module, so results are bit-for-bit
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -35,10 +41,10 @@ from repro.backend.vitis import Bitstream
 from repro.dialects import builtin
 from repro.dialects.memref import element_dtype
 from repro.fpga.board import U280Board
-from repro.ir.attributes import IntegerAttr, StringAttr, SymbolRefAttr
+from repro.ir.attributes import IntegerAttr
 from repro.ir.core import IRError, Operation
-from repro.ir.interpreter import Interpreter
-from repro.ir.types import DYNAMIC, MemRefType
+from repro.ir.interpreter import Interpreter, InterpreterError, impl
+from repro.ir.types import DYNAMIC
 from repro.reliability.errors import DataIntegrityError, WatchdogTimeout
 from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.report import RunReport
@@ -176,13 +182,10 @@ class FpgaExecutor:
             else None
         )
         interp = Interpreter(
-            self.host_module,
-            extra_impls=self._host_impls(),
-            compiled=self.compiled,
-            vectorize=self.vectorize,
+            self.host_module, compiled=self.compiled, vectorize=self.vectorize
         )
-        # Compiled device-op closures bind straight to this executor;
-        # the extra impls above serve the scalar fallback path.
+        # the device ops and DMAs of every tier do their work through
+        # this executor's methods below
         interp.host_executor = self
         interp.reliability_report = report
         self._runner.attach_report(report)
@@ -214,8 +217,8 @@ class FpgaExecutor:
 
     # -- accounting --------------------------------------------------------------------
     #
-    # Every kernel launch and DMA transfer — scalar impl, compiled
-    # emitter, fault-retry path — charges through these two methods, so
+    # Every kernel launch and DMA transfer — any tier, fault-retry
+    # path included — charges through these two methods, so
     # the multi-CU and streaming models apply uniformly across tiers.
     # At compute_units=1 with streaming off both reduce to exactly the
     # pre-existing arithmetic (one addition per charge, same operands),
@@ -292,24 +295,6 @@ class FpgaExecutor:
         if spec is not None:
             self._faults.resolve(spec, site)
 
-    def _launch_checked(self, instance: "KernelInstance") -> None:
-        """Kernel launch with the fault plan armed: launch failures are
-        resolved via retry, hangs run under an injected watchdog budget
-        and bit-flips are detected on readback with checkpoint/rollback.
-        Accounting (cycles, queue time, counters) is charged only for
-        the final successful attempt, identical to the fault-free run.
-        """
-        name = instance.device_function
-        spec = self._faults.poll("kernel_launch", kernel=name)
-        if spec is None:
-            run = self._runner.run(name, *instance.args)
-        elif spec.kind == "fail":
-            self._faults.resolve(spec, "kernel_launch", kernel=name)
-            run = self._runner.run(name, *instance.args)
-        else:
-            run = self._launch_with_rollback(instance, spec)
-        self._charge_kernel_run(run)
-
     def _launch_with_rollback(
         self, instance: "KernelInstance", spec: FaultSpec
     ):
@@ -378,321 +363,256 @@ class FpgaExecutor:
                 return arg
         return None
 
-    # -- device-op implementations -------------------------------------------------------
+    # -- device-op work ----------------------------------------------------------------
+    #
+    # The scalar impls and the compiled forms of the device ops call
+    # these, so each op's fault gate, state change and charge is written
+    # once for every tier.
 
-    def _host_impls(self) -> dict:
-        return {
-            "device.alloc": self._run_alloc,
-            "device.lookup": self._run_lookup,
-            "device.data_check_exists": self._run_check_exists,
-            "device.data_acquire": self._run_acquire,
-            "device.data_release": self._run_release,
-            "device.kernel_create": self._run_kernel_create,
-            "device.kernel_launch": self._run_kernel_launch,
-            "device.kernel_wait": self._run_kernel_wait,
-            "memref.dma_start": self._run_dma_start,
-            "memref.wait": self._run_dma_wait,
-        }
-
-    @staticmethod
-    def _attrs(op: Operation) -> tuple[str, int]:
-        name_attr = op.attributes["name"]
-        assert isinstance(name_attr, StringAttr)
-        space_attr = op.attributes.get("memory_space")
-        space = space_attr.value if isinstance(space_attr, IntegerAttr) else 1
-        return name_attr.value, space
-
-    def _run_alloc(self, interp: Interpreter, op: Operation, env: dict):
+    def alloc(self, name: str, space: int, extents, dtype, sizes):
+        """``device.alloc``: the data of a new buffer whose ``DYNAMIC``
+        extents are taken, in order, from ``sizes``."""
         if self._faults is not None:
             self._fault_gate("alloc")
-        name, space = self._attrs(op)
-        ty = op.results[0].type
-        assert isinstance(ty, MemRefType)
-        sizes = iter(interp.operand_values(op, env))
+        sizes = iter(sizes)
         shape = tuple(
             int(next(sizes)) if extent == DYNAMIC else extent
-            for extent in ty.shape
+            for extent in extents
         )
-        buffer = self.table.alloc(
-            name, shape, element_dtype(ty.element_type), space
-        )
-        interp.set_results(op, env, [buffer.data])
-        return None
+        return self.table.alloc(name, shape, dtype, space).data
 
-    def _run_lookup(self, interp: Interpreter, op: Operation, env: dict):
-        name, space = self._attrs(op)
-        buffer = self.table.lookup(name, space)
-        interp.set_results(op, env, [buffer.data])
-        return None
-
-    def _run_check_exists(self, interp: Interpreter, op: Operation, env: dict):
-        name_attr = op.attributes["name"]
-        assert isinstance(name_attr, StringAttr)
-        interp.set_results(op, env, [self.table.check_exists(name_attr.value)])
-        return None
-
-    def _run_acquire(self, interp: Interpreter, op: Operation, env: dict):
-        name, _ = self._attrs(op)
-        self.table.acquire(name)
-        return None
-
-    def _run_release(self, interp: Interpreter, op: Operation, env: dict):
-        name, _ = self._attrs(op)
-        self.table.release(name)
-        return None
-
-    def _run_dma_start(self, interp: Interpreter, op: Operation, env: dict):
+    def dma_start(self, source, dest, h2d: bool) -> None:
+        """``memref.dma_start``: copy ``source`` into ``dest`` and charge
+        the transfer (host to device when ``h2d``)."""
         if self._faults is not None:
             self._fault_gate("dma_start")
-        source, dest = interp.operand_values(op, env)
         np.copyto(dest, source)
-        src_ty = op.operands[0].type
-        assert isinstance(src_ty, MemRefType)
-        self._charge_dma(
-            int(np.asarray(source).nbytes), src_ty.memory_space == 0
-        )
-        interp.set_results(op, env, [0])
-        return None
+        self._charge_dma(int(np.asarray(source).nbytes), h2d)
 
-    def _run_dma_wait(self, interp: Interpreter, op: Operation, env: dict):
+    def dma_wait(self) -> None:
+        """``memref.wait``: functionally a no-op, but a fault site."""
         if self._faults is not None:
             self._fault_gate("dma_wait")
-        return None
 
-    def _run_kernel_create(self, interp: Interpreter, op: Operation, env: dict):
-        fn_attr = op.attributes.get("device_function")
-        if not isinstance(fn_attr, SymbolRefAttr):
-            raise IRError(
-                "device.kernel_create has no device_function: run "
-                "extract-device-module before executing"
-            )
-        instance = KernelInstance(
-            device_function=fn_attr.symbol,
-            args=interp.operand_values(op, env),
-        )
-        interp.set_results(op, env, [instance])
-        return None
+    def launch(self, instance: KernelInstance) -> None:
+        """``device.kernel_launch``: run the kernel and charge it.
 
-    def _run_kernel_launch(self, interp: Interpreter, op: Operation, env: dict):
-        instance = interp.get(env, op.operands[0])
-        assert isinstance(instance, KernelInstance)
+        With a fault plan armed, launch failures are resolved via retry,
+        and hangs and bit-flips run under :meth:`_launch_with_rollback`.
+        Accounting (cycles, queue time, counters) is charged only for the
+        final successful attempt, identical to the fault-free run.
+        """
+        name = instance.device_function
+        spec = None
         if self._faults is not None:
-            self._launch_checked(instance)
-            return None
-        run = self._runner.run(instance.device_function, *instance.args)
+            spec = self._faults.poll("kernel_launch", kernel=name)
+            if spec is not None and spec.kind == "fail":
+                self._faults.resolve(spec, "kernel_launch", kernel=name)
+                spec = None
+        if spec is None:
+            run = self._runner.run(name, *instance.args)
+        else:
+            run = self._launch_with_rollback(instance, spec)
         self._charge_kernel_run(run)
-        return None
-
-    def _run_kernel_wait(self, interp: Interpreter, op: Operation, env: dict):
-        return None
 
 
-# -- compiled-form emitters ---------------------------------------------------
+# -- device-op interpreter implementations --------------------------------------
 #
-# The host driver loop executes tens of thousands of device ops per run
-# (SGESL n=512: ~50k); going through the generic impl fallback costs a
-# handler lookup, an env proxy and an operand list per op.  These emitters
-# parse attributes once at compile time and bind the closure directly to
-# ``interp.host_executor``.  When no executor is attached (plain
-# interpretation, or a caller's custom impls) they defer to the regular
-# impl dispatch, so they are registered impl-independent.
-
-from repro.ir.compile import FnCompiler, compiled_for
+# Ordinary global impls: each reaches the FpgaExecutor driving the
+# interpreter through ``interp.host_executor`` (a device op without one
+# raises) and adapts operands and results to the executor method or
+# buffer-table call that does the op's work.  ``memref.dma_start`` and
+# ``memref.wait`` are bound the same way in repro.dialects.memref.
 
 
-def _executor_emitter(op_name: str, build):
-    """Register an emitter whose fast path needs ``interp.host_executor``.
-
-    ``build(op, ctx, fallback)`` returns the complete closure; it must
-    defer to ``fallback`` when no executor is attached and count its own
-    step otherwise.
-    """
-
-    @compiled_for(op_name, counts_own_steps=True, impl_independent=True)
-    def emit(op: Operation, ctx: FnCompiler):
-        return build(op, ctx, ctx.fallback(op))
-
-    return emit
-
-
-def _build_alloc(op: Operation, ctx: FnCompiler, fallback):
-    name, space = FpgaExecutor._attrs(op)
-    ty = op.results[0].type
-    assert isinstance(ty, MemRefType)
-    dtype = element_dtype(ty.element_type)
-    size_slots = iter(ctx.slot_list(op.operands))
-    shape_spec = tuple(
-        next(size_slots) if extent == DYNAMIC else -extent - 1
-        for extent in ty.shape
+def _no_executor(name: str) -> NoReturn:
+    raise InterpreterError(
+        f"{name} needs a device executor: run the host module through "
+        "CompiledProgram.executor() (an FpgaExecutor)"
     )
+
+
+def _executor(interp: Interpreter, op: Operation):
+    executor = interp.host_executor
+    if executor is None:
+        _no_executor(op.name)
+    return executor
+
+
+def _name_space(op: Operation) -> tuple[str, int]:
+    """The identifier and memory space (default 1) an op names."""
+    space = op.attributes.get("memory_space")
+    return (
+        op.attributes["name"].value,
+        space.value if isinstance(space, IntegerAttr) else 1,
+    )
+
+
+def _alloc_spec(op: Operation) -> tuple:
+    """``device.alloc``'s identifier, memory space, extents and dtype."""
+    ty = op.results[0].type
+    return (*_name_space(op), ty.shape, element_dtype(ty.element_type))
+
+
+@impl("device.alloc")
+def _run_alloc(interp: Interpreter, op: Operation, env: dict):
+    data = _executor(interp, op).alloc(
+        *_alloc_spec(op), interp.operand_values(op, env)
+    )
+    interp.set_results(op, env, [data])
+
+
+@impl("device.lookup")
+def _run_lookup(interp: Interpreter, op: Operation, env: dict):
+    buffer = _executor(interp, op).table.lookup(*_name_space(op))
+    interp.set_results(op, env, [buffer.data])
+
+
+@impl("device.data_check_exists")
+def _run_check_exists(interp: Interpreter, op: Operation, env: dict):
+    exists = _executor(interp, op).table.check_exists(_name_space(op)[0])
+    interp.set_results(op, env, [exists])
+
+
+@impl("device.data_acquire")
+def _run_acquire(interp: Interpreter, op: Operation, env: dict):
+    _executor(interp, op).table.acquire(_name_space(op)[0])
+
+
+@impl("device.data_release")
+def _run_release(interp: Interpreter, op: Operation, env: dict):
+    _executor(interp, op).table.release(_name_space(op)[0])
+
+
+@impl("device.kernel_create")
+def _run_kernel_create(interp: Interpreter, op: Operation, env: dict):
+    name = op.device_function
+    if name is None:
+        raise IRError(
+            "device.kernel_create has no device_function: run "
+            "extract-device-module before executing"
+        )
+    _executor(interp, op)
+    instance = KernelInstance(name, interp.operand_values(op, env))
+    interp.set_results(op, env, [instance])
+
+
+@impl("device.kernel_launch")
+def _run_kernel_launch(interp: Interpreter, op: Operation, env: dict):
+    _executor(interp, op).launch(interp.get(env, op.operands[0]))
+
+
+@impl("device.kernel_wait")
+def _run_kernel_wait(interp: Interpreter, op: Operation, env: dict):
+    _executor(interp, op)
+
+
+# -- compiled-form emitters ------------------------------------------------------
+#
+# The host driver loop runs tens of thousands of device ops per run
+# (SGESL n=512: ~35k), so each closure reads attributes parsed at compile
+# time and makes at most one executor call.
+
+from repro.ir.compile import CannotCompile, FnCompiler, compiled_for
+
+
+@compiled_for("device.alloc")
+def _emit_alloc(op: Operation, ctx: FnCompiler):
+    name, space, extents, dtype = _alloc_spec(op)
+    size_slots = tuple(ctx.slot_list(op.operands))
     res_i = ctx.slot(op.results[0])
 
     def run(interp, frame):
         executor = interp.host_executor
         if executor is None:
-            fallback(interp, frame)
-            return
-        interp.steps += 1
-        if executor._faults is not None:
-            executor._fault_gate("alloc")
-        shape = tuple(
-            int(frame[entry]) if entry >= 0 else -entry - 1
-            for entry in shape_spec
+            _no_executor("device.alloc")
+        frame[res_i] = executor.alloc(
+            name, space, extents, dtype, [frame[s] for s in size_slots]
         )
-        frame[res_i] = executor.table.alloc(name, shape, dtype, space).data
     return run
 
 
-def _build_lookup(op: Operation, ctx: FnCompiler, fallback):
-    name, space = FpgaExecutor._attrs(op)
+@compiled_for("device.lookup")
+def _emit_lookup(op: Operation, ctx: FnCompiler):
+    name, space = _name_space(op)
     res_i = ctx.slot(op.results[0])
 
     def run(interp, frame):
         executor = interp.host_executor
         if executor is None:
-            fallback(interp, frame)
-            return
-        interp.steps += 1
+            _no_executor("device.lookup")
         frame[res_i] = executor.table.lookup(name, space).data
     return run
 
 
-def _build_check_exists(op: Operation, ctx: FnCompiler, fallback):
-    name_attr = op.attributes["name"]
-    assert isinstance(name_attr, StringAttr)
-    name = name_attr.value
+@compiled_for("device.data_check_exists")
+def _emit_check_exists(op: Operation, ctx: FnCompiler):
+    name = _name_space(op)[0]
     res_i = ctx.slot(op.results[0])
 
     def run(interp, frame):
         executor = interp.host_executor
         if executor is None:
-            fallback(interp, frame)
-            return
-        interp.steps += 1
+            _no_executor("device.data_check_exists")
         frame[res_i] = executor.table.check_exists(name)
     return run
 
 
-def _build_acquire(op: Operation, ctx: FnCompiler, fallback):
-    name, _ = FpgaExecutor._attrs(op)
+@compiled_for("device.data_acquire")
+def _emit_acquire(op: Operation, ctx: FnCompiler):
+    name = _name_space(op)[0]
 
     def run(interp, frame):
         executor = interp.host_executor
         if executor is None:
-            fallback(interp, frame)
-            return
-        interp.steps += 1
+            _no_executor("device.data_acquire")
         executor.table.acquire(name)
     return run
 
 
-def _build_release(op: Operation, ctx: FnCompiler, fallback):
-    name, _ = FpgaExecutor._attrs(op)
+@compiled_for("device.data_release")
+def _emit_release(op: Operation, ctx: FnCompiler):
+    name = _name_space(op)[0]
 
     def run(interp, frame):
         executor = interp.host_executor
         if executor is None:
-            fallback(interp, frame)
-            return
-        interp.steps += 1
+            _no_executor("device.data_release")
         executor.table.release(name)
     return run
 
 
-def _build_kernel_create(op: Operation, ctx: FnCompiler, fallback):
-    from repro.ir.compile import CannotCompile
-
-    fn_attr = op.attributes.get("device_function")
-    if not isinstance(fn_attr, SymbolRefAttr):
-        # scalar path raises the "run extract-device-module" error
+@compiled_for("device.kernel_create")
+def _emit_kernel_create(op: Operation, ctx: FnCompiler):
+    name = op.device_function
+    if name is None:
+        # the scalar impl raises the "run extract-device-module" error
         raise CannotCompile("device.kernel_create without device_function")
-    device_function = fn_attr.symbol
     arg_slots = tuple(ctx.slot_list(op.operands))
     res_i = ctx.slot(op.results[0])
 
     def run(interp, frame):
-        executor = interp.host_executor
-        if executor is None:
-            fallback(interp, frame)
-            return
-        interp.steps += 1
-        frame[res_i] = KernelInstance(
-            device_function, [frame[s] for s in arg_slots]
-        )
+        if interp.host_executor is None:
+            _no_executor("device.kernel_create")
+        frame[res_i] = KernelInstance(name, [frame[s] for s in arg_slots])
     return run
 
 
-def _build_kernel_launch(op: Operation, ctx: FnCompiler, fallback):
+@compiled_for("device.kernel_launch")
+def _emit_kernel_launch(op: Operation, ctx: FnCompiler):
     handle_i = ctx.slot(op.operands[0])
 
     def run(interp, frame):
         executor = interp.host_executor
         if executor is None:
-            fallback(interp, frame)
-            return
-        interp.steps += 1
-        instance = frame[handle_i]
-        if executor._faults is not None:
-            executor._launch_checked(instance)
-            return
-        kernel_run = executor._runner.run(
-            instance.device_function, *instance.args
-        )
-        executor._charge_kernel_run(kernel_run)
+            _no_executor("device.kernel_launch")
+        executor.launch(frame[handle_i])
     return run
 
 
-def _build_noop(op: Operation, ctx: FnCompiler, fallback):
+@compiled_for("device.kernel_wait")
+def _emit_kernel_wait(op: Operation, ctx: FnCompiler):
     def run(interp, frame):
         if interp.host_executor is None:
-            fallback(interp, frame)
-            return
-        interp.steps += 1
-    return run
-
-
-def _build_dma_start(op: Operation, ctx: FnCompiler, fallback):
-    src_i, dst_i = (ctx.slot(o) for o in op.operands)
-    res_i = ctx.slot(op.results[0])
-    src_ty = op.operands[0].type
-    assert isinstance(src_ty, MemRefType)
-    h2d = src_ty.memory_space == 0
-
-    def run(interp, frame):
-        executor = interp.host_executor
-        if executor is None:
-            fallback(interp, frame)
-            return
-        interp.steps += 1
-        if executor._faults is not None:
-            executor._fault_gate("dma_start")
-        source = frame[src_i]
-        np.copyto(frame[dst_i], source)
-        executor._charge_dma(int(np.asarray(source).nbytes), h2d)
-        frame[res_i] = 0
-    return run
-
-
-_executor_emitter("device.alloc", _build_alloc)
-_executor_emitter("device.lookup", _build_lookup)
-_executor_emitter("device.data_check_exists", _build_check_exists)
-_executor_emitter("device.data_acquire", _build_acquire)
-_executor_emitter("device.data_release", _build_release)
-_executor_emitter("device.kernel_create", _build_kernel_create)
-_executor_emitter("device.kernel_launch", _build_kernel_launch)
-_executor_emitter("device.kernel_wait", _build_noop)
-_executor_emitter("memref.dma_start", _build_dma_start)
-
-
-@compiled_for("memref.wait", impl_independent=True)
-def _emit_dma_wait(op: Operation, ctx: FnCompiler):
-    # Functionally a no-op under both the plain interpreter impl and the
-    # executor's, but still a fault-injection site (DMA wait failure):
-    # the closure consults the armed plan so the dma_wait occurrence
-    # stream matches the scalar tier exactly.  Step accounting is
-    # unchanged — the op is bulk-counted by the enclosing block.
-    def run(interp, frame):
-        executor = interp.host_executor
-        if executor is not None and executor._faults is not None:
-            executor._fault_gate("dma_wait")
+            _no_executor("device.kernel_wait")
     return run

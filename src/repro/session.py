@@ -21,8 +21,9 @@ round-trip), and a session-wide
 :class:`~repro.ir.pass_manager.Instrumentation` records stage snapshots,
 per-pass timing and artifact-build counters.
 
-:func:`repro.pipeline.compile_fortran` remains as a one-shot shim over
-this API.
+:func:`repro.pipeline.compile_fortran` is the one-shot form:
+``compile_fortran(source, board=board)`` is
+``Session(source, target=TargetConfig(board=board)).program()``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import dataclasses
 import hashlib
 import warnings
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from repro.backend.host_codegen import generate_host_code
 from repro.backend.vitis import Bitstream, VitisCompiler
@@ -103,35 +105,6 @@ def _config_digest(label: str, value) -> str:
     """SHA-256 over the versioned canonical form of a config object."""
     text = f"{label}/v{_DIGEST_VERSION}|{_canonical_value(value)}"
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _warn_deprecated_mutation(cls_name: str) -> None:
-    warnings.warn(
-        f"mutating a {cls_name} is deprecated: it is a frozen cache/"
-        "digest key — build a new instance (dataclasses.replace) "
-        "instead; mutation after a stage was cached aliases cache "
-        "entries",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _allow_deprecated_mutation(cls: type) -> type:
-    """Legacy escape hatch: assignment to the frozen config dataclasses
-    used to work; it now warns loudly but still takes effect so old
-    call sites keep running while they migrate."""
-
-    def __setattr__(self, name, value):
-        _warn_deprecated_mutation(cls.__name__)
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        _warn_deprecated_mutation(cls.__name__)
-        object.__delattr__(self, name)
-
-    cls.__setattr__ = __setattr__
-    cls.__delattr__ = __delattr__
-    return cls
 
 
 @dataclass(frozen=True)
@@ -211,8 +184,20 @@ class KernelOverrides:
         return _config_digest("KernelOverrides", self)
 
 
-_allow_deprecated_mutation(TargetConfig)
-_allow_deprecated_mutation(KernelOverrides)
+def _stage_failed(
+    error: BaseException, error_cls: type, context: str
+) -> NoReturn:
+    """Re-raise the failure of a stage whose cache key was just evicted.
+
+    A :class:`ReproError` and a raise that is not an ``Exception`` (a
+    KeyboardInterrupt mid-stage) propagate unwrapped; anything else is
+    wrapped as ``error_cls``.  Stages catch ``BaseException`` on purpose:
+    an interrupted stage must evict too, or the session holds a poisoned
+    artifact.
+    """
+    if isinstance(error, ReproError) or not isinstance(error, Exception):
+        raise error
+    raise wrap_error(error, error_cls, context=context) from error
 
 
 def _policy_key(policy: "MemorySpacePolicy | str | None") -> tuple:
@@ -433,17 +418,8 @@ class Session:
                     snapshots=list(instr.snapshots[mark:]),
                 )
             except BaseException as error:
-                # BaseException on purpose: a KeyboardInterrupt mid-stage
-                # must evict just like a stage failure (and re-raise
-                # unwrapped), or the session holds a poisoned artifact.
                 self._frontend = None
-                if isinstance(error, ReproError) or not isinstance(
-                    error, Exception
-                ):
-                    raise
-                raise wrap_error(
-                    error, FrontendError, context="session.frontend"
-                ) from error
+                _stage_failed(error, FrontendError, "session.frontend")
         return self._frontend
 
     # -- stages 2-5 (host) -------------------------------------------------------------
@@ -484,13 +460,7 @@ class Session:
                 )
             except BaseException as error:
                 self._host_device.pop(key, None)
-                if isinstance(error, ReproError) or not isinstance(
-                    error, Exception
-                ):
-                    raise
-                raise wrap_error(
-                    error, LoweringError, context=f"host_device {key!r}"
-                ) from error
+                _stage_failed(error, LoweringError, f"host_device {key!r}")
         return self._host_device[key]
 
     # -- stages 5 (device) + 6 ---------------------------------------------------------
@@ -548,15 +518,10 @@ class Session:
                 )
             except BaseException as error:
                 self._builds.pop(key, None)
-                if isinstance(error, ReproError) or not isinstance(
-                    error, Exception
-                ):
-                    raise
-                raise wrap_error(
-                    error,
-                    DeviceBuildError,
-                    context=f"device_build overrides={overrides!r}",
-                ) from error
+                _stage_failed(
+                    error, DeviceBuildError,
+                    f"device_build overrides={overrides!r}",
+                )
         return self._builds[key]
 
     # -- assembly ----------------------------------------------------------------------

@@ -64,38 +64,21 @@ class TestStreams:
     def test_stream_interp(self):
         """Runtime-library stream read/write round-trips values."""
 
+        from repro.dialects.hls import StreamReadOp, StreamWriteOp, stream
         from repro.ir import Interpreter
         from repro.ir.types import FunctionType as FT
 
         module = builtin.ModuleOp()
-        fn = func.FuncOp("f", FT([], [f32]))
+        fn = func.FuncOp("f", FT([stream], [f32]))
         module.body.add_op(fn)
         b = Builder.at_end(fn.body)
-        # a stream value is any list-like; supply via extra impl
-        from repro.dialects.hls import StreamReadOp, StreamWriteOp, stream
-
-        class FakeStreamOp(func.CallOp):
-            pass
-
-        # build: write 2.5 to a stream, read it back
-        make = b.insert(func.CallOp("make_stream", [], [stream]))
+        # write 2.5 to the stream argument (any list-like), read it back
+        (channel,) = fn.body.args
         value = b.insert(arith.Constant.float(2.5, 32)).results[0]
-        b.insert(StreamWriteOp(make.results[0], value))
-        read = b.insert(StreamReadOp(make.results[0], f32))
+        b.insert(StreamWriteOp(channel, value))
+        read = b.insert(StreamReadOp(channel, f32))
         b.insert(func.ReturnOp([read.results[0]]))
 
-        def run_make(interp, op, env):
-            interp.set_results(op, env, [[]])
-            return None
-
-        interp = Interpreter(module, extra_impls={"func.call": None})
-        # simpler: register a proper handler for the call
-        def call_handler(interp_, op, env):
-            callee = op.attributes["callee"].symbol
-            if callee == "make_stream":
-                interp_.set_results(op, env, [[]])
-                return None
-            raise AssertionError(callee)
-
-        interp = Interpreter(module, extra_impls={"func.call": call_handler})
-        assert interp.call("f") == (pytest.approx(2.5),)
+        for compiled in (True, False):
+            interp = Interpreter(module, compiled=compiled)
+            assert interp.call("f", []) == (pytest.approx(2.5),)

@@ -1,9 +1,9 @@
 """The example scripts must run end-to-end (quick modes).
 
 Examples run with ``-W error::DeprecationWarning`` (part of the CI fast
-job): they are the public face of the API, so they must never quietly
-regress onto the deprecated ``compile_fortran`` kwargs shims — a
-deprecated call path fails the example outright.
+job): they are the public face of the API, so any deprecated call path
+(such as a digest over a mutable ``MemorySpacePolicy`` object) fails the
+example outright.
 """
 
 import subprocess

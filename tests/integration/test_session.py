@@ -1,5 +1,5 @@
-"""Staged-session API: stage caching, artifact reuse, and bit-identical
-back-compat of the :func:`compile_fortran` shim."""
+"""Staged-session API: stage caching, artifact reuse, frozen config
+keys, and the one-shot :func:`compile_fortran`."""
 
 import warnings
 
@@ -220,44 +220,13 @@ class TestInstrumentedSession:
 
 
 class TestBackCompatShim:
-    """compile_fortran(**old_kwargs) warns but is bit-identical to a
-    hand-built Session."""
-
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="capture_stages"):
-            compile_fortran(SAXPY_MINI, capture_stages=True)
-        with pytest.warns(DeprecationWarning, match="default_reduction_copies"):
-            compile_fortran(SAXPY_MINI, default_reduction_copies=4)
+    """compile_fortran(source, board=None) is a fresh Session's
+    program()."""
 
     def test_plain_compile_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             compile_fortran(SAXPY_MINI)
-
-    def test_bit_identical_to_hand_built_session(self):
-        with pytest.warns(DeprecationWarning):
-            old = compile_fortran(
-                SAXPY_SOURCE,
-                memory_space_policy=MemorySpacePolicy(mode="round_robin"),
-                default_reduction_copies=4,
-                shared_bundle=True,
-                capture_stages=True,
-            )
-        session = Session(
-            SAXPY_SOURCE,
-            target=TargetConfig(memory_space_policy="round_robin"),
-            instrumentation=Instrumentation(capture_ir=True),
-        )
-        new = session.program(
-            KernelOverrides(reduction_copies=4, shared_bundle=True)
-        )
-        assert [s.name for s in old.stages] == [s.name for s in new.stages]
-        assert [s.ir for s in old.stages] == [s.ir for s in new.stages]
-        assert old.host_cpp == new.host_cpp
-        assert print_op(old.device_module) == print_op(new.device_module)
-        assert print_op(old.host_module) == print_op(new.host_module)
-        assert old.bitstream.utilization().rounded() == \
-            new.bitstream.utilization().rounded()
 
     def test_modelled_values_identical(self):
         """Same simulated run numbers (device time, steps, outputs)
@@ -282,6 +251,35 @@ class TestBackCompatShim:
 
         program = compile_workload("saxpy")
         assert any("saxpy" in name for name in program.bitstream.kernels)
+
+
+class TestFrozenConfig:
+    """TargetConfig and KernelOverrides are cache and digest keys:
+    assignment raises instead of aliasing a cached stage."""
+
+    def test_mutating_overrides_after_a_build_raises(self):
+        import dataclasses
+
+        session = Session(SAXPY_MINI)
+        overrides = KernelOverrides(simdlen=2)
+        program = session.program(overrides)
+        digest = overrides.digest()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            overrides.simdlen = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del overrides.compute_units
+        assert overrides.digest() == digest
+        # the cached build is still found under the same digest
+        assert session.program(overrides).bitstream is program.bitstream
+        assert session.counters["device_builds"] == 1
+
+    def test_mutating_target_raises(self):
+        import dataclasses
+
+        target = TargetConfig(memory_space_policy="round_robin")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            target.memory_space_policy = "single"
+        assert target.memory_space_policy == "round_robin"
 
 
 class TestTargetConfig:

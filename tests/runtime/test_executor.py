@@ -103,6 +103,54 @@ class TestErrors:
             )
 
 
+class TestHostRuntimeBinding:
+    """The device ops have one global binding: their impls and compiled
+    forms reach the executor through ``interp.host_executor``."""
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_device_op_without_executor_raises(self, compiled):
+        from repro.dialects import builtin, device, func
+        from repro.ir import Builder, Interpreter, InterpreterError
+        from repro.ir.types import FunctionType, MemRefType, f32
+
+        module = builtin.ModuleOp()
+        fn = func.FuncOp("f", FunctionType([], []))
+        module.body.add_op(fn)
+        b = Builder.at_end(fn.body)
+        b.insert(device.AllocOp(
+            MemRefType(f32, [4], 1), identifier="x", memory_space=1
+        ))
+        b.insert(func.ReturnOp())
+        interp = Interpreter(module, compiled=compiled)
+        with pytest.raises(InterpreterError, match="device.alloc"):
+            interp.call("f")
+
+    def test_compiled_program_dies_with_its_modules(self):
+        """Compiled functions live on their module's root op, like the
+        vectorizer's plans: nothing module-global keeps a dropped
+        program alive."""
+        import gc
+        import weakref
+
+        import repro.ir.compile as jit
+        from repro.session import Session
+        from repro.workloads import get_workload
+
+        workload = get_workload("saxpy")
+        program = Session(workload.source).program()
+        instance = workload.instance(workload.smoke_size)
+        executor = program.executor()
+        result = executor.run(workload.entry, *instance.args)
+        workload.check(instance)
+        host = weakref.ref(program.host_module)
+        device = weakref.ref(program.device_module)
+        del program, executor, result
+        gc.collect()
+        assert host() is None
+        assert device() is None
+        assert not hasattr(jit, "_MODULE_CACHE")
+
+
 class TestCpuExecutor:
     def test_functional_and_modelled_time(self):
         module = compile_to_core(SAXPY_MINI).module
