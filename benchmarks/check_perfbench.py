@@ -2,10 +2,16 @@
 
 ``perfbench/run.py --trace 1`` ends its output with one JSON result
 line.  This script reads that line and exits 1 unless the run was
-correct and its exact counts equal the seed-1 values recorded in
-``perfbench/README.md`` ("Exact counts").  They catch a change that
-moves the interpreter's step accounting, or one that sends a loop off
-the whole-space tier or past the benchmark's name-bound span wrappers.
+correct and its exact counts equal the seed-1 values in ``EXPECTED``.
+They catch a change that moves the interpreter's step accounting, one
+that sends a loop off the whole-space tier or past the benchmark's
+name-bound span wrappers, or one that changes which entry runs a loop:
+the calls per ``try_vectorized_*`` entry pin the tier choice itself
+(on run-kernels, gemm's rows falling back to one reduction call per
+(i, j) point would move ``try_vectorized_reduction`` from 24 to about
+98k).  This file holds the current values; the "Exact counts" table in
+``perfbench/README.md`` is the record from when the benchmark was
+written, and ``vectorize.whole_space_loops`` has risen since.
 
     python3 perfbench/run.py --workload run-kernels --seed 1 --seconds 1 \\
         --trace 1 > out.jsonl
@@ -21,19 +27,36 @@ import sys
 EXPECTED = {
     "compile-gallery": {
         "interpreter.steps": 0,
-        "vectorize.whole_space_loops": 230,
+        "vectorize.whole_space_loops": 250,
+        "vectorize.try_vectorized_loop.calls": 0,
+        "vectorize.try_vectorized_reduction.calls": 0,
+        "vectorize.try_vectorized_nest.calls": 0,
+        "vectorize.try_vectorized_loop_nest.calls": 0,
     },
     "dse-sweep": {
         "interpreter.steps": 7448802,
         "vectorize.whole_space_loops": 206,
+        "vectorize.try_vectorized_loop.calls": 26,
+        "vectorize.try_vectorized_reduction.calls": 50,
+        "vectorize.try_vectorized_nest.calls": 8555,
+        "vectorize.try_vectorized_loop_nest.calls": 0,
     },
     "run-kernels": {
         "interpreter.steps": 1179768012,
-        "vectorize.whole_space_loops": 216,
+        "vectorize.whole_space_loops": 264,
+        "vectorize.try_vectorized_loop.calls": 12,
+        # dot's and histogram's reduction loops, 12 each
+        "vectorize.try_vectorized_reduction.calls": 24,
+        "vectorize.try_vectorized_nest.calls": 96,
+        "vectorize.try_vectorized_loop_nest.calls": 0,
     },
     "run-sgesl": {
         "interpreter.steps": 1010214800,
         "vectorize.whole_space_loops": 200,
+        "vectorize.try_vectorized_loop.calls": 0,
+        "vectorize.try_vectorized_reduction.calls": 0,
+        "vectorize.try_vectorized_nest.calls": 204600,
+        "vectorize.try_vectorized_loop_nest.calls": 0,
     },
 }
 

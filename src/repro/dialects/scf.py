@@ -307,12 +307,20 @@ def _emit_for(op: Operation, ctx: FnCompiler):
     yld_slots = tuple(ctx.slot_list(last.operands))
     body_run = ctx.compile_body(body.ops, allow_terminators=("scf.yield",))
 
-    mode, _ = loop_vector_mode(op)
-    if mode is not None:
+    try:
+        mode, _ = loop_vector_mode(op)
+        crashed = False
+    except Exception:  # noqa: BLE001 - degrade this loop, not the function
+        # A planner crash must not take the whole function off the JIT:
+        # the loop still enters a fast-path entry, whose guarded
+        # classifier records the degradation on the first run (once: it
+        # poisons the plan cache) and declines, so the JIT walk runs it.
+        mode, crashed = None, True
+    if mode is not None or crashed:
         ctx.needs_env = True
 
     if not iter_slots:
-        if mode in ("elementwise", "scatter_store"):
+        if mode in ("elementwise", "scatter_store") or crashed:
             # scatter_store may still decline at runtime (failed
             # injectivity proof) — it returns False without side effects
             # and the scalar loop below takes over, accounting normally.
@@ -364,7 +372,7 @@ def _emit_for(op: Operation, ctx: FnCompiler):
                 iv += step
         return run
 
-    reducible = mode == "iter_reduction"
+    reducible = mode == "iter_reduction" or crashed
 
     def run(interp, frame):
         interp.steps += 1

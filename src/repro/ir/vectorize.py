@@ -49,16 +49,33 @@ triangular launch sweep never falls off the fast tier.
   ``unique`` (O(n log n)); several varying columns are lexsorted and
   compared pairwise.  A failed proof logs a reasoned bail and reruns
   the loop on the scalar tier, with nothing mutated.
+* *writes back after an inner loop* (``nest_segmented``): in an
+  imperfect nest (below) the epilogue stores once per row, its
+  subscripts covering every row dim, so each row writes its own cell.
+  It may write in place to a buffer the prologue loads (``t = c(i,
+  j)`` … ``c(i, j) = t``) when the two subscripts are provably equal:
+  each row then reads only the cell that it alone writes.
+
+**Imperfect nests.**  An ``scf.for`` root whose chain reaches a body
+``prologue / inner reduction level / epilogue`` is one
+:class:`_SegmentedNest` (``nest_segmented``).  Its *rows* are the
+rectangular levels of the perfect chain above that body, walked with
+their bounds and preludes like a nest's levels (one ``scf.for`` is the
+depth-1 case).  Its *inner level* is one loop whose trip count may vary
+per row — triangular ``j = i+1, n``, or CSR ``row_ptr(i) ..
+row_ptr(i+1)-1`` with the offsets runtime-proved monotone — or a tiled
+pair ``do kk = 1, n, 64; do k = kk, min(kk + 63, n)`` whose deeper
+bounds are pure ops of the tile IV: the row-invariant tile loop is
+evaluated over its IV vector, and every row runs the tiles' k ranges
+back to back.  The flat space is built with prefix sums over the
+per-row trip counts (equal-width rows broadcast a row-by-width grid
+instead), and each row folds from its prologue's init in iteration
+order.
 
 ``scf.for`` loops carrying ``iter_args`` fold ``combine(%acc, %expr)``
-per carried value (``iter_reduction``).  Imperfect outer/inner pairs
-whose inner trip count varies with the outer IV — triangular ``j =
-i+1, n``, or CSR ``row_ptr(i) .. row_ptr(i+1)-1`` with the offsets
-runtime-proved monotone — are ragged, not rectangular:
-:class:`_SegmentedNest` flattens them with prefix sums
-(``nest_segmented``).
+per carried value (``iter_reduction``).
 
-Every rectangular plan runs through :func:`_run_nest`, the ragged one
+Every rectangular plan runs through :func:`_run_nest`, the imperfect one
 through :func:`_run_segmented`.  Both charge interpreter steps and fire
 the loop observer exactly as the scalar nested walk would (batched by
 ``count``; modelled cycles are integer-valued floats, so sums stay
@@ -532,9 +549,9 @@ def _classify(loop: Operation) -> tuple:
 
     ``scf.for`` loops carrying iter_args are ``iter_reduction``
     candidates; every other loop op is planned as a depth-d nest by
-    :func:`_nest_vector_plan`, with imperfect outer/inner pairs getting
-    a second chance as a ragged :class:`_SegmentedNest`.  A loop no plan
-    fits is logged with its reason at DEBUG.
+    :func:`_nest_vector_plan`, with imperfect nests getting a second
+    chance as a :class:`_SegmentedNest`.  A loop no plan fits is logged
+    with its reason at DEBUG.
     """
     key = id(loop)
     cache = analysis_cache(loop)
@@ -864,76 +881,59 @@ def _match_unroll_pair(main: Operation, rem: Operation) -> int | None:
     return factor
 
 
-def _nest_vector_plan(loop: Operation):
-    """Plan ``loop`` — an ``scf.for`` or ``omp.loop_nest`` carrying no
-    iter_args — as a depth-d nest: walk its levels, then give every
-    store a role (see the module docstring).
+def _walk_levels(loop: Operation, depth: int | None = None):
+    """Walk the perfect chain rooted at ``loop`` into nest levels, down
+    to the innermost body, or down to the body of level ``depth``.
 
-    Returns ``(mode, plan, program, reason)``.  Depth-1 modes are
-    ``elementwise`` (``nest_segmented`` when the bounds are runtime
-    data), ``memref_reduction`` and ``scatter_store``; deeper nests are
-    ``nest_elementwise``, ``nest_reduction`` or ``nest_scatter``.  A
-    None mode comes with the reason for the DEBUG log, or with None when
-    the loop is no whole-space shape at all.
+    Returns ``(ivs, chain, charge_specs, observer_specs, extras,
+    innermost)`` — see :class:`_NestPlan`; ``extras`` holds, per chain
+    member, the non-loop ops of the body above it — or the reason the
+    chain is no nest.
     """
-    from repro.transforms.loop_analysis import (
-        bound_is_runtime,
-        classify_index,
-        root_memref,
-    )
-
     root_body = loop.regions[0].block
     if loop.name == "omp.loop_nest":
         ivs = list(root_body.args)
     else:
         ivs = [root_body.args[0]]
-    root_dims = len(ivs)
-
-    # -- levels: walk the perfect chain ---------------------------------------
     chain: list[_ChainLevel] = []
     charge_specs: list[tuple[int, int]] = []
     observer_specs: list[tuple[int, Operation]] = []
-    # non-loop body ops above the innermost, one entry per chain member
     extras_by_level: list[list[Operation]] = []
     body = root_body
-    innermost = None
-    while innermost is None:
+    while True:
         nested = [op for op in body.ops if op.name == "scf.for"]
-        if not nested:
-            innermost = body
+        if not nested or len(ivs) == depth:
             charge_specs.append((len(ivs), max(1, len(body.ops))))
-            break
+            return (
+                ivs, chain, charge_specs, observer_specs, extras_by_level, body
+            )
         stitch_factor = None
         if len(nested) == 2:
             stitch_factor = _match_unroll_pair(nested[0], nested[1])
         if len(nested) > 1 and stitch_factor is None:
-            return None, None, None, "body contains multiple nested loops"
+            return "body contains multiple nested loops"
         if stitch_factor is not None:
             main_for, rem_for = nested
             rem_body = rem_for.regions[0].block
             if any(op.name == "scf.for" for op in rem_body.ops):
-                return None, None, None, (
-                    "stitched main/remainder pair is not innermost"
-                )
+                return "stitched main/remainder pair is not innermost"
             level_loops = (main_for, rem_for)
         else:
             inner_for = nested[0]
             if inner_for.results or len(inner_for.regions[0].blocks) != 1:
-                return None, None, None, "nested loop carries iter_args"
+                return "nested loop carries iter_args"
             inner_body = inner_for.regions[0].block
             if len(inner_body.args) != 1:
-                return None, None, None, "nested loop carries iter_args"
+                return "nested loop carries iter_args"
             level_loops = (inner_for,)
         level_extras: list[Operation] = []
         for op in body.ops:
             if op in level_loops:
                 continue
-            if op.regions:
-                return None, None, None, "body has nested regions or unsupported ops"
-            if op.name not in _SUPPORTED:
-                return None, None, None, "body has nested regions or unsupported ops"
+            if op.regions or op.name not in _SUPPORTED:
+                return "body has nested regions or unsupported ops"
             if op.name == "memref.store":
-                return None, None, None, "store outside the innermost loop body"
+                return "store outside the innermost loop body"
             if op.name not in _SKIPPED:
                 level_extras.append(op)
         extras_by_level.append(level_extras)
@@ -956,12 +956,91 @@ def _nest_vector_plan(loop: Operation):
                 ),
             ))
             ivs.append(rem_body.args[0])
-            innermost = rem_body
-            break
+            return (
+                ivs, chain, charge_specs, observer_specs, extras_by_level,
+                rem_body,
+            )
         observer_specs.append((len(ivs), inner_for))
         chain.append(_ChainLevel(bounds=tuple(inner_for.operands[:3])))
         ivs.append(inner_body.args[0])
         body = inner_body
+
+
+def _level_preludes(extras_by_level, root_body: Block, stored: set[int]):
+    """Each level's prelude — the ops of ``extras_by_level`` that depend
+    on no nest IV and read no buffer in ``stored`` — and the set of
+    values they define.
+
+    One prelude per level: a level's ops are only pre-evaluated at
+    runtime when its containing body would actually execute under the
+    scalar walk (a faulting bound expression below a zero-trip dim must
+    stay unevaluated, exactly like the scalar tier).
+    """
+    from repro.transforms.loop_analysis import root_memref
+
+    independent: set[SSAValue] = set()
+    prelude_levels: list[tuple[Operation, ...]] = []
+    for level_extras in extras_by_level:
+        level_prelude: list[Operation] = []
+        for op in level_extras:
+            if not all(
+                _defined_outside(v, root_body) or v in independent
+                for v in op.operands
+            ):
+                continue  # varies with a nest IV: evaluated by the program
+            if op.name == "memref.load" and id(
+                root_memref(op.operands[0])
+            ) in stored:
+                continue  # value may change as the nest runs
+            independent.update(op.results)
+            level_prelude.append(op)
+        prelude_levels.append(tuple(level_prelude))
+    return prelude_levels, independent
+
+
+def _chain_is_rectangular(chain, root_body: Block, independent) -> bool:
+    """True when every chain level's bounds are defined outside the nest
+    or by a prelude (see :func:`_level_preludes`)."""
+    for level in chain:
+        level_bounds = list(level.bounds)
+        if level.stitch is not None:
+            # the stitched runtime also reads both loops' own triples
+            level_bounds += list(level.stitch[0].operands[:3])
+            level_bounds += list(level.stitch[1].operands[:3])
+        for bound in level_bounds:
+            if not (
+                _defined_outside(bound, root_body) or bound in independent
+            ):
+                return False
+    return True
+
+
+def _nest_vector_plan(loop: Operation):
+    """Plan ``loop`` — an ``scf.for`` or ``omp.loop_nest`` carrying no
+    iter_args — as a depth-d nest: walk its levels, then give every
+    store a role (see the module docstring).
+
+    Returns ``(mode, plan, program, reason)``.  Depth-1 modes are
+    ``elementwise`` (``nest_segmented`` when the bounds are runtime
+    data), ``memref_reduction`` and ``scatter_store``; deeper nests are
+    ``nest_elementwise``, ``nest_reduction`` or ``nest_scatter``.  A
+    None mode comes with the reason for the DEBUG log, or with None when
+    the loop is no whole-space shape at all.
+    """
+    from repro.transforms.loop_analysis import (
+        bound_is_runtime,
+        classify_index,
+        root_memref,
+    )
+
+    root_body = loop.regions[0].block
+    root_dims = len(root_body.args) if loop.name == "omp.loop_nest" else 1
+    walked = _walk_levels(loop)
+    if isinstance(walked, str):
+        return None, None, None, walked
+    ivs, chain, charge_specs, observer_specs, extras_by_level, innermost = (
+        walked
+    )
 
     rank = len(ivs)
     if not _body_is_vectorizable(innermost):
@@ -983,41 +1062,13 @@ def _nest_vector_plan(loop: Operation):
             loads.append(op)
 
     # -- chain-loop bounds must be invariant (IV-independent prelude) ----------
-    # One prelude per chain level: a level's ops are only pre-evaluated
-    # at runtime when its containing body would actually execute under
-    # the scalar walk (a faulting bound expression below a zero-trip
-    # dim must stay unevaluated, exactly like the scalar tier).
-    independent: set[SSAValue] = set()
-    prelude_levels: list[tuple[Operation, ...]] = []
-    for level_extras in extras_by_level:
-        level_prelude: list[Operation] = []
-        for op in level_extras:
-            if not all(
-                _defined_outside(v, root_body) or v in independent
-                for v in op.operands
-            ):
-                continue  # varies with a nest IV: evaluated by the program
-            if op.name == "memref.load" and id(
-                root_memref(op.operands[0])
-            ) in store_counts:
-                continue  # value may change as the nest runs
-            independent.update(op.results)
-            level_prelude.append(op)
-        prelude_levels.append(tuple(level_prelude))
-    for level in chain:
-        level_bounds = list(level.bounds)
-        if level.stitch is not None:
-            # the stitched runtime also reads both loops' own triples
-            level_bounds += list(level.stitch[0].operands[:3])
-            level_bounds += list(level.stitch[1].operands[:3])
-        for bound in level_bounds:
-            if not (
-                _defined_outside(bound, root_body) or bound in independent
-            ):
-                return None, None, None, (
-                    "nested loop bounds vary with an outer induction "
-                    "variable"
-                )
+    prelude_levels, independent = _level_preludes(
+        extras_by_level, root_body, set(store_counts)
+    )
+    if not _chain_is_rectangular(chain, root_body, independent):
+        return None, None, None, (
+            "nested loop bounds vary with an outer induction variable"
+        )
 
     def load_ok(idx: SSAValue) -> bool:
         # ``indirect`` is safe for loads: gathers cannot collide, and the
@@ -1178,40 +1229,51 @@ def _nest_vector_plan(loop: Operation):
 
 
 # ---------------------------------------------------------------------------
-# Ragged (triangular / CSR) nests
+# Imperfect (triangular / CSR / tiled) nests
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _SegmentedNest:
-    """Whole-space plan for an imperfect outer/inner pair whose inner
-    trip count varies with the outer IV: ``prologue / inner reduction
-    loop / epilogue`` with triangular (affine) or CSR (offset-array)
-    inner bounds.
+    """Whole-space plan for an imperfect nest: rectangular **rows** over
+    one body that is ``prologue / inner reduction level / epilogue``.
 
-    Phase A (``row_program``) evaluates the prologue over the outer iv
-    vector — per-row inner bounds, the accumulator init value, epilogue
+    The rows are the levels of the perfect ``scf.for`` chain above that
+    body, flattened row-major (``rows`` holds them as a store-less
+    :class:`_NestPlan`: bounds, preludes, step charges and observers).
+    The inner level is one loop whose trip count may vary per row —
+    triangular (bounds affine in the row IVs) or CSR (bounds loaded from
+    an offset array) — or a tiled pair (``tile_for`` around
+    ``inner_for``) whose row-invariant tile loop is evaluated over its
+    IV vector by ``tile_program``, so each row runs the tiles' inner
+    ranges concatenated in iteration order.
+
+    Phase A (``row_program``) evaluates the prologue over the row
+    vectors — per-row inner bounds, the accumulator init value, epilogue
     subscripts.  The flat space is built with prefix sums over the
     per-row trip counts; ``inner_program`` evaluates the reduction
-    expression over it, and the fold runs per segment in iteration
-    order (bit-exact f32).  Phase B (``epilogue_program``) then runs the
+    expression over it, and the fold runs per row in iteration order
+    (bit-exact f32).  Phase B (``epilogue_program``) then runs the
     epilogue per row with the accumulator readback preset to the folded
-    per-row values; its stores (``stores``, injective per row, so they
-    need no proof) are deferred like a scatter's.  Nothing is mutated
-    until every runtime proof (step sign, monotone offsets, NaN hazard)
-    has passed.
+    per-row values; its stores (``stores``, injective over the rows, so
+    they need no proof) are deferred like a scatter's.  An epilogue
+    store may write back in place the cell its row's prologue loaded.
+    Nothing is mutated until every runtime proof (step sign, monotone
+    offsets, NaN hazard) has passed.
 
     ``needs_monotone`` names the bounds (``"lb"``/``"ub"``) classified
     as offset-array loads; those vectors are runtime-proved monotone
     non-decreasing (the CSR contract) with a reasoned bail otherwise.
     ``acc_shared`` is True when the accumulator cell is invariant across
-    rows (SpMV's alloca scratch: re-initialised per row by the prologue,
+    rows (an alloca scratch: re-initialised per row by the prologue,
     read back by the epilogue); False means the cell is affine in the
-    outer IV (``y(k) += ...``) and folds write back per row.
+    row IVs (``y(k) += ...``) and folds write back per row.
     """
 
+    rows: _NestPlan  # the row levels; no store roles
     inner_for: Operation
-    outer_ops: int  # scalar step charge per outer iteration
+    tile_for: Operation | None
+    tile_ops: int  # scalar step charge per tile iteration
     inner_ops: int  # scalar step charge per inner iteration
     bounds: tuple[SSAValue, SSAValue, SSAValue]  # inner lb / ub / step
     needs_monotone: tuple[str, ...]
@@ -1219,17 +1281,40 @@ class _SegmentedNest:
     acc_shared: bool
     init_value: SSAValue | None  # prologue accumulator-init stored value
     readback: Operation | None  # epilogue accumulator load (preset)
-    row_program: Any  # phase A over the outer IV
-    inner_program: Any  # flat space [outer, inner]
-    epilogue_program: Any  # phase B over the outer IV
+    row_program: Any  # phase A over the row IVs
+    tile_program: Any  # the tile body over the tile IV, or None
+    inner_program: Any  # flat space [*rows, inner]
+    epilogue_program: Any  # phase B over the row IVs
     stores: _NestScatter  # the epilogue's deferred stores
 
 
+def _row_coverage(indices, row_ivs, root_body: Block) -> set[int] | None:
+    """The row dims a subscript tuple is affine in, or None when a
+    subscript is neither invariant nor affine in exactly one row IV.
+    A tuple covering every row dim names a distinct cell per row."""
+    from repro.transforms.loop_analysis import classify_index
+
+    covered: set[int] = set()
+    for idx in indices:
+        dims = []
+        for dim, iv in enumerate(row_ivs):
+            pattern = classify_index(idx, iv, root_body)
+            if pattern.kind == "affine" and pattern.parameter != 0:
+                dims.append(dim)
+            elif pattern.kind != "invariant":
+                return None
+        if len(dims) > 1:
+            return None
+        covered.update(dims)
+    return covered
+
+
 def _segmented_nest_plan(loop: Operation):
-    """Classify the segmented (imperfect) nest shape — an outer loop
-    whose body is ``prologue / one inner reduction loop / epilogue``,
-    the inner bounds affine in the outer IV or loaded from an offset
-    array.  Returns ``(mode, plan, program, reason)`` like
+    """Classify the imperfect nest shape rooted at the ``scf.for``
+    ``loop`` (see :class:`_SegmentedNest`): a perfect chain of row
+    levels, then one body holding ``prologue / inner level /
+    epilogue``, where the inner level is one reduction loop or a tiled
+    pair around it.  Returns ``(mode, plan, program, reason)`` like
     :func:`_nest_vector_plan`; all-None means the shape is something
     else entirely (no reasoned diagnostic)."""
     from repro.transforms.loop_analysis import (
@@ -1238,22 +1323,44 @@ def _segmented_nest_plan(loop: Operation):
         root_memref,
     )
 
-    body = loop.regions[0].block
-    if len(body.args) != 1 or loop.results:
+    if loop.name != "scf.for" or loop.results:
         return None, None, None, None
-    iv_o = body.args[0]
-    inner_loops = [op for op in body.ops if op.name == "scf.for"]
-    if len(inner_loops) != 1:
+    loops = [loop]
+    while True:
+        nested = [
+            op for op in loops[-1].regions[0].block.ops if op.name == "scf.for"
+        ]
+        if len(nested) != 1:
+            break
+        loops.append(nested[0])
+    if nested or len(loops) == 1:
         return None, None, None, None
-    inner_for = inner_loops[0]
-    if inner_for.results or len(inner_for.regions[0].blocks) != 1:
+    if any(member.results for member in loops[1:]):
         return None, None, None, "inner loop carries iter_args"
+    root_body = loop.regions[0].block
+    inner_for = loops[-1]
     inner_body = inner_for.regions[0].block
-    if len(inner_body.args) != 1:
-        return None, None, None, "inner loop carries iter_args"
-    if any(op.name == "scf.for" for op in inner_body.ops):
-        return None, None, None, None  # deeper nests: the perfect-chain path
-    pos = body.ops.index(inner_for)
+
+    # -- levels: rows, then one inner loop or a tiled pair ----------------------
+    # The inner loop is tiled when its bounds are no affine/offset
+    # function of the loop around it (``do k = kk, min(kk + 63, n)``).
+    tile_for = None
+    if len(loops) >= 3:
+        around = loops[-2].regions[0].block
+        if any(
+            classify_index(bound, around.args[0], around).kind
+            not in ("affine", "invariant", "indirect")
+            for bound in inner_for.operands[:3]
+        ):
+            tile_for = loops[-2]
+    top = tile_for or inner_for
+    walked = _walk_levels(loop, depth=len(loops) - (2 if tile_for else 1))
+    if isinstance(walked, str):
+        return None, None, None, walked
+    row_ivs, chain, charge_specs, observer_specs, extras_by_level, body = (
+        walked
+    )
+    pos = body.ops.index(top)
     prologue = list(body.ops[:pos])
     epilogue = list(body.ops[pos + 1 :])
     for op in (*prologue, *epilogue):
@@ -1266,44 +1373,100 @@ def _segmented_nest_plan(loop: Operation):
         return None, None, None, (
             "inner body is not a memref-accumulator reduction"
         )
-    acc_root = root_memref(reduction.acc)
 
-    # -- inner bounds: affine in the outer IV, or monotone offset loads --------
+    # -- one inner loop: bounds affine in the row IVs or monotone offsets -----
     lb_v, ub_v, step_v = inner_for.operands[:3]
     needs_monotone: list[str] = []
-    for which, bound in (("lb", lb_v), ("ub", ub_v)):
-        kind = classify_index(bound, iv_o, body).kind
-        if kind == "indirect":
-            needs_monotone.append(which)
-        elif kind not in ("affine", "invariant"):
-            return None, None, None, (
-                "inner loop bounds are neither affine in the outer IV nor "
-                "loaded from an offset array"
-            )
-    if classify_index(step_v, iv_o, body).kind != "invariant":
-        return None, None, None, "inner loop step varies with the outer IV"
+    if tile_for is None:
+        for which, bound in (("lb", lb_v), ("ub", ub_v)):
+            kinds = {
+                classify_index(bound, iv, root_body).kind for iv in row_ivs
+            }
+            if "indirect" in kinds:
+                needs_monotone.append(which)
+            if not kinds <= {"affine", "invariant", "indirect"}:
+                return None, None, None, (
+                    "inner loop bounds are neither affine in the outer IV "
+                    "nor loaded from an offset array"
+                )
+        if any(
+            classify_index(step_v, iv, root_body).kind != "invariant"
+            for iv in row_ivs
+        ):
+            return None, None, None, "inner loop step varies with the outer IV"
+
+    acc_root = root_memref(reduction.acc)
+    row_ops = [*(op for level in extras_by_level for op in level), *prologue]
+    tile_ops: list[Operation] = []
+    if tile_for is not None:
+        tile_ops = [
+            op
+            for op in tile_for.regions[0].block.ops
+            if op is not inner_for and op.name not in _SKIPPED
+        ]
+    stored = {
+        id(root_memref(op.operands[1]))
+        for op in (*prologue, *tile_ops, *epilogue, *inner_body.ops)
+        if op.name == "memref.store"
+    }
+    prelude_levels, independent = _level_preludes(
+        [*extras_by_level, prologue], root_body, stored
+    )
+    if not _chain_is_rectangular(chain, root_body, independent):
+        return None, None, None, (
+            "nested loop bounds vary with an outer induction variable"
+        )
+
+    def row_invariant(v: SSAValue) -> bool:
+        return _defined_outside(v, root_body) or v in independent
+
+    # -- a tiled inner level: a row-invariant tile loop whose body
+    # -- computes the inner bounds from the tile IV ---------------------------
+    if tile_for is not None:
+        if not all(map(row_invariant, tile_for.operands[:3])):
+            return None, None, None, "tile loop bounds vary with a row IV"
+        tile_defined = {tile_for.regions[0].block.args[0]}
+        for op in (*tile_ops, inner_for):
+            if op is not inner_for and (
+                op.regions
+                or op.name not in _SUPPORTED
+                or op.name == "memref.store"
+            ):
+                return None, None, None, (
+                    "tile loop body has nested regions, stores or "
+                    "unsupported ops"
+                )
+            if not all(
+                v in tile_defined or row_invariant(v) for v in op.operands
+            ):
+                return None, None, None, "tile loop body varies with a row IV"
+            tile_defined.update(op.results)
+        for op in inner_body.ops:
+            if any(v in tile_defined for v in op.operands):
+                return None, None, None, (
+                    "inner loop body reads a tile-level value"
+                )
 
     # -- accumulator cell must be resolvable per row ---------------------------
-    prologue_defined = {r for op in prologue for r in op.results}
-
-    def row_resolvable(v: SSAValue) -> bool:
-        # the outer IV itself is the phase-A vector
-        return v is iv_o or _defined_outside(v, body) or v in prologue_defined
-
-    if not all(row_resolvable(idx) for idx in reduction.indices):
+    row_defined = {r for op in row_ops for r in op.results}
+    if not all(
+        v in row_ivs or _defined_outside(v, root_body) or v in row_defined
+        for v in reduction.indices
+    ):
         return None, None, None, (
             "accumulator subscript is computed inside the inner loop body"
         )
-    acc_shared = True
-    for idx in reduction.indices:
-        pattern = classify_index(idx, iv_o, body)
-        if pattern.kind == "affine" and pattern.parameter != 0:
-            acc_shared = False  # one cell per row: injective writeback
-        elif pattern.kind != "invariant":
-            return None, None, None, (
-                "accumulator subscript is not affine/invariant in the "
-                "outer IV"
-            )
+    covered = _row_coverage(reduction.indices, row_ivs, root_body)
+    if covered is None:
+        return None, None, None, (
+            "accumulator subscript is not affine/invariant in the outer IV"
+        )
+    if covered and len(covered) != len(row_ivs):
+        return None, None, None, (
+            "accumulator subscripts do not cover every row dim"
+        )
+    # invariant: one shared cell; covering: one cell per row
+    acc_shared = not covered
 
     # -- prologue: pure compute plus (at most) the accumulator init store ------
     init_store = None
@@ -1313,7 +1476,7 @@ def _segmented_nest_plan(loop: Operation):
                 root_memref(op.operands[1]) is acc_root
                 and len(op.operands) - 2 == len(reduction.indices)
                 and all(
-                    index_values_equal(a, b, body)
+                    index_values_equal(a, b, root_body)
                     for a, b in zip(op.operands[2:], reduction.indices)
                 )
             ):
@@ -1335,7 +1498,7 @@ def _segmented_nest_plan(loop: Operation):
 
     # -- epilogue: the accumulator readback + injective per-row stores ---------
     readback = None
-    epi_store_roots: set[int] = set()
+    epi_stores: dict[int, Operation] = {}
     for op in epilogue:
         if op.name == "memref.load" and root_memref(op.operands[0]) is acc_root:
             if not acc_shared:
@@ -1347,7 +1510,7 @@ def _segmented_nest_plan(loop: Operation):
                     "accumulator read twice in the epilogue"
                 )
             if len(op.operands) - 1 != len(reduction.indices) or not all(
-                index_values_equal(a, b, body)
+                index_values_equal(a, b, root_body)
                 for a, b in zip(op.operands[1:], reduction.indices)
             ):
                 return None, None, None, (
@@ -1359,64 +1522,71 @@ def _segmented_nest_plan(loop: Operation):
             root = root_memref(op.operands[1])
             if root is acc_root:
                 return None, None, None, "epilogue stores to the accumulator"
-            if id(root) in epi_store_roots:
+            if id(root) in epi_stores:
                 return None, None, None, "two epilogue stores to one buffer"
-            epi_store_roots.add(id(root))
-            if len(op.operands) == 2:
+            epi_stores[id(root)] = op
+            covered = _row_coverage(op.operands[2:], row_ivs, root_body)
+            if covered is None:
                 return None, None, None, (
-                    "rank-0 epilogue store hits the same cell every row"
+                    "epilogue store subscript is not affine/invariant "
+                    "in the outer IV"
                 )
-            affine_dims = 0
-            for idx in op.operands[2:]:
-                pattern = classify_index(idx, iv_o, body)
-                if pattern.kind == "affine" and pattern.parameter != 0:
-                    affine_dims += 1
-                elif pattern.kind != "invariant":
-                    return None, None, None, (
-                        "epilogue store subscript is not affine/invariant "
-                        "in the outer IV"
-                    )
-            if affine_dims == 0:
+            if not covered:
                 return None, None, None, (
                     "epilogue store hits the same cell every row"
                 )
+            if len(covered) != len(row_ivs):
+                return None, None, None, "epilogue store misses a row dim"
 
-    # -- nothing read anywhere in the nest may also be written in it -----------
-    store_roots = {id(acc_root)} | epi_store_roots
-    nest_loads = (
-        [op for op in prologue if op.name == "memref.load"]
-        + [
-            op
-            for op in inner_body.ops
-            if op.name == "memref.load" and id(op) not in reduction.skip
-        ]
-        + [
-            op
-            for op in epilogue
-            if op.name == "memref.load" and op is not readback
-        ]
-    )
-    for op in nest_loads:
-        if id(root_memref(op.operands[0])) in store_roots:
+    # -- nothing read in the nest may be written in it, except the cell a
+    # -- row's prologue loads and its epilogue writes back in place ----------
+    prologue_ids = {id(op) for op in prologue}
+    for op in (*row_ops, *tile_ops, *inner_body.ops, *epilogue):
+        if op.name != "memref.load" or id(op) in reduction.skip:
+            continue
+        root = id(root_memref(op.operands[0]))
+        if op is readback or root not in stored:
+            continue
+        store = epi_stores.get(root)
+        if store is not None and id(op) in prologue_ids:
+            if len(op.operands) - 1 == len(store.operands) - 2 and all(
+                index_values_equal(a, b, root_body)
+                for a, b in zip(op.operands[1:], store.operands[2:])
+            ):
+                continue  # each row reads only the cell it alone writes
             return None, None, None, (
-                "a buffer read in the nest is also written in the nest"
+                "prologue reads a cell other than the one its row writes "
+                "back"
             )
+        return None, None, None, (
+            "a buffer read in the nest is also written in the nest"
+        )
 
     row_skip = (
         frozenset({id(init_store)}) if init_store is not None else frozenset()
     )
-    epi_stores = tuple(op for op in epilogue if op.name == "memref.store")
     stores = _NestScatter(
-        stores=epi_stores,
+        stores=tuple(epi_stores.values()),
         proof_dims=((),) * len(epi_stores),
-        skip=frozenset(id(op) for op in epi_stores),
+        skip=frozenset(map(id, epi_stores.values())),
     )
     epi_skip = stores.skip | (
         frozenset({id(readback)}) if readback is not None else frozenset()
     )
+    rows = _NestPlan(
+        ivs=tuple(row_ivs),
+        root_dims=1,
+        chain=tuple(chain),
+        charge_specs=tuple(charge_specs),
+        observer_specs=tuple(observer_specs),
+        prelude=tuple(prelude_levels[:-1]),
+        reduction=None,
+    )
     plan = _SegmentedNest(
+        rows=rows,
         inner_for=inner_for,
-        outer_ops=max(1, len(body.ops)),
+        tile_for=tile_for,
+        tile_ops=max(1, len(tile_for.regions[0].block.ops)) if tile_for else 0,
         inner_ops=max(1, len(inner_body.ops)),
         bounds=(lb_v, ub_v, step_v),
         needs_monotone=tuple(needs_monotone),
@@ -1424,13 +1594,20 @@ def _segmented_nest_plan(loop: Operation):
         acc_shared=acc_shared,
         init_value=init_store.operands[0] if init_store is not None else None,
         readback=readback,
-        row_program=_compile_vector_body(prologue, row_skip, [iv_o]),
+        row_program=_compile_vector_body(row_ops, row_skip, row_ivs),
+        tile_program=(
+            _compile_vector_body(
+                tile_ops, frozenset(), [tile_for.regions[0].block.args[0]]
+            )
+            if tile_for is not None
+            else None
+        ),
         inner_program=_compile_vector_body(
             list(inner_body.ops),
             reduction.skip,
-            [iv_o, inner_body.args[0]],
+            [*row_ivs, inner_body.args[0]],
         ),
-        epilogue_program=_compile_vector_body(epilogue, epi_skip, [iv_o]),
+        epilogue_program=_compile_vector_body(epilogue, epi_skip, row_ivs),
         stores=stores,
     )
     return "nest_segmented", plan, plan.row_program, None
@@ -1461,14 +1638,40 @@ def _flatten_space(dim_values: list) -> list:
     return vecs
 
 
-def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
-    """Execute a rectangular plan whole-space.  ``root_bounds`` holds one
-    ``(lb, exclusive ub, step)`` triple per root dimension; chain-member
-    bounds are read from the environment (after the step-neutral prelude
-    evaluation).  Returns True when handled — observers and step
-    accounting then exactly match the scalar nested walk; False leaves
-    no visible side effects, so the scalar walk can rerun safely.
-    """
+def _concat_ranges(lbs, trips, step: int) -> np.ndarray:
+    """The IVs of consecutive loop executions that start at ``lbs`` and
+    run ``trips`` iterations of ``step`` each, in iteration order."""
+    starts = np.cumsum(trips) - trips
+    total = int(trips.sum())
+    return (
+        np.repeat(lbs, trips)
+        + (np.arange(total, dtype=np.int64) - np.repeat(starts, trips))
+        * step
+    )
+
+
+def _inner_ranges(value, bounds, count: int):
+    """``(lbs, ubs, trips, step)`` of ``count`` executions of a loop
+    whose ``bounds`` ``value`` resolves to scalars or per-execution
+    vectors; None when the step varies or is not positive (outside the
+    contract: the scalar walk decides)."""
+    step = value(bounds[2])
+    if np.ndim(step) != 0 or step <= 0:
+        return None
+    step = int(step)
+    lbs, ubs = (
+        np.broadcast_to(np.asarray(value(v), dtype=np.int64), (count,))
+        for v in bounds[:2]
+    )
+    return lbs, ubs, np.maximum(0, -((lbs - ubs) // step)), step
+
+
+def _size_levels(interp, env, root_bounds, plan: _NestPlan):
+    """Read every level's ``(lb, exclusive ub, step)``: ``root_bounds``
+    for the root dims, then each chain member's from the environment,
+    after its step-neutral prelude.  Returns ``(bounds, trips,
+    stitches, total)``, or None when a chain step is not positive (the
+    scalar walk decides)."""
     trips = [_trip_count(lb, ub, step) for lb, ub, step in root_bounds]
     bounds = list(root_bounds)
     total = math.prod(trips)
@@ -1496,7 +1699,7 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
         ub = interp.get(env, level.bounds[1])
         step = interp.get(env, level.bounds[2])
         if step <= 0:
-            return False
+            return None
         if level.stitch is not None:
             main_for, rem_for, main_ops, rem_ops = level.stitch
             m_lb, m_ub, m_step = (
@@ -1506,7 +1709,7 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
                 interp.get(env, v) for v in rem_for.operands[:3]
             )
             if m_step <= 0:
-                return False
+                return None
             stitches.append((
                 len(trips), main_for, rem_for, main_ops, rem_ops,
                 _trip_count(m_lb, m_ub, m_step),
@@ -1515,6 +1718,42 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
         bounds.append((lb, ub, step))
         trips.append(_trip_count(lb, ub, step))
         total *= trips[-1]
+    return bounds, trips, stitches, total
+
+
+def _charge_levels(interp, plan: _NestPlan, trips, stitches) -> None:
+    """Charge the steps and fire the loop observer of every level as
+    the scalar nested walk would (batched by ``count``)."""
+    steps = 0
+    for dims, op_count in plan.charge_specs:
+        steps += math.prod(trips[:dims]) * op_count
+    observer = interp.loop_observer
+    for dims, main_for, rem_for, main_ops, rem_ops, m_t, r_t in stitches:
+        executions = math.prod(trips[:dims])
+        steps += executions * (m_t * main_ops + r_t * rem_ops)
+        if observer is not None and executions:
+            observer(main_for, m_t, executions)
+            observer(rem_for, r_t, executions)
+    interp.steps += steps
+    if observer is not None:
+        for dims, chain_op in plan.observer_specs:
+            count = math.prod(trips[:dims])
+            if count:
+                observer(chain_op, trips[dims], count)
+
+
+def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
+    """Execute a rectangular plan whole-space.  ``root_bounds`` holds one
+    ``(lb, exclusive ub, step)`` triple per root dimension; chain-member
+    bounds are read from the environment (after the step-neutral prelude
+    evaluation).  Returns True when handled — observers and step
+    accounting then exactly match the scalar nested walk; False leaves
+    no visible side effects, so the scalar walk can rerun safely.
+    """
+    sized = _size_levels(interp, env, root_bounds, plan)
+    if sized is None:
+        return False
+    bounds, trips, stitches, total = sized
     if 0 < total < _MIN_TRIPS and not plan.span:
         return False  # scalar wins on constant factors
 
@@ -1581,63 +1820,75 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
                 if not _ordered_fold(reduction.op_name, array, key, vec, width):
                     return False  # single pass (see above): nothing stored
 
-    steps = 0
-    for dims, op_count in plan.charge_specs:
-        steps += math.prod(trips[:dims]) * op_count
-    observer = interp.loop_observer
-    for dims, main_for, rem_for, main_ops, rem_ops, m_t, r_t in stitches:
-        executions = math.prod(trips[:dims])
-        steps += executions * (m_t * main_ops + r_t * rem_ops)
-        if observer is not None and executions:
-            observer(main_for, m_t, executions)
-            observer(rem_for, r_t, executions)
-    interp.steps += steps
-    if observer is not None:
-        for dims, chain_op in plan.observer_specs:
-            count = math.prod(trips[:dims])
-            if count:
-                observer(chain_op, trips[dims], count)
+    _charge_levels(interp, plan, trips, stitches)
     return True
 
 
 def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
-    """Execute a ragged (triangular / CSR) plan whole-space.  True when
-    handled — observers and step accounting then exactly match the
-    scalar nested walk; a False return has mutated nothing (stores and
-    accumulator writebacks are all deferred past the runtime proofs), so
-    the scalar walk can rerun safely."""
-    trips_o = _trip_count(lb, ub, step)
-    if trips_o == 0:
-        return True  # the scalar walk would do nothing either
-    i_vec = np.arange(lb, lb + trips_o * step, step, dtype=np.int64)
-    frame_a = plan.row_program.run(interp, env, [i_vec])
+    """Execute an imperfect (triangular / CSR / tiled) plan whole-space.
+    True when handled — observers and step accounting then exactly
+    match the scalar nested walk; a False return has mutated nothing
+    (stores and accumulator writebacks are all deferred past the runtime
+    proofs), so the scalar walk can rerun safely."""
+    sized = _size_levels(interp, env, ((lb, ub, step),), plan.rows)
+    if sized is None:
+        return False
+    bounds, trips, _, n_rows = sized
+    if n_rows == 0:
+        _charge_levels(interp, plan.rows, trips, ())
+        return True  # no row reaches the imperfect body
+    row_vecs = _flatten_space([
+        np.arange(lb, lb + t * step, step, dtype=np.int64)
+        for (lb, _, step), t in zip(bounds, trips)
+    ])
+    frame_a = plan.row_program.run(interp, env, row_vecs)
     row_value = plan.row_program.lookup(frame_a, interp, env)
-    inner_step = row_value(plan.bounds[2])
-    if np.ndim(inner_step) != 0:
-        return False  # step varies per row: outside the contract
-    inner_step = int(inner_step)
-    if inner_step <= 0:
-        return False  # the scalar walk decides (zero-trip or diverging)
-    lb_vec = np.broadcast_to(
-        np.asarray(row_value(plan.bounds[0]), dtype=np.int64), (trips_o,)
-    )
-    ub_vec = np.broadcast_to(
-        np.asarray(row_value(plan.bounds[1]), dtype=np.int64), (trips_o,)
-    )
-    for which, vec in (("lb", lb_vec), ("ub", ub_vec)):
-        if which in plan.needs_monotone and trips_o > 1 and bool(
-            np.any(np.diff(vec) < 0)
-        ):
-            logger.debug(
-                "scalar bail-out: segmented nest %s offsets are not "
-                "monotone non-decreasing (shuffled offset array); "
-                "rerunning the loop on the scalar tier",
-                which,
-            )
+
+    # -- the inner level: each row's trip count and inner IVs ------------------
+    if plan.tile_for is None:
+        tile_trips = None
+        ranges = _inner_ranges(row_value, plan.bounds, n_rows)
+        if ranges is None:
+            return False  # the scalar walk decides
+        lb_vec, ub_vec, trips_vec, inner_step = ranges
+        for which, vec in (("lb", lb_vec), ("ub", ub_vec)):
+            if which in plan.needs_monotone and n_rows > 1 and bool(
+                np.any(np.diff(vec) < 0)
+            ):
+                logger.debug(
+                    "scalar bail-out: segmented nest %s offsets are not "
+                    "monotone non-decreasing (shuffled offset array); "
+                    "rerunning the loop on the scalar tier",
+                    which,
+                )
+                return False
+    else:
+        # The tile loop is row-invariant: evaluate its body once over the
+        # tile IVs; every row runs the tiles' inner ranges back to back.
+        t_lb, t_ub, t_step = (
+            int(row_value(v)) for v in plan.tile_for.operands[:3]
+        )
+        if t_step <= 0:
             return False
-    trips_vec = np.maximum(0, -((lb_vec - ub_vec) // inner_step))
+        tile_count = _trip_count(t_lb, t_ub, t_step)
+        tile_trips = row_space = np.zeros(0, dtype=np.int64)
+        if tile_count:
+            tiles = np.arange(
+                t_lb, t_lb + tile_count * t_step, t_step, dtype=np.int64
+            )
+            tile_value = plan.tile_program.lookup(
+                plan.tile_program.run(interp, env, [tiles], row_value),
+                interp,
+                env,
+            )
+            ranges = _inner_ranges(tile_value, plan.bounds, tile_count)
+            if ranges is None:
+                return False
+            k_lb, _, tile_trips, inner_step = ranges
+            row_space = _concat_ranges(k_lb, tile_trips, inner_step)
+        trips_vec = np.full(n_rows, len(row_space), dtype=np.int64)
     total = int(trips_vec.sum())
-    if trips_o + total < _MIN_TRIPS:
+    if n_rows + total < _MIN_TRIPS:
         return False  # scalar wins on constant factors
 
     reduction = plan.reduction
@@ -1652,12 +1903,12 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
     else:
         init = acc_arr[cell]
     # per-row folds start from the init values; empty rows keep them
-    folded_all = np.array(_as_vector(init, trips_o, dtype), dtype=dtype)
+    folded_all = np.array(_as_vector(init, n_rows, dtype), dtype=dtype)
     cum = np.cumsum(trips_vec)
     r0 = 0
-    while r0 < trips_o:
+    while r0 < n_rows:
         if total <= _MAX_NEST_ELEMS:
-            r1 = trips_o
+            r1 = n_rows
         else:
             # Bound peak memory: whole rows per chunk, so segments never
             # straddle a chunk boundary and every fold stays per-row.
@@ -1665,36 +1916,40 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
             r1 = int(
                 np.searchsorted(cum, base + _MAX_NEST_ELEMS, side="right")
             )
-            r1 = min(max(r1, r0 + 1), trips_o)
+            r1 = min(max(r1, r0 + 1), n_rows)
         seg = trips_vec[r0:r1]
         ctotal = int(seg.sum())
         if ctotal:
-            starts = np.cumsum(seg) - seg
-            outer_flat = np.repeat(i_vec[r0:r1], seg)
-            inner_flat = (
-                np.repeat(lb_vec[r0:r1], seg)
-                + (np.arange(ctotal, dtype=np.int64) - np.repeat(starts, seg))
-                * inner_step
-            )
+            if tile_trips is None:
+                counts = seg
+                ivs = [
+                    *(np.repeat(v[r0:r1], seg) for v in row_vecs),
+                    _concat_ranges(lb_vec[r0:r1], seg, inner_step),
+                ]
+            else:
+                # Equal rows span a (rows, width) grid: row values are
+                # columns and the inner IVs one row, so broadcasting
+                # evaluates the space without materialising repeats.
+                counts = None
+                ivs = [*(v[r0:r1, None] for v in row_vecs), row_space[None]]
 
-            def resolve(v: SSAValue, _r0=r0, _r1=r1, _seg=seg):
+            def resolve(v: SSAValue, _r0=r0, _r1=r1, _counts=counts):
                 slot = plan.row_program.slots.get(v)
                 if slot is not None:
                     val = frame_a[slot]
                     if np.ndim(val) == 0:
                         return val
-                    return np.repeat(val[_r0:_r1], _seg)
+                    if _counts is None:
+                        return val[_r0:_r1, None]
+                    return np.repeat(val[_r0:_r1], _counts)
                 return interp.get(env, v)
 
-            frame_i = plan.inner_program.run(
-                interp, env, [outer_flat, inner_flat], resolve
-            )
+            frame_i = plan.inner_program.run(interp, env, ivs, resolve)
             slot = plan.inner_program.slots.get(reduction.expr)
-            expr_vec = _as_vector(
-                frame_i[slot] if slot is not None else resolve(reduction.expr),
-                ctotal,
-                dtype,
-            )
+            expr = frame_i[slot] if slot is not None else resolve(reduction.expr)
+            if counts is None:
+                expr = np.broadcast_to(expr, (r1 - r0, len(row_space)))
+            expr_vec = _as_vector(expr, ctotal, dtype)
             t0 = int(seg[0])
             if bool(np.all(seg == t0)):
                 key, width = (slice(None),), t0  # equal rows
@@ -1712,13 +1967,13 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
             return folded_all
         return row_value(v)
 
-    frame_e = plan.epilogue_program.run(interp, env, [i_vec], resolve_epi)
+    frame_e = plan.epilogue_program.run(interp, env, row_vecs, resolve_epi)
 
     def epi_value(v: SSAValue):
         slot = plan.epilogue_program.slots.get(v)
         return frame_e[slot] if slot is not None else resolve_epi(v)
 
-    _apply_stores(plan.stores, epi_value, trips_o)
+    _apply_stores(plan.stores, epi_value, n_rows)
     if plan.acc_shared:
         # the scalar walk leaves the last row's fold in the shared cell
         acc_arr[cell] = folded_all[-1]
@@ -1733,14 +1988,25 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
             cell_nz = tuple(c[nz] if np.ndim(c) else c for c in cell)
             acc_arr[cell_nz] = folded_all[nz]
 
-    interp.steps += trips_o * plan.outer_ops + total * plan.inner_ops
+    _charge_levels(interp, plan.rows, trips, ())
     observer = interp.loop_observer
+    if tile_trips is None:
+        interp.steps += total * plan.inner_ops
+        executions = trips_vec
+    else:
+        interp.steps += n_rows * (
+            tile_count * plan.tile_ops + len(row_space) * plan.inner_ops
+        )
+        executions = tile_trips
+        if observer is not None:
+            observer(plan.tile_for, tile_count, n_rows)
     if observer is not None:
-        # one observer call per distinct per-row trip count, batched —
-        # modelled cycles are integer-valued floats, so sums stay exact
-        uniq, counts = np.unique(trips_vec, return_counts=True)
-        for t, c in zip(uniq, counts):
-            observer(plan.inner_for, int(t), int(c))
+        # one observer call per distinct trip count, batched — modelled
+        # cycles are integer-valued floats, so sums stay exact
+        uniq, freq = np.unique(executions, return_counts=True)
+        scale = 1 if tile_trips is None else n_rows
+        for t, c in zip(uniq, freq):
+            observer(plan.inner_for, int(t), int(c) * scale)
     return True
 
 
@@ -1976,8 +2242,8 @@ def loop_vector_mode(loop: Operation) -> tuple[str | None, Any]:
     ``scatter_store``, and ``nest_segmented`` when their bounds are
     runtime data; ``scf.for`` loops carrying iter_args are
     ``iter_reduction``; nest roots are ``nest_elementwise``,
-    ``nest_reduction`` or ``nest_scatter``, and ragged triangular/CSR
-    outer-inner pairs ``nest_segmented``.  ``(None, None)`` means the
+    ``nest_reduction`` or ``nest_scatter``, and imperfect (triangular,
+    CSR or tiled) nests ``nest_segmented``.  ``(None, None)`` means the
     loop runs scalar.  Cached per loop op."""
     cached = _classify(loop)
     return cached[1], cached[2]

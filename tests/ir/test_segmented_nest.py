@@ -1,11 +1,16 @@
-"""Segmented (triangular / CSR) nest classification and runtime pins.
+"""Segmented (triangular / CSR / tiled) nest classification and runtime
+pins.
 
-PR 7's tentpole: imperfect outer-inner pairs whose inner trip count is
-affine in the outer IV (triangular ``j = i+1 .. n``) or loaded from a
-monotone offset array (CSR row loops) classify ``nest_segmented`` and
-evaluate whole-space via prefix-sum index construction — with the
-offset-array contract *proved at runtime* (shuffled offsets log a
-reasoned bail and rerun on the always-correct scalar tier).
+Imperfect outer-inner pairs whose inner trip count is affine in the
+outer IV (triangular ``j = i+1 .. n``) or loaded from a monotone offset
+array (CSR row loops) classify ``nest_segmented`` and evaluate
+whole-space via prefix-sum index construction — with the offset-array
+contract *proved at runtime* (shuffled offsets log a reasoned bail and
+rerun on the always-correct scalar tier).  The k-tiled GEMM extends the
+shape: its rows are the rectangular (i, j) levels, its inner level is a
+tiled ``kk``/``k`` pair, and its epilogue writes c(i, j) back in place;
+a tile edge of 8 exercises zero, partial, exact and multi-tile rows at
+fast-tier sizes on all four engine tiers.
 """
 
 import logging
@@ -172,3 +177,86 @@ class TestRuntimeEquivalence:
         assert any(
             "monotone" in record.message for record in caplog.records
         ), "expected a reasoned monotone bail-out in the debug log"
+
+
+# ---------------------------------------------------------------------------
+# The k-tiled GEMM: rectangular rows, a tiled inner level, an in-place
+# write-back
+# ---------------------------------------------------------------------------
+
+#: zero trips, one partial tile, one exact tile, several tiles ending in
+#: a partial one (tile edge 8)
+_TILED_SIZES = (0, 1, 5, 8, 20)
+_TIERS = ((False, False), (False, True), (True, False), (True, True))
+
+
+@pytest.fixture(scope="module")
+def tiled_gemm():
+    from repro.session import Session
+    from repro.workloads.gemm import gemm_source
+
+    return Session(gemm_source(tile=8))
+
+
+def _gemm_inputs(n: int):
+    rng = np.random.default_rng(100 + n)
+    return [
+        rng.standard_normal((n, n)).astype(np.float32) for _ in range(3)
+    ]
+
+
+def _run_gemm(program, n: int, compiled: bool, vectorize: bool):
+    a, b, c = _gemm_inputs(n)
+    result = program.executor(compiled=compiled, vectorize=vectorize).run(
+        "gemm_tiled", a, b, c, np.array(n, dtype=np.int32)
+    )
+    return c, result
+
+
+class TestTiledGemm:
+    @pytest.mark.parametrize("simdlen", [None, 2, 4])
+    @pytest.mark.parametrize("n", _TILED_SIZES)
+    def test_four_tiers_bit_identical(self, tiled_gemm, n, simdlen):
+        """Every tier agrees bit for bit in the output and in the
+        modelled step, time and cycle counts, and the output equals the
+        NumPy reference's accumulation order."""
+        from repro.session import KernelOverrides
+        from repro.workloads.gemm import gemm_reference
+
+        program = tiled_gemm.program(KernelOverrides(simdlen=simdlen))
+        a, b, c = _gemm_inputs(n)
+        expected = gemm_reference(a, b, c).tobytes()
+        runs = [_run_gemm(program, n, *tier) for tier in _TIERS]
+        for c_out, result in runs:
+            assert c_out.tobytes() == expected
+            assert result.interpreter_steps == runs[0][1].interpreter_steps
+            assert result.device_time_ms == runs[0][1].device_time_ms
+            assert result.kernel_cycles == runs[0][1].kernel_cycles
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_root_plan_handles_the_nest(self, monkeypatch, compiled):
+        """The (i, j) root classifies ``nest_segmented`` and runs the
+        whole nest: the k loop never reaches its own reduction entry."""
+        import repro.ir.vectorize as vectorize
+        from repro.session import Session
+        from repro.workloads.gemm import gemm_source
+
+        entered = []
+        real = vectorize.try_vectorized_reduction
+
+        def recording(interp, loop, *args):
+            entered.append(loop)
+            return real(interp, loop, *args)
+
+        # patched before the fresh program compiles: the block-JIT
+        # binds the entry when it emits the loop
+        monkeypatch.setattr(vectorize, "try_vectorized_reduction", recording)
+        program = Session(gemm_source(tile=8)).program()
+        loops = [
+            op for op in program.device_module.walk() if op.name == "scf.for"
+        ]
+        assert loop_vector_mode(loops[0])[0] == "nest_segmented"
+        fast, _ = _run_gemm(program, 20, compiled, True)
+        scalar, _ = _run_gemm(program, 20, False, False)
+        assert fast.tobytes() == scalar.tobytes()
+        assert not any(loop is loops[-1] for loop in entered)

@@ -11,7 +11,11 @@ no-classification, scatter injectivity, iter-args NaN min/max, rank-n
 * nest-reduction NaN min/max (single-chunk whole-space path);
 * chunked min/max nest exceeding the whole-space size bound;
 * a perfect ``scf.for`` chain whose nest plan bails (the ``rank-k
-  scf.for nest`` spelling of the reasoned bail).
+  scf.for nest`` spelling of the reasoned bail);
+* GEMM's k-tiled nest with one condition of the segmented plan broken:
+  a prologue that reads a neighbour of the cell its row writes back,
+  an epilogue store that misses a row dim, or tile bounds that vary
+  with a row IV.
 """
 
 import logging
@@ -207,4 +211,109 @@ class TestScfChainNestBail:
         assert any(
             "segmented nest" in r.message and "bail-out" in r.message
             for r in records
+        )
+
+
+def _build_tiled_rows(
+    n: int,
+    *,
+    read_neighbour: bool = False,
+    store_row_dim: bool = True,
+    tile_from_row: bool = False,
+):
+    """GEMM's k-tiled nest, 0-based: for i, j: ``t = c[i, j]``; for kk =
+    0, n, 8: for k = kk, min(kk + 8, n): ``t += a[i, k] * b[k, j]``;
+    then ``c[i, j] = t``.  Each flag breaks one condition of the
+    segmented plan: the prologue reads ``c[i, j + 1]``, the epilogue
+    writes ``c[i, 0]``, or the tile loop starts at ``i``."""
+    module = builtin.ModuleOp()
+    mat = MemRefType(f32, [n, n])
+    fn = func.FuncOp(
+        "f", FunctionType([mat, mat, MemRefType(f32, [n, n + 1])], [])
+    )
+    module.body.add_op(fn)
+    a_arg, b_arg, c_arg = fn.body.args
+    b = Builder.at_end(fn.body)
+    zero, ub, one, tile = _index_constants(b, 0, n, 1, 8)
+    t = b.insert(memref.Alloca(MemRefType(f32, []))).results[0]
+    root = b.insert(scf.For(zero, ub, one))
+    i = root.induction_var
+    rows = Builder.at_end(root.body)
+    j_loop = rows.insert(scf.For(zero, ub, one))
+    rows.insert(scf.Yield())
+    j = j_loop.induction_var
+    row = Builder.at_end(j_loop.body)
+    col = row.insert(arith.AddI(j, one)).results[0] if read_neighbour else j
+    init = row.insert(memref.Load(c_arg, [i, col])).results[0]
+    row.insert(memref.Store(init, t, []))
+    kk_loop = row.insert(scf.For(i if tile_from_row else zero, ub, tile))
+    folded = row.insert(memref.Load(t, [])).results[0]
+    row.insert(memref.Store(folded, c_arg, [i, j if store_row_dim else zero]))
+    row.insert(scf.Yield())
+    kk = kk_loop.induction_var
+    tiles = Builder.at_end(kk_loop.body)
+    end = tiles.insert(arith.AddI(kk, tile)).results[0]
+    k_ub = tiles.insert(arith.MinSI(end, ub)).results[0]
+    k_loop = tiles.insert(scf.For(kk, k_ub, one))
+    tiles.insert(scf.Yield())
+    k = k_loop.induction_var
+    inner = Builder.at_end(k_loop.body)
+    tv = inner.insert(memref.Load(t, [])).results[0]
+    av = inner.insert(memref.Load(a_arg, [i, k])).results[0]
+    bv = inner.insert(memref.Load(b_arg, [k, j])).results[0]
+    prod = inner.insert(arith.MulF(av, bv)).results[0]
+    acc = inner.insert(arith.AddF(tv, prod)).results[0]
+    inner.insert(memref.Store(acc, t, []))
+    inner.insert(scf.Yield())
+    b.insert(func.ReturnOp())
+    return module, root
+
+
+class TestTiledRowsBail:
+    """The segmented plan's three conditions on gemm's k-tiled nest:
+    each broken one is a reasoned bail of the root, and the scalar walk
+    it falls back to stays bit-identical."""
+
+    n = 20
+
+    def _args(self, rng):
+        n = self.n
+        return [
+            rng.standard_normal((n, n)).astype(np.float32),
+            rng.standard_normal((n, n)).astype(np.float32),
+            rng.standard_normal((n, n + 1)).astype(np.float32),
+        ]
+
+    def test_unbroken_nest_classifies_segmented(self):
+        _, root = _build_tiled_rows(self.n)
+        assert loop_vector_mode(root)[0] == "nest_segmented"
+
+    def _assert_bail(self, caplog, reason, **flags):
+        def build():
+            return _build_tiled_rows(self.n, **flags)
+
+        _, root = build()
+        assert loop_vector_mode(root)[0] is None
+        fast, scalar, records = _run_both_tiers(build, self._args, caplog)
+        assert fast[2].tobytes() == scalar[2].tobytes()
+        assert any(
+            "segmented nest" in r.message and reason in r.message
+            for r in records
+        )
+
+    def test_prologue_reads_a_neighbour_cell(self, caplog):
+        self._assert_bail(
+            caplog,
+            "prologue reads a cell other than the one its row writes back",
+            read_neighbour=True,
+        )
+
+    def test_epilogue_store_misses_a_row_dim(self, caplog):
+        self._assert_bail(
+            caplog, "epilogue store misses a row dim", store_row_dim=False
+        )
+
+    def test_tile_bounds_vary_with_a_row_iv(self, caplog):
+        self._assert_bail(
+            caplog, "tile loop bounds vary with a row IV", tile_from_row=True
         )

@@ -112,6 +112,7 @@ def _device_root_mode(name: str) -> str | None:
         ("heat3d", "nest_elementwise"),
         ("batched_gemm", "nest_reduction"),
         ("jacobi2d", "nest_elementwise"),
+        ("gemm", "nest_segmented"),
     ],
 )
 def test_rank_n_nests_vectorize_whole_space(name, expected_mode):
@@ -119,7 +120,9 @@ def test_rank_n_nests_vectorize_whole_space(name, expected_mode):
     the outermost device loop of each nest workload must classify as a
     whole-space nest evaluation — heat3d's rank-3 elementwise stencil,
     batched_gemm's rank-3 nest with the in-place k reduction folded
-    along the innermost dim, and jacobi2d's rank-2 stencil."""
+    along the innermost dim, jacobi2d's rank-2 stencil, and gemm's
+    (i, j) rows over its k-tiled fold with the in-place write-back of
+    c(i, j)."""
     assert _device_root_mode(name) == expected_mode
 
 
@@ -145,12 +148,16 @@ _NR, _MR, _NE, _NS, _SS = (
         ("dot", None, [_MR]),
         ("dot", 2, [None, _MR]),
         ("dot", 4, [None, _MR]),
-        # the k-tiled nests stay on the scalar walk; only the innermost
-        # k loops fold
-        ("gemm", None, [None, None, None, _MR]),
-        ("gemm", 2, [None, None, None, _MR, None, _MR, None, None, _MR]),
+        # the k-tiled nest runs whole-space from its root: rows (i, j),
+        # the tiled k level, and c(i, j) written back in place; the j
+        # loop plans the same nest one level down, and the kk loop alone
+        # is no nest.  At simdlen > 1 the j loop splits into an unrolled
+        # main loop, which stays on the scalar walk with its per-lane
+        # k folds, and a remainder, which is a segmented nest again
+        ("gemm", None, [_NS, _NS, None, _MR]),
+        ("gemm", 2, [None, None, None, _MR, None, _MR, _NS, None, _MR]),
         ("gemm", 4,
-         [None, None, None, _MR, None, _MR, None, _MR, None, _MR, None,
+         [None, None, None, _MR, None, _MR, None, _MR, None, _MR, _NS,
           None, _MR]),
         ("histogram", None, [_MR, _SS]),
         ("histogram", 2, [None, _MR, None, _SS]),

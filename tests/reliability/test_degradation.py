@@ -58,10 +58,14 @@ def _crash(*_args, **_kwargs):
     raise RuntimeError("injected engine crash")
 
 
+@pytest.mark.parametrize("compiled", [False, True])
 class TestVectorizerDegradation:
     def test_classification_crash_falls_back_to_scalar(
-        self, monkeypatch, caplog
+        self, monkeypatch, caplog, compiled
     ):
+        """On either engine the crashing loop alone degrades: under the
+        block-JIT the function stays compiled and the loop takes the JIT
+        walk, so no ``block-jit`` degradation is recorded."""
         n = 128
         rng = np.random.default_rng(5)
         x = rng.standard_normal(n).astype(np.float32)
@@ -75,7 +79,7 @@ class TestVectorizerDegradation:
         monkeypatch.setattr(vectorize, "_classify", _crash)
         module2 = _build_elementwise(n)
         y_degraded = np.zeros(n, np.float32)
-        interp = Interpreter(module2, compiled=False, vectorize=True)
+        interp = Interpreter(module2, compiled=compiled, vectorize=True)
         with caplog.at_level(logging.WARNING, logger="repro.reliability"):
             interp.call("f", x, y_degraded)
 
@@ -85,8 +89,12 @@ class TestVectorizerDegradation:
             and "vectorized -> scalar" in r.message
             for r in caplog.records
         )
+        assert not any("block-jit" in r.message for r in caplog.records)
+        assert not interp._degraded_functions
 
-    def test_crash_is_recorded_once_per_loop(self, monkeypatch, caplog):
+    def test_crash_is_recorded_once_per_loop(
+        self, monkeypatch, caplog, compiled
+    ):
         """The poisoned analysis-cache entry means the second execution
         of the same loop goes straight to the scalar walk — one WARNING,
         not one per call."""
@@ -94,7 +102,7 @@ class TestVectorizerDegradation:
         x = np.ones(n, np.float32)
         monkeypatch.setattr(vectorize, "_classify", _crash)
         module = _build_elementwise(n)
-        interp = Interpreter(module, compiled=False, vectorize=True)
+        interp = Interpreter(module, compiled=compiled, vectorize=True)
         with caplog.at_level(logging.WARNING, logger="repro.reliability"):
             interp.call("f", x, np.zeros(n, np.float32))
             interp.call("f", x, np.zeros(n, np.float32))
@@ -143,20 +151,28 @@ class TestJitDegradation:
 
 
 class TestDegradationInRunReport:
+    @pytest.mark.parametrize("compiled", [False, True])
     def test_executor_records_degradation_and_stays_bit_identical(
-        self, monkeypatch, saxpy_program, saxpy_baseline
+        self, monkeypatch, saxpy_program, saxpy_baseline, compiled
     ):
         """Under the executor, an engine crash during the device kernel's
-        loop classification degrades to the scalar walk — same outputs,
-        same modelled numbers — and the RunReport names the fallback."""
-        # fresh cache: the program's loops were classified by earlier
-        # runs, and cached classifications short-circuit the crash
+        loop classification degrades each loop to its engine's own walk
+        — same outputs, same modelled numbers — and the RunReport names
+        each loop's fallback once, with no ``block-jit`` record."""
+        # fresh cache: the program's loops were classified (and the
+        # kernel compiled) by earlier runs, and cached entries
+        # short-circuit the crash
         vectorize.invalidate_analysis(saxpy_program.device_module)
         monkeypatch.setattr(vectorize, "_classify", _crash)
-        candidate = run_saxpy(saxpy_program, compiled=False)
+        candidate = run_saxpy(saxpy_program, compiled=compiled)
         assert_bit_identical(saxpy_baseline, candidate)
         report = candidate[1].report
-        assert report.degradations
+        loops = [
+            op
+            for op in saxpy_program.device_module.walk()
+            if op.name == "scf.for"
+        ]
+        assert len(report.degradations) == len(loops)
         assert all(
             d.tier_from == "vectorized" and d.tier_to == "scalar"
             for d in report.degradations
