@@ -46,9 +46,11 @@ triangular launch sweep never falls off the fast tier.
   duplicate cells, so every store of the nest is deferred and applied
   only after a runtime **injectivity proof** of each subscript tuple
   that no affine dimensions already cover: ``monotone`` (O(n)), then
-  ``unique`` (O(n log n)); several varying columns are lexsorted and
-  compared pairwise.  A failed proof logs a reasoned bail and reruns
-  the loop on the scalar tier, with nothing mutated.
+  ``unique`` (O(n log n)), sorted and compared pairwise; several
+  columns lexsorted (``tuple-unique``); a negative subscript declines,
+  since it wraps onto the cell ``extent + s``.  A failed proof logs a
+  reasoned bail and reruns the loop on the scalar tier, with nothing
+  mutated.
 * *writes back after an inner loop* (``nest_segmented``): in an
   imperfect nest (below) the epilogue stores once per row, its
   subscripts covering every row dim, so each row writes its own cell.
@@ -2024,7 +2026,8 @@ def _apply_stores(deferred: _NestScatter, value, total: int) -> bool:
             logger.debug(
                 "scalar bail-out: scatter store failed the injectivity "
                 "proof (the subscript tuple has duplicate entries over the "
-                "iteration space; neither monotone nor unique); rerunning "
+                "iteration space, or a negative entry that wraps onto "
+                "another cell; neither monotone nor unique); rerunning "
                 "the loop on the scalar tier",
             )
             return False
@@ -2041,34 +2044,49 @@ def _apply_stores(deferred: _NestScatter, value, total: int) -> bool:
 
 def _prove_injective(vec: np.ndarray) -> str | None:
     """Runtime tiers of the injectivity-proof lattice (see the module
-    docstring): ``monotone`` (O(n)) before ``unique`` (O(n log n));
-    None when the vector has duplicates."""
+    docstring): ``monotone`` (O(n)) before ``unique`` (O(n log n)), the
+    vector sorted and compared pairwise.  None when the vector has
+    duplicates or a negative entry: the scalar engine and NumPy both wrap
+    ``s < 0`` to ``extent + s``, so distinct values need not be distinct
+    cells.  Monotonicity is tested by comparison, not by differences,
+    which overflow at the ends of a fixed-width dtype."""
     if vec.size <= 1:
         return "trivial"
-    deltas = np.diff(vec)
-    if bool(np.all(deltas > 0)) or bool(np.all(deltas < 0)):
-        return "monotone"
-    if np.unique(vec).size == vec.size:
-        return "unique"
-    return None
+    if bool(np.all(vec[1:] > vec[:-1])) or bool(np.all(vec[1:] < vec[:-1])):
+        return "monotone" if min(vec[0], vec[-1]) >= 0 else None
+    ordered = np.sort(vec)
+    if ordered[0] < 0 or _sorted_repeats(ordered):
+        return None
+    return "unique"
 
 
 def _prove_injective_tuple(columns, total: int) -> str | None:
     """The injectivity lattice lifted to a subscript *tuple* over the
     flattened nest space: a single varying column uses the rank-1 tiers
     (monotone before unique); several columns are lexsorted together and
-    proved duplicate-free by adjacent comparison (O(n log n))."""
+    compared pairwise (O(n log n)).  Any negative column declines, as in
+    the rank-1 tiers."""
     arrays = [np.broadcast_to(np.asarray(c), (total,)) for c in columns]
     if total <= 1:
         return "trivial"
     if len(arrays) == 1:
         return _prove_injective(arrays[0])
+    if any(a.min() < 0 for a in arrays):
+        return None
     order = np.lexsort(arrays)
-    dup = np.ones(total - 1, dtype=bool)
-    for a in arrays:
-        sorted_col = a[order]
-        dup &= sorted_col[1:] == sorted_col[:-1]
-    return None if bool(dup.any()) else "tuple-unique"
+    if _sorted_repeats(*(a[order] for a in arrays)):
+        return None
+    return "tuple-unique"
+
+
+def _sorted_repeats(first, *rest) -> bool:
+    """Whether two adjacent rows of the sorted tuple columns are equal:
+    the duplicate test shared by the ``unique`` and ``tuple-unique``
+    tiers."""
+    dup = first[1:] == first[:-1]
+    for col in rest:
+        dup &= col[1:] == col[:-1]
+    return bool(dup.any())
 
 
 def _ordered_fold(

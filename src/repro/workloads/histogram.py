@@ -11,8 +11,11 @@ support exists").  Two kernels:
   bit-exact with the scalar interpreter without any injectivity proof.
 * ``ph(perm(i)) = 2.0 * w(i)`` — a plain scatter through a permutation:
   collision-freedom is *not* static, so the vectorizer's runtime
-  injectivity proof (monotone, then unique) must pass before the
-  deferred stores apply.
+  injectivity proof must pass before the deferred stores apply.  A
+  shuffled permutation is not monotone, so it takes the ``unique``
+  tier: the subscripts are sorted and compared pairwise (no hashing),
+  and a negative subscript, which would wrap onto another cell,
+  declines.
 """
 
 from __future__ import annotations

@@ -534,6 +534,120 @@ class TestScatterStores:
         assert mode is None
 
 
+@st.composite
+def _subscript_tuples(draw):
+    """(columns, total): 1-3 non-negative subscript columns over a
+    ``total``-point space.  A column is a broadcast scalar, narrow-range
+    values (duplicates likely), or distinct values over a wide range,
+    optionally sorted so the monotone tier is reached."""
+    total = draw(st.integers(0, 48))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["scalar", "narrow", "distinct", "sorted"]))
+        if kind == "scalar":
+            columns.append(draw(st.integers(0, 2**31 - 1)))
+            continue
+        hi = max(1, total // 2) if kind == "narrow" else 2**31 - 1
+        values = draw(st.lists(
+            st.integers(0, hi), min_size=total, max_size=total,
+            unique=kind != "narrow",
+        ))
+        if kind == "sorted":
+            values.sort(reverse=draw(st.booleans()))
+        dtype = draw(st.sampled_from([np.int32, np.int64]))
+        columns.append(np.array(values, dtype=dtype))
+    return columns, total
+
+
+class TestInjectivityLattice:
+    """The runtime tiers of the scatter injectivity proof: ``trivial``,
+    ``monotone``, ``unique`` (sorted, adjacent compare) for one column
+    and ``tuple-unique`` (lexsorted) for several."""
+
+    def test_empty_and_single_are_trivial(self):
+        from repro.ir.vectorize import _prove_injective
+
+        assert _prove_injective(np.array([], np.int64)) == "trivial"
+        assert _prove_injective(np.array([5], np.int64)) == "trivial"
+
+    def test_strictly_monotone(self):
+        from repro.ir.vectorize import _prove_injective
+
+        up = np.arange(0, 300, 7)
+        assert _prove_injective(up) == "monotone"
+        assert _prove_injective(up[::-1]) == "monotone"
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_permutation_is_unique_until_an_entry_repeats(self, dtype):
+        from repro.ir.vectorize import _prove_injective
+
+        perm = np.random.default_rng(3).permutation(1000).astype(dtype)
+        assert _prove_injective(perm) == "unique"
+        perm[perm == 0] = 1  # 1 now appears twice
+        assert _prove_injective(perm) is None
+
+    def test_sparse_wide_range_is_unique(self):
+        from repro.ir.vectorize import _prove_injective
+
+        rng = np.random.default_rng(5)
+        sparse = rng.permutation(64).astype(np.int64) * 1_000_000_007
+        assert _prove_injective(sparse) == "unique"
+
+    def test_two_column_tuples(self):
+        from repro.ir.vectorize import _prove_injective_tuple
+
+        rng = np.random.default_rng(7)
+        cells = rng.permutation(120)
+        rows, cols = cells // 10, cells % 10
+        assert _prove_injective_tuple([rows, cols], 120) == "tuple-unique"
+        rows[1], cols[1] = rows[0], cols[0]  # two lanes name one cell
+        assert _prove_injective_tuple([rows, cols], 120) is None
+        perm = rng.permutation(50)
+        assert _prove_injective_tuple([perm, 3], 50) == "tuple-unique"
+        assert _prove_injective_tuple([perm % 25, 3], 50) is None
+
+    @given(_subscript_tuples())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_verdict_matches_a_set_oracle(self, case):
+        from repro.ir.vectorize import _prove_injective_tuple
+
+        columns, total = case
+        broadcast = [np.broadcast_to(c, (total,)).tolist() for c in columns]
+        injective = len(set(zip(*broadcast))) == total
+        verdict = _prove_injective_tuple(columns, total)
+        assert (verdict is not None) == injective
+
+
+class TestHistogramNeverHashes:
+    def test_perfbench_size_runs_without_np_unique(self, monkeypatch):
+        """The gallery histogram at perfbench's size proves its
+        permutation scatter by sorting, never by the hashed
+        ``np.unique``: with that function made to raise, the default
+        tier still runs whole-space, with no degradation and
+        reference-exact outputs."""
+        from repro.ir.vectorize import loop_vector_mode
+        from repro.session import Session
+        from repro.workloads import get_workload
+
+        def hashed(*args, **kwargs):
+            raise AssertionError("np.unique on the histogram hot path")
+
+        workload = get_workload("histogram")
+        program = Session(workload.source).program()
+        loops = [
+            op for op in program.device_module.walk() if op.name == "scf.for"
+        ]
+        assert [loop_vector_mode(op)[0] for op in loops] == [
+            "memref_reduction", "scatter_store",
+        ]
+        instance = workload.instance(262144)
+        monkeypatch.setattr(np, "unique", hashed)
+        result = program.executor().run(workload.entry, *instance.args)
+        for position, expected in instance.expected.items():
+            assert instance.args[position].tobytes() == expected.tobytes()
+        assert result.report.degradations == []
+
+
 class TestBailOutLogging:
     def test_scalar_bail_out_is_logged(self, caplog):
         import logging

@@ -15,7 +15,9 @@ no-classification, scatter injectivity, iter-args NaN min/max, rank-n
 * GEMM's k-tiled nest with one condition of the segmented plan broken:
   a prologue that reads a neighbour of the cell its row writes back,
   an epilogue store that misses a row dim, or tile bounds that vary
-  with a row IV.
+  with a row IV;
+* a permutation scatter whose negative subscript wraps onto another
+  lane's cell (distinct values, one cell).
 """
 
 import logging
@@ -26,6 +28,7 @@ from repro.dialects import arith, builtin, func, memref, omp, scf
 from repro.ir import Builder, Interpreter
 from repro.ir.types import FunctionType, MemRefType, f32
 from repro.ir.vectorize import loop_vector_mode
+from tests.ir.test_vectorize import _scatter_module
 
 LOGGER = "repro.ir.vectorize"
 
@@ -316,4 +319,32 @@ class TestTiledRowsBail:
     def test_tile_bounds_vary_with_a_row_iv(self, caplog):
         self._assert_bail(
             caplog, "tile loop bounds vary with a row IV", tile_from_row=True
+        )
+
+
+class TestWrappedAliasScatterBail:
+    def test_negative_subscript_alias_bails(self, caplog):
+        """The scalar engine and NumPy both wrap a negative subscript
+        ``s`` to ``extent + s``, so ``-1`` and ``n - 1`` are distinct
+        values but one cell.  The injectivity proof must decline, and
+        the scalar rerun keeps the two lanes' write order."""
+        n = 64
+
+        def args(rng):
+            idx = rng.permutation(n).astype(np.int32)
+            idx[idx == 0] = -1  # cell n - 1 is now written by two lanes
+            return [
+                rng.standard_normal(n).astype(np.float32),
+                idx,
+                np.zeros(n, np.float32),
+            ]
+
+        fast, scalar, records = _run_both_tiers(
+            lambda: _scatter_module(n), args, caplog
+        )
+        assert fast[2].tobytes() == scalar[2].tobytes()
+        assert any(
+            "failed the injectivity proof" in r.message
+            and "negative entry" in r.message
+            for r in records
         )
