@@ -19,8 +19,9 @@ here is written so Vitis does *not* fuse it (separate temporaries), which
 is why Table 3 reports identical resources for both flows.
 
 The host driver mirrors the OpenMP data movement (a, x, y to device; x, y
-back) so the runtime comparison isolates the kernel path — matching the
-sub-1 % deltas of Table 1.
+back) on the same buffer table and command queue the generated host code
+targets, so the runtime comparison isolates the kernel path — matching
+the sub-1 % deltas of Table 1.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from repro.dialects import arith, hls, memref, scf
 from repro.fpga.board import U280Board
 from repro.ir.builder import Builder
 from repro.ir.types import DYNAMIC, MemRefType, f32, i32, index
-from repro.runtime.executor import ExecutionResult, _flow_jitter
+from repro.runtime.device_runtime import DeviceDataTable
 from repro.runtime.kernel_runner import KernelRunner
-from repro.runtime.opencl import ClContext
+from repro.runtime.opencl import ClCommandQueue, ExecutionResult
 
 KERNEL_NAME = "saxpy_hls"
 
@@ -107,46 +108,24 @@ class HandwrittenSaxpy:
     def run(self, a: float, x: np.ndarray, y: np.ndarray) -> ExecutionResult:
         """One SAXPY offload, mirroring the OpenMP transfer pattern."""
         n = len(x)
-        context = ClContext(self.board)
+        table = DeviceDataTable(self.board)
+        queue = ClCommandQueue(self.board, self.bitstream)
         runner = KernelRunner(self.bitstream)
-        buf_a = context.create_buffer("a", (), np.float32, 1)
-        buf_x = context.create_buffer("x", (n,), np.float32, 1)
-        buf_y = context.create_buffer("y", (n,), np.float32, 1)
-        buf_n = context.create_buffer("n", (), np.int32, 1)
-
-        time_s = 0.0
-        transfer_s = 0.0
-        bytes_h2d = bytes_d2h = 0
+        dev_a, dev_x, dev_y, dev_n = (
+            table.alloc(name, shape, dtype, 1).data
+            for name, shape, dtype in (
+                ("a", (), np.float32),
+                ("x", (n,), np.float32),
+                ("y", (n,), np.float32),
+                ("n", (), np.int32),
+            )
+        )
         # host -> device (a, x, y map "to"; n via axilite register write)
-        for buffer, host in ((buf_a, np.float32(a)), (buf_x, x), (buf_y, y)):
-            np.copyto(buffer.data, host)
-            dt = self.board.dma_time_s(buffer.nbytes)
-            time_s += dt
-            transfer_s += dt
-            bytes_h2d += buffer.nbytes
-        buf_n.data[()] = n
-
-        run = runner.run(
-            KERNEL_NAME, buf_a.data, buf_x.data, buf_y.data, buf_n.data
-        )
-        time_s += self.board.kernel_launch_overhead_s + run.seconds
-
+        for host, dev in ((np.float32(a), dev_a), (x, dev_x), (y, dev_y)):
+            queue.enqueue_transfer(host, dev, h2d=True)
+        dev_n[()] = n
+        queue.enqueue_task(runner.run(KERNEL_NAME, dev_a, dev_x, dev_y, dev_n))
         # device -> host (x, y map "from" under tofrom)
-        for buffer, host in ((buf_x, x), (buf_y, y)):
-            np.copyto(host, buffer.data)
-            dt = self.board.dma_time_s(buffer.nbytes)
-            time_s += dt
-            transfer_s += dt
-            bytes_d2h += buffer.nbytes
-
-        time_s *= _flow_jitter(f"hand-hls:saxpy:{n}")
-        return ExecutionResult(
-            device_time_s=time_s,
-            kernel_time_s=run.seconds,
-            transfer_time_s=transfer_s,
-            launches=1,
-            transfers=5,
-            bytes_h2d=bytes_h2d,
-            bytes_d2h=bytes_d2h,
-            kernel_cycles=run.cycles,
-        )
+        for dev, host in ((dev_x, x), (dev_y, y)):
+            queue.enqueue_transfer(dev, host, h2d=False)
+        return queue.result(f"hand-hls:saxpy:{n}")

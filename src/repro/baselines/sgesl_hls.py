@@ -20,7 +20,8 @@ Table 4 difference (DSP 0.23 % vs 0.10 %) the paper analyses.
 
 The host driver performs the same per-``k`` data movement the OpenMP
 implicit maps cause (b, a, t, k, n to device; b, a back every launch),
-which is what makes Table 2 scale quadratically.
+which is what makes Table 2 scale quadratically.  It drives the same
+buffer table and command queue the generated host code targets.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from repro.dialects import arith, func as func_d, hls, memref, scf
 from repro.fpga.board import U280Board
 from repro.ir.builder import Builder
 from repro.ir.types import DYNAMIC, MemRefType, f32, i32, index
-from repro.runtime.executor import ExecutionResult, _flow_jitter
+from repro.runtime.device_runtime import DeviceDataTable
 from repro.runtime.kernel_runner import KernelRunner
-from repro.runtime.opencl import ClContext
+from repro.runtime.opencl import ClCommandQueue, ExecutionResult
 
 KERNEL_NAME = "sgesl_update_hls"
 
@@ -96,22 +97,32 @@ class HandwrittenSgesl:
         launch per k, with the same per-launch data movement the OpenMP
         implicit maps cause (paper Listing 6 structure)."""
         n = len(b_vec)
-        context = ClContext(self.board)
-        runner = KernelRunner(self.bitstream)
-        buf_b = context.create_buffer("b", (n,), np.float32, 1)
-        buf_a = context.create_buffer("a", (n,), np.float32, 1)
-        buf_t = context.create_buffer("t", (), np.float32, 1)
-        buf_k = context.create_buffer("k", (), np.int32, 1)
-        buf_n = context.create_buffer("n", (), np.int32, 1)
-
-        self._time_s = 0.0
-        self._transfer_s = 0.0
-        self._kernel_s = 0.0
-        self._cycles = 0.0
-        self._bytes_h2d = self._bytes_d2h = 0
-        self._launches = self._transfers = 0
-
         b_host = b_vec
+        table = DeviceDataTable(self.board)
+        queue = ClCommandQueue(self.board, self.bitstream)
+        runner = KernelRunner(self.bitstream)
+        device = [
+            table.alloc(name, shape, dtype, 1).data
+            for name, shape, dtype in (
+                ("b", (n,), np.float32),
+                ("a", (n,), np.float32),
+                ("t", (), np.float32),
+                ("k", (), np.int32),
+                ("n", (), np.int32),
+            )
+        ]
+
+        def launch(column, t, start, stop):
+            """One offloaded update: b(start:stop) += t * a(start:stop)."""
+            host = (
+                b_host, column, np.float32(t), np.int32(start), np.int32(stop)
+            )
+            for source, dev in zip(host, device):
+                queue.enqueue_transfer(source, dev, h2d=True)
+            queue.enqueue_task(runner.run(KERNEL_NAME, *device))
+            for dev, dest in zip(device[:2], host[:2]):
+                queue.enqueue_transfer(dev, dest, h2d=False)
+
         # forward elimination: b(k+1:) += t * a(k+1:, k)
         for k in range(n - 1):
             pivot = int(ipvt[k])
@@ -119,61 +130,9 @@ class HandwrittenSgesl:
             if pivot != k:
                 b_host[pivot] = b_host[k]
                 b_host[k] = t
-            self._launch(
-                runner, b_host, a_matrix[:, k], t, k + 1, n,
-                buf_b, buf_a, buf_t, buf_k, buf_n,
-            )
+            launch(a_matrix[:, k], t, k + 1, n)
         # back substitution: b(:k) += t * a(:k, k)
         for k in range(n - 1, -1, -1):
             b_host[k] = b_host[k] / a_matrix[k, k]
-            t = -float(b_host[k])
-            self._launch(
-                runner, b_host, a_matrix[:, k], t, 0, k,
-                buf_b, buf_a, buf_t, buf_k, buf_n,
-            )
-
-        time_s = self._time_s * _flow_jitter(f"hand-hls:sgesl:{n}")
-        return ExecutionResult(
-            device_time_s=time_s,
-            kernel_time_s=self._kernel_s,
-            transfer_time_s=self._transfer_s,
-            launches=self._launches,
-            transfers=self._transfers,
-            bytes_h2d=self._bytes_h2d,
-            bytes_d2h=self._bytes_d2h,
-            kernel_cycles=self._cycles,
-        )
-
-    def _launch(
-        self, runner, b_host, column, t, start, stop,
-        buf_b, buf_a, buf_t, buf_k, buf_n,
-    ) -> None:
-        """One offloaded update: b(start:stop) += t * a(start:stop)."""
-        for buffer, host in (
-            (buf_b, b_host),
-            (buf_a, column),
-            (buf_t, np.float32(t)),
-            (buf_k, np.int32(start)),
-            (buf_n, np.int32(stop)),
-        ):
-            np.copyto(buffer.data, host)
-            dt = self.board.dma_time_s(buffer.nbytes)
-            self._time_s += dt
-            self._transfer_s += dt
-            self._bytes_h2d += buffer.nbytes
-            self._transfers += 1
-        run = runner.run(
-            KERNEL_NAME, buf_b.data, buf_a.data, buf_t.data,
-            buf_k.data, buf_n.data,
-        )
-        self._kernel_s += run.seconds
-        self._cycles += run.cycles
-        self._time_s += self.board.kernel_launch_overhead_s + run.seconds
-        self._launches += 1
-        for buffer, host in ((buf_b, b_host), (buf_a, column)):
-            np.copyto(host, buffer.data)
-            dt = self.board.dma_time_s(buffer.nbytes)
-            self._time_s += dt
-            self._transfer_s += dt
-            self._bytes_d2h += buffer.nbytes
-            self._transfers += 1
+            launch(a_matrix[:, k], -float(b_host[k]), 0, k)
+        return queue.result(f"hand-hls:sgesl:{n}")

@@ -41,7 +41,6 @@ from repro.ir.core import (
     Operation,
     SSAValue,
     analysis_cache,
-    invalidate_analysis,
 )
 from repro.ir.traits import IsTerminator
 
@@ -392,7 +391,8 @@ def get_compiled_function(func_op: Operation) -> CompiledFunction | None:
     Modules are assumed not to be mutated between executions (the
     pipeline transforms before it ever executes); the pass manager and
     the rewrite driver drop the cache after a mutation, and other
-    transforms must call :func:`invalidate_compilation` themselves.
+    transforms must call :func:`repro.ir.core.invalidate_analysis`
+    themselves.
     """
     cache = analysis_cache(func_op)
     entry = cache.get(id(func_op))
@@ -401,8 +401,3 @@ def get_compiled_function(func_op: Operation) -> CompiledFunction | None:
         # name (the benchmark's span tracer) sees every compile
         entry = cache[id(func_op)] = (func_op, compile_function(func_op))
     return entry[1]
-
-
-#: Drops the compiled functions and loop plans of a module (or of the
-#: module a nested op belongs to) after in-place mutation.
-invalidate_compilation = invalidate_analysis

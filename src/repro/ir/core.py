@@ -98,14 +98,6 @@ class SSAValue:
             last.pos = pos
         use.pos = -1
 
-    def remove_use(self, operation: "Operation", index: int) -> None:
-        """Compatibility shim: locate the use by (operation, index)."""
-        for use in self.uses:
-            if use.operation is operation and use.index == index:
-                self.remove_use_object(use)
-                return
-        raise IRError("attempting to remove a use that does not exist")
-
     def replace_by(self, other: "SSAValue") -> None:
         """Replace all uses of this value with ``other``."""
         if other is self:

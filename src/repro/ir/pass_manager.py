@@ -23,7 +23,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.ir.core import IRError, Operation
+from repro.ir.core import IRError, Operation, invalidate_analysis
 from repro.ir.printer import print_op
 from repro.ir.verifier import verify
 
@@ -259,9 +259,7 @@ class PassManager:
         if self.passes:
             # the pipeline mutated the module in place: stale compiled
             # artifacts and loop analyses must not survive it
-            from repro.ir.compile import invalidate_compilation
-
-            invalidate_compilation(module)
+            invalidate_analysis(module)
 
     @property
     def pass_names(self) -> list[str]:

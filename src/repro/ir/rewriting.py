@@ -23,6 +23,7 @@ from repro.ir.core import (
     OpResult,
     Region,
     SSAValue,
+    invalidate_analysis,
 )
 
 
@@ -257,7 +258,5 @@ class GreedyPatternRewriter:
                         enqueue(op)  # still attached: may match again
                     break  # the op may be gone; take it from the queue
         if changed_any:
-            from repro.ir.compile import invalidate_compilation
-
-            invalidate_compilation(root)
+            invalidate_analysis(root)
         return changed_any

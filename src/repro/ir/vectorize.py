@@ -116,7 +116,6 @@ from repro.ir.core import (
     analysis_cache,
     semantic_attributes,
 )
-from repro.ir.core import invalidate_analysis  # noqa: F401 - public name
 
 #: Bail-out diagnostics: enable with
 #: ``logging.getLogger("repro.ir.vectorize").setLevel(logging.DEBUG)`` to

@@ -1,18 +1,11 @@
-"""Simulated host runtime: OpenCL objects, the device data table, the
-host-module executor and the CPU baseline."""
+"""Simulated host runtime: the OpenCL command queue every run is timed
+on, the device data table, the host-module executor and the CPU
+baseline."""
 
 from repro.runtime.cpu import CpuExecutionResult, CpuExecutor
 from repro.runtime.device_runtime import DeviceDataTable, DeviceRuntimeError
-from repro.runtime.executor import ExecutionResult, FpgaExecutor, KernelInstance
-from repro.runtime.opencl import (
-    ClBuffer,
-    ClCommandQueue,
-    ClContext,
-    ClError,
-    ClEvent,
-    ClKernel,
-    ClProgram,
-)
+from repro.runtime.executor import FpgaExecutor, KernelInstance
+from repro.runtime.opencl import ClBuffer, ClCommandQueue, ExecutionResult
 
 __all__ = [
     "CpuExecutionResult",
@@ -24,9 +17,4 @@ __all__ = [
     "KernelInstance",
     "ClBuffer",
     "ClCommandQueue",
-    "ClContext",
-    "ClError",
-    "ClEvent",
-    "ClKernel",
-    "ClProgram",
 ]

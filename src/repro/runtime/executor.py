@@ -11,27 +11,21 @@ buffer table, so every engine tier runs one simulated OpenCL runtime:
 * functional semantics — buffers are NumPy arrays, kernels execute via
   the IR interpreter on the device module, so results are bit-for-bit
   checkable against NumPy/SciPy references;
-* timing semantics — DMA ops advance the command-queue clock through the
-  board's PCIe model and each kernel launch adds launch overhead plus the
-  scheduled cycle count (pipeline fill + trips x achieved II).
+* timing semantics — each run charges a fresh
+  :class:`~repro.runtime.opencl.ClCommandQueue`: DMA ops advance its
+  clock through the board's PCIe model and each kernel launch adds
+  launch overhead plus the scheduled cycle count (pipeline fill + trips
+  x achieved II); the queue also holds the multi-CU and streaming
+  models and assembles the :class:`ExecutionResult`.
 
 Kernel trip counts are observed during functional interpretation, so
 dynamically-bounded loops (SGESL's ``j = k+1, n``) are timed exactly.
-
-Multi-CU builds price each launch as the makespan over compute units
-(see :mod:`repro.runtime.kernel_runner`) and pay the enqueue overhead
-once per CU.  When the bitstream carries ``stream_tile_bytes`` the DMA
-model switches to *double-buffered streaming*: arrays larger than the
-tile move in tile-sized transfers whose cost overlaps the adjacent
-kernel's busy window — the first input tile and the last output tile
-stay on the critical path, everything in between hides behind compute
-(bounded by the compute window; leftovers are charged, never dropped).
-Functional data movement is unchanged — streaming only re-times it.
+The buffer table (residency) persists across runs of one executor; the
+clock and counters do not.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -50,7 +44,7 @@ from repro.reliability.faults import FaultPlan, FaultSpec
 from repro.reliability.report import RunReport
 from repro.reliability.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.runtime.device_runtime import DeviceDataTable
-from repro.runtime.opencl import ClCommandQueue, ClContext
+from repro.runtime.opencl import ClCommandQueue, ExecutionResult
 
 
 @dataclass
@@ -59,54 +53,6 @@ class KernelInstance:
 
     device_function: str
     args: list
-
-
-@dataclass
-class ExecutionResult:
-    """Timing/result summary of one host-program run."""
-
-    device_time_s: float
-    kernel_time_s: float
-    transfer_time_s: float
-    launches: int
-    transfers: int
-    bytes_h2d: int
-    bytes_d2h: int
-    kernel_cycles: float
-    returned: tuple = ()
-    #: accumulated per-compute-unit cycle counts (empty for CU=1 builds)
-    cu_cycles: tuple = ()
-    #: interpreter steps retired (host program + device kernels) — the
-    #: simulator-workload measure the perf-smoke bench tracks across PRs
-    interpreter_steps: int = 0
-    #: reliability record of the run (faults hit, retries, degradations)
-    report: "RunReport | None" = None
-
-    @property
-    def device_time_ms(self) -> float:
-        return self.device_time_s * 1e3
-
-
-def _flow_jitter(key: str) -> float:
-    """Deterministic run-to-run variability (sub-percent), standing in for
-    the measurement noise visible in the paper's Tables 1/2.
-
-    **Determinism is load-bearing.**  The jitter is a pure function of
-    the SHA-256 digest of ``key`` — no global RNG, no wall clock, no
-    process state — and ``key`` itself is built only from modelled
-    values (flow label, entry function, the command queue's simulated
-    time).  That is what lets the four engine tiers, retried runs, and
-    the CI bench gate all reproduce ``device_time_ms`` bit-for-bit: any
-    path that reaches the same simulated queue time gets the *same*
-    jitter factor.  The factor is bounded to ±0.4 % of unity
-    (``1.0 ± 0.004``); ``tests/runtime/test_flow_jitter.py`` pins both
-    the bound and exact digest-derived values, so an accidental
-    dependence on ambient state shows up as a test failure, not silent
-    bench drift.
-    """
-    digest = hashlib.sha256(key.encode()).digest()
-    unit = int.from_bytes(digest[:8], "big") / 2**64
-    return 1.0 + (2.0 * unit - 1.0) * 0.004
 
 
 class FpgaExecutor:
@@ -143,27 +89,15 @@ class FpgaExecutor:
         self._faults = None
         #: RunReport of the current/most recent run
         self.report: RunReport | None = None
-        self.context = ClContext(self.board)
-        self.table = DeviceDataTable(self.context)
-        self.queue = ClCommandQueue(self.board)
-        self._kernel_time_s = 0.0
-        self._transfer_time_s = 0.0
-        self._kernel_cycles = 0.0
-        #: multi-CU pricing: N CUs mean N OpenCL enqueues per logical
-        #: launch (overhead xN) and per-CU cycle accumulation
-        self._compute_units = max(1, getattr(bitstream, "compute_units", 1))
-        self._launch_overhead_s = (
-            self.board.kernel_launch_overhead_s * self._compute_units
+        # only a tile is resident at a time in the streamed model, so
+        # arrays may exceed a bank's capacity
+        self.table = DeviceDataTable(
+            self.board,
+            oversubscribe=getattr(bitstream, "stream_tile_bytes", None)
+            is not None,
         )
-        self._cu_cycles: tuple = ()
-        #: double-buffered streaming state — ``None`` tile disables it
-        self._stream_tile_bytes = getattr(bitstream, "stream_tile_bytes", None)
-        self._stream_pending_in_s = 0.0
-        self._stream_out_budget_s = 0.0
-        if self._stream_tile_bytes is not None:
-            # only a tile is resident at a time in the streamed model, so
-            # arrays may exceed a bank's capacity
-            self.table.oversubscribe = True
+        #: the clock of the current/most recent run (fresh per run)
+        self.queue: ClCommandQueue | None = None
         from repro.runtime.kernel_runner import KernelRunner
 
         self._runner = KernelRunner(
@@ -176,6 +110,7 @@ class FpgaExecutor:
     def run(self, func_name: str, *args) -> ExecutionResult:
         report = RunReport(watchdog_budget=self.watchdog_steps)
         self.report = report
+        self.queue = queue = ClCommandQueue(self.board, self.bitstream)
         self._faults = (
             self.fault_plan.controller(report, self.retry_policy)
             if self.fault_plan is not None
@@ -193,93 +128,14 @@ class FpgaExecutor:
         returned = interp.call(func_name, *args)
         report.completed = True
         kernel_steps = self._runner.interpreter_steps - runner_steps_before
-        if self._stream_pending_in_s:
-            # input tiles still in flight with no kernel left to hide
-            # behind: they finish on the critical path
-            self.queue.now_s += self._stream_pending_in_s
-            self._stream_pending_in_s = 0.0
-        jitter = _flow_jitter(f"{self.flow_label}:{func_name}:{self.queue.now_s:.9f}")
-        stats = self.queue.stats
-        return ExecutionResult(
-            device_time_s=self.queue.now_s * jitter,
-            kernel_time_s=self._kernel_time_s,
-            transfer_time_s=self._transfer_time_s,
-            launches=stats["launches"],
-            transfers=stats["transfers"],
-            bytes_h2d=stats["bytes_h2d"],
-            bytes_d2h=stats["bytes_d2h"],
-            kernel_cycles=self._kernel_cycles,
+        # the jitter key reads the clock once pending input tiles landed
+        now_s = queue.finish()
+        return queue.result(
+            f"{self.flow_label}:{func_name}:{now_s:.9f}",
             returned=returned,
-            cu_cycles=self._cu_cycles,
             interpreter_steps=interp.steps + kernel_steps,
             report=report,
         )
-
-    # -- accounting --------------------------------------------------------------------
-    #
-    # Every kernel launch and DMA transfer — any tier, fault-retry
-    # path included — charges through these two methods, so
-    # the multi-CU and streaming models apply uniformly across tiers.
-    # At compute_units=1 with streaming off both reduce to exactly the
-    # pre-existing arithmetic (one addition per charge, same operands),
-    # keeping modelled times byte-identical to earlier baselines.
-
-    def _charge_kernel_run(self, run) -> None:
-        """Charge one successful kernel execution to the clocks."""
-        self._kernel_cycles += run.cycles
-        self._kernel_time_s += run.seconds
-        if run.per_cu_cycles:
-            if self._cu_cycles:
-                self._cu_cycles = tuple(
-                    have + new
-                    for have, new in zip(self._cu_cycles, run.per_cu_cycles)
-                )
-            else:
-                self._cu_cycles = run.per_cu_cycles
-        busy = run.seconds
-        if self._stream_pending_in_s:
-            # in-flight input tiles stream in while the kernel computes;
-            # the longer of the two bounds the launch window
-            busy = max(busy, self._stream_pending_in_s)
-            self._stream_pending_in_s = 0.0
-        self.queue.now_s += self._launch_overhead_s + busy
-        # output tiles may hide behind this window (consumed by d2h)
-        self._stream_out_budget_s = busy
-        self.queue._counters["launches"] += 1
-
-    def _charge_dma(self, nbytes: int, h2d: bool) -> None:
-        """Charge one host<->device transfer of ``nbytes``."""
-        counters = self.queue._counters
-        tile = self._stream_tile_bytes
-        if tile is None or nbytes <= tile:
-            seconds = self.board.dma_time_s(nbytes)
-            self.queue.now_s += seconds
-            self._transfer_time_s += seconds
-            counters["transfers"] += 1
-            counters["bytes_h2d" if h2d else "bytes_d2h"] += nbytes
-            return
-        # Double-buffered streaming: ceil(nbytes/tile) tile transfers,
-        # each paying the full PCIe model (tiling is not free — every
-        # tile pays its own latency, visible in transfer_time_s).
-        full, rem = divmod(nbytes, tile)
-        sizes = [tile] * full + ([rem] if rem else [])
-        times = [self.board.dma_time_s(size) for size in sizes]
-        total = sum(times)
-        self._transfer_time_s += total
-        counters["transfers"] += len(sizes)
-        counters["bytes_h2d" if h2d else "bytes_d2h"] += nbytes
-        if h2d:
-            # the first tile must land before compute starts; the rest
-            # stream in behind it, overlapped with the next launch
-            self.queue.now_s += times[0]
-            self._stream_pending_in_s += total - times[0]
-        else:
-            # all but the last tile can stream out during the preceding
-            # kernel's busy window; the overlap is bounded by that
-            # window and shared between successive outputs
-            overlap = min(total - times[-1], self._stream_out_budget_s)
-            self._stream_out_budget_s -= overlap
-            self.queue.now_s += total - overlap
 
     # -- fault-injection plumbing --------------------------------------------------------
 
@@ -355,7 +211,7 @@ class FpgaExecutor:
         self, spec: FaultSpec, instance: "KernelInstance"
     ) -> np.ndarray | None:
         if spec.buffer is not None:
-            buffer = self.context.buffers.get(spec.buffer)
+            buffer = self.table.buffers.get(spec.buffer)
             if buffer is not None:
                 return buffer.data
         for arg in instance.args:
@@ -386,8 +242,7 @@ class FpgaExecutor:
         the transfer (host to device when ``h2d``)."""
         if self._faults is not None:
             self._fault_gate("dma_start")
-        np.copyto(dest, source)
-        self._charge_dma(int(np.asarray(source).nbytes), h2d)
+        self.queue.enqueue_transfer(source, dest, h2d)
 
     def dma_wait(self) -> None:
         """``memref.wait``: functionally a no-op, but a fault site."""
@@ -399,8 +254,8 @@ class FpgaExecutor:
 
         With a fault plan armed, launch failures are resolved via retry,
         and hangs and bit-flips run under :meth:`_launch_with_rollback`.
-        Accounting (cycles, queue time, counters) is charged only for the
-        final successful attempt, identical to the fault-free run.
+        The queue charges only the final successful attempt, identical to
+        the fault-free run.
         """
         name = instance.device_function
         spec = None
@@ -413,7 +268,7 @@ class FpgaExecutor:
             run = self._runner.run(name, *instance.args)
         else:
             run = self._launch_with_rollback(instance, spec)
-        self._charge_kernel_run(run)
+        self.queue.enqueue_task(run)
 
 
 # -- device-op interpreter implementations --------------------------------------

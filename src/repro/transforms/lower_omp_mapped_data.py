@@ -25,7 +25,9 @@ Reference-counted residency (paper §3): each identifier has a counter;
 
 so implicit ``tofrom,implicit`` maps become no-op transfers whenever an
 enclosing data region already made the variable resident — the exact
-behaviour the paper's Listing 1 discussion requires.
+behaviour the paper's Listing 1 discussion requires.  A ``target update``
+copies under ``scf.if %exists``: OpenMP assigns nothing for a list item
+that is not present.
 """
 
 from __future__ import annotations
@@ -116,19 +118,7 @@ class _MapLowering:
             )
         )
         if self.info.copies_to_device:
-            copy_if = self.builder.insert(_new_if(absent))
-            inner = Builder.at_end(copy_if.then_block)
-            dev = inner.insert(
-                device.LookupOp(
-                    self.device_type,
-                    identifier=self.info.var_name,
-                    memory_space=self.space,
-                )
-            )
-            tag = inner.insert(memref.DmaStart(self.info.var, dev.results[0]))
-            inner.insert(memref.DmaWait(tag.results[0]))
-            inner.insert(_yield())
-            Builder.at_end(copy_if.else_block).insert(_yield())
+            self._copy_if(absent, to_device=True)
         lookup = self.builder.insert(
             device.LookupOp(
                 self.device_type,
@@ -147,38 +137,35 @@ class _MapLowering:
         )
         if self.info.copies_from_device:
             gone = self._absent_flag()  # counter hit zero after release
-            copy_if = self.builder.insert(_new_if(gone))
-            inner = Builder.at_end(copy_if.then_block)
-            dev = inner.insert(
-                device.LookupOp(
-                    self.device_type,
-                    identifier=self.info.var_name,
-                    memory_space=self.space,
-                )
-            )
-            tag = inner.insert(memref.DmaStart(dev.results[0], self.info.var))
-            inner.insert(memref.DmaWait(tag.results[0]))
-            inner.insert(_yield())
-            Builder.at_end(copy_if.else_block).insert(_yield())
+            self._copy_if(gone, to_device=False)
 
     def emit_update(self, direction: str) -> None:
-        """Unconditional transfer for ``omp.target_update``."""
-        dev = self.builder.insert(
+        """Transfer for ``omp.target_update``, only if the variable is
+        present: OpenMP assigns nothing for a list item that is not."""
+        present = self.builder.insert(
+            device.DataCheckExistsOp(identifier=self.info.var_name)
+        )
+        self._copy_if(present.results[0], to_device=direction == "to")
+
+    def _copy_if(self, cond: SSAValue, to_device: bool) -> None:
+        """``scf.if cond`` around a lookup and one DMA between the host
+        variable and its device buffer (host to device if ``to_device``)."""
+        copy_if = self.builder.insert(_new_if(cond))
+        inner = Builder.at_end(copy_if.then_block)
+        dev = inner.insert(
             device.LookupOp(
                 self.device_type,
                 identifier=self.info.var_name,
                 memory_space=self.space,
             )
-        )
-        if direction == "to":
-            tag = self.builder.insert(
-                memref.DmaStart(self.info.var, dev.results[0])
-            )
+        ).results[0]
+        if to_device:
+            tag = inner.insert(memref.DmaStart(self.info.var, dev))
         else:
-            tag = self.builder.insert(
-                memref.DmaStart(dev.results[0], self.info.var)
-            )
-        self.builder.insert(memref.DmaWait(tag.results[0]))
+            tag = inner.insert(memref.DmaStart(dev, self.info.var))
+        inner.insert(memref.DmaWait(tag.results[0]))
+        inner.insert(_yield())
+        Builder.at_end(copy_if.else_block).insert(_yield())
 
     def _dynamic_sizes_inside(self, inner: Builder) -> list[SSAValue]:
         sizes = []

@@ -652,7 +652,8 @@ class TestBailOutLogging:
     def test_scalar_bail_out_is_logged(self, caplog):
         import logging
 
-        from repro.ir.vectorize import invalidate_analysis, loop_vector_mode
+        from repro.ir.core import invalidate_analysis
+        from repro.ir.vectorize import loop_vector_mode
 
         module = builtin.ModuleOp()
         fn = func.FuncOp("f", FunctionType([MemRefType(f32, [])], []))

@@ -8,6 +8,7 @@ the offloads (residency!).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,3 +100,44 @@ end subroutine work
     # exit data: one D2H of a
     assert result.bytes_h2d == n * 4 + 4  # + the implicit scalar n
     assert result.bytes_d2h == n * 4
+
+
+def _update_source(direction: str | None, before: bool) -> str:
+    update = f"!$omp target update {direction}(a)\n" if direction else ""
+    return f"""
+subroutine work(a, n)
+  integer, intent(in) :: n
+  real, intent(inout) :: a(n)
+  integer :: i
+{update if before else ""}!$omp target parallel do
+  do i = 1, n
+    a(i) = a(i) + 1.0
+  end do
+!$omp end target parallel do
+{"" if before else update}end subroutine work
+"""
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+@pytest.mark.parametrize("direction", ["from", "to"])
+def test_update_of_absent_item_assigns_nothing(direction, before):
+    """OpenMP 5.x ``target update``: no assignment occurs for a list item
+    that is not present — before its first map, or after its last
+    release (its buffer is still allocated then).  The program runs as
+    if the update were not there."""
+    n = 300
+    base = np.random.default_rng(5).standard_normal(n).astype(np.float32)
+
+    def run(direction):
+        program = compile_fortran(_update_source(direction, before))
+        a = base.copy()
+        result = program.executor().run("work", a, np.array(n, np.int32))
+        return a, result
+
+    a, result = run(direction)
+    plain_a, plain = run(None)
+    expected = (base + np.float32(1.0)).astype(np.float32)
+    assert a.tobytes() == expected.tobytes() == plain_a.tobytes()
+    assert result.transfers == plain.transfers
+    assert result.bytes_h2d == plain.bytes_h2d
+    assert result.bytes_d2h == plain.bytes_d2h

@@ -15,6 +15,7 @@ import pytest
 import repro.ir.vectorize as vectorize
 from repro.dialects import arith, builtin, func, memref, scf
 from repro.ir import Builder, Interpreter
+from repro.ir.core import invalidate_analysis
 from repro.ir.types import FunctionType, MemRefType, f32
 
 from tests.reliability.conftest import assert_bit_identical, run_saxpy
@@ -29,7 +30,7 @@ def _clean_analysis_cache(request):
     yield
     if "saxpy_program" in request.fixturenames:
         program = request.getfixturevalue("saxpy_program")
-        vectorize.invalidate_analysis(program.device_module)
+        invalidate_analysis(program.device_module)
 
 
 def _build_elementwise(n: int):
@@ -162,7 +163,7 @@ class TestDegradationInRunReport:
         # fresh cache: the program's loops were classified (and the
         # kernel compiled) by earlier runs, and cached entries
         # short-circuit the crash
-        vectorize.invalidate_analysis(saxpy_program.device_module)
+        invalidate_analysis(saxpy_program.device_module)
         monkeypatch.setattr(vectorize, "_classify", _crash)
         candidate = run_saxpy(saxpy_program, compiled=compiled)
         assert_bit_identical(saxpy_baseline, candidate)

@@ -6,6 +6,8 @@ import pytest
 from repro.pipeline import compile_fortran
 from repro.runtime.cpu import CpuExecutor
 from repro.frontend import compile_to_core
+from repro.session import KernelOverrides, Session
+from repro.workloads import get_workload
 from tests.conftest import SAXPY_MINI, run_offload_saxpy
 
 
@@ -69,6 +71,49 @@ class TestFunctional:
         assert abs(ra.device_time_s / rb.device_time_s - 1) < 0.01
 
 
+#: the timing and counter fields of an ExecutionResult
+_RUN_FIELDS = (
+    "device_time_s", "kernel_time_s", "transfer_time_s", "launches",
+    "transfers", "bytes_h2d", "bytes_d2h", "kernel_cycles", "cu_cycles",
+    "interpreter_steps",
+)
+
+#: saxpy's smoke arrays are 4 * smoke_size bytes; a quarter of that
+#: splits each array transfer into four streamed tiles
+_SAXPY_QUARTER = get_workload("saxpy").smoke_size
+
+
+class TestRepeatedRuns:
+    """Each ``run()`` charges a fresh command queue, so a reused executor
+    reports one run, not the sum of its runs; residency (the buffer
+    table) is what persists."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            KernelOverrides(compute_units=1),
+            KernelOverrides(compute_units=2),
+            KernelOverrides(stream_tile_bytes=_SAXPY_QUARTER),
+        ],
+        ids=["1cu", "2cu", "streamed"],
+    )
+    def test_second_run_reports_like_a_fresh_executor(self, overrides):
+        workload = get_workload("saxpy")
+        program = Session(workload.source).program(overrides)
+
+        def run(executor):
+            instance = workload.instance(workload.smoke_size)
+            result = executor.run(workload.entry, *instance.args)
+            workload.check(instance)
+            return {name: getattr(result, name) for name in _RUN_FIELDS}
+
+        reused = program.executor()
+        first, second = run(reused), run(reused)
+        fresh = run(program.executor())
+        assert first == fresh
+        assert second == fresh
+
+
 class TestErrors:
     def test_unextracted_kernel_rejected(self):
         from repro.frontend import compile_to_core
@@ -101,6 +146,14 @@ class TestErrors:
                 np.zeros(8, np.float32),
                 np.array(8, np.int32),
             )
+
+    def test_unknown_kernel_rejected(self, saxpy_program):
+        from repro.ir import IRError
+        from repro.runtime.kernel_runner import KernelRunner
+
+        runner = KernelRunner(saxpy_program.bitstream)
+        with pytest.raises(IRError, match="no kernel 'nope'"):
+            runner.run("nope")
 
 
 class TestHostRuntimeBinding:

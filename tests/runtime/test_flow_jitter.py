@@ -11,7 +11,7 @@ process identity) fails loudly instead of drifting the bench.
 
 import hashlib
 
-from repro.runtime.executor import _flow_jitter
+from repro.runtime.opencl import _flow_jitter
 
 
 class TestDeterminism:
