@@ -14,7 +14,7 @@ answers at runtime:
 * ``DEP001``/``DEP002`` — an affine loop-carried read/write recurrence
   that bounds the pipeline initiation interval (``DEP002`` when the
   nest is additionally ``omp.simd``: vector lanes overlap it);
-* ``TYPE001``–``TYPE003`` — :func:`repro.ir.verifier.typed_check_op`
+* ``TYPE001``–``TYPE002`` — :func:`repro.ir.verifier.typed_check_op`
   findings, reported with source locations instead of raising.
 
 The same analysis composes into declarative pipelines as

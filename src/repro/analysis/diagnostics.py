@@ -1,7 +1,7 @@
 """Diagnostics engine: source-located findings with stable rule codes.
 
 A :class:`Diagnostic` is one finding of the kernel static analysis —
-severity, a stable rule code (``RACE001``, ``DEP002``, ``TYPE003``...),
+severity, a stable rule code (``RACE001``, ``DEP002``, ``TYPE002``...),
 a human message, the kernel (function) it was found in and the Fortran
 source line it points at (threaded from the lexer through lowering as
 the ``loc`` IR attribute).  :class:`DiagnosticEngine` collects them and
@@ -51,10 +51,6 @@ RULES: dict[str, tuple[str, str]] = {
     "TYPE002": (
         "error",
         "memref rank does not match the subscript count on load/store",
-    ),
-    "TYPE003": (
-        "error",
-        "scf.for iter_args types disagree between init, body and yield",
     ),
 }
 

@@ -12,7 +12,7 @@ place-and-route is abstracted into the resource totals (shell + kernels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.backend.amd_hls import AmdHlsArtifact, prepare_for_vitis
 from repro.backend.llvm_ir import emit_llvm_ir
@@ -46,47 +46,6 @@ class Bitstream:
     #: transfers); arrays above the tile stream through in tiles whose
     #: transfer overlaps kernel compute in the executor's cycle model
     stream_tile_bytes: int | None = None
-
-    # -- pickling ----------------------------------------------------------
-    #
-    # ``KernelSchedule.loops`` is keyed by ``id(loop op)`` — the fastest
-    # lookup for the kernel runner's per-execution cycle observer, but
-    # meaningless once the module is pickled into another process (every
-    # op gets a new identity there).  The pickle form therefore re-keys
-    # each schedule by the loop op's position in the *deterministic*
-    # ``device_module.walk()`` order and restores the identity keys
-    # against the unpickled module, so a loaded bitstream charges exactly
-    # the same cycles as the one that was saved.
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        walk_index = {
-            id(op): i for i, op in enumerate(self.device_module.walk())
-        }
-        kernels = {}
-        for name, kernel in self.kernels.items():
-            loops = {}
-            for op_id, schedule in kernel.loops.items():
-                index = walk_index.get(op_id)
-                if index is None:
-                    raise DeviceBuildError(
-                        f"kernel {name!r} schedules a loop that is not in "
-                        "the bitstream's device module; the bitstream "
-                        "cannot be serialized consistently"
-                    )
-                loops[index] = schedule
-            kernels[name] = replace(kernel, loops=loops)
-        state["kernels"] = kernels
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        ops = list(self.device_module.walk())
-        for kernel in self.kernels.values():
-            kernel.loops = {
-                id(ops[index]): schedule
-                for index, schedule in kernel.loops.items()
-            }
 
     @property
     def resources(self) -> ResourceUsage:

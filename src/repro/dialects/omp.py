@@ -513,12 +513,15 @@ def _run_loop_nest(interp: Interpreter, op: Operation, env: dict):
         if step > 0 and interp.vectorize:
             from repro.ir.vectorize import (
                 try_vectorized_loop,
+                try_vectorized_nest,
                 try_vectorized_reduction,
             )
 
-            if try_vectorized_loop(interp, op, env, lb, ub, step):
-                return None
-            if try_vectorized_reduction(interp, op, env, lb, ub, step) is not None:
+            if (
+                try_vectorized_loop(interp, op, env, lb, ub, step)
+                or try_vectorized_nest(interp, op, env, lb, ub, step)
+                or try_vectorized_reduction(interp, op, env, lb, ub, step)
+            ):
                 return None
         iv = lb
         while (step > 0 and iv < ub) or (step < 0 and iv > ub):

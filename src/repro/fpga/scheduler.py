@@ -85,7 +85,7 @@ class KernelSchedule:
 
     name: str
     func_op: func.FuncOp
-    loops: dict[int, LoopSchedule]  # keyed by id(loop op)
+    loops: dict[Operation, LoopSchedule]  # keyed by the loop op
     operators: list[OperatorCount]
     kernel_resources: ResourceUsage
     start_overhead_cycles: int = 200
@@ -124,7 +124,7 @@ class HlsScheduler:
 
     def schedule(self, fn: func.FuncOp) -> KernelSchedule:
         bundles = self._interface_bundles(fn)
-        loops: dict[int, LoopSchedule] = {}
+        loops: dict[Operation, LoopSchedule] = {}
         operators: list[OperatorCount] = []
         resources = ResourceUsage()
 
@@ -143,7 +143,7 @@ class HlsScheduler:
             if op.name == "scf.for":
                 schedule = self._schedule_loop(op, bundles)
                 schedule.outermost = _is_outermost_loop(op)
-                loops[id(op)] = schedule
+                loops[op] = schedule
                 loop_ops, loop_resources = self._bind_loop(op, schedule)
                 unroll_overhead_luts += (
                     schedule.unroll_factor * UNROLL_COPY_LUTS

@@ -121,7 +121,7 @@ class LowerDoLoop(RewritePattern):
         block.add_op(scf.Yield())
         # The block (and its induction-variable argument, with name hint)
         # is transplanted wholesale into the scf.for.
-        new_loop = scf.For(op.lb, ub_exclusive.results[0], op.step, [], body)
+        new_loop = scf.For(op.lb, ub_exclusive.results[0], op.step, body)
         rewriter.replace_matched_op(new_loop, new_results=[])
 
 
@@ -139,17 +139,8 @@ class LowerIf(RewritePattern):
             if isinstance(last, fir.ResultOp):
                 last.erase()
             block.add_op(scf.Yield())
-        new_if = scf.If(op.operands[0], [], then_region, else_region)
+        new_if = scf.If(op.operands[0], then_region, else_region)
         rewriter.replace_matched_op(new_if, new_results=[])
-
-
-class StripStrayResult(RewritePattern):
-    """``fir.result`` ops left in regions already converted."""
-
-    op_name = "fir.result"
-
-    def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> None:
-        rewriter.replace_matched_op(scf.Yield(op.operands), new_results=[])
 
 
 class LowerConvert(RewritePattern):

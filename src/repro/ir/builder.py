@@ -128,13 +128,6 @@ def build_region(
     return region, block, Builder.at_end(block)
 
 
-def move_ops(ops: Sequence[Operation], target: Builder) -> None:
-    """Detach ``ops`` from their blocks and insert them at ``target``."""
-    for op in ops:
-        op.detach()
-        target.insert(op)
-
-
 def inline_block_before(block: Block, anchor: Operation, arg_values: Sequence[SSAValue]) -> None:
     """Inline all ops of ``block`` before ``anchor``, substituting args.
 

@@ -11,8 +11,8 @@ emits a chain of specialized Python closures:
   fixed integer indices assigned at compile time;
 * ``arith.constant`` is folded into the frame template (and constant
   arithmetic is folded transitively at compile time);
-* ``scf.for`` / ``scf.if`` / ``scf.while`` compile to native Python
-  loops/branches around their compiled bodies;
+* ``scf.for`` / ``scf.if`` compile to native Python loops/branches
+  around their compiled bodies;
 * ops without a compiled form (``omp.*``, ``fir.*``, HLS streams) run
   their interpreter impl — the frame is wrapped in a dict-compatible
   proxy for those handlers;
@@ -279,8 +279,9 @@ class FnCompiler:
         """Compile a straight-line op sequence into one runner closure.
 
         ``allow_terminators`` names terminator ops the *caller* executes
-        itself (``scf.yield`` operand slots are read by the enclosing loop
-        closure); they still count one interpreter step each.
+        itself (the enclosing ``scf`` closure continues past an
+        ``scf.yield``; a function closure reads ``func.return``'s operand
+        slots); they still count one interpreter step each.
         """
         closures: list[OpClosure] = []
         bulk = 0

@@ -17,11 +17,9 @@ from repro.ir.attributes import IntegerAttr
 from repro.ir.builder import Builder, InsertPoint
 from repro.ir.core import (
     LOC_ATTR,
-    Block,
     IRError,
     Operation,
     OpResult,
-    Region,
     SSAValue,
     invalidate_analysis,
 )
@@ -71,13 +69,6 @@ class PatternRewriter:
             index += 1
         self.affected_ops.extend(ops)
         self.changed = True
-
-    def insert_op_at_end(self, block: Block, *ops: Operation) -> None:
-        for op in ops:
-            block.add_op(op)
-            self._stamp_loc(op)
-        self.affected_ops.extend(ops)
-        self.changed = bool(ops) or self.changed
 
     # -- replacement --------------------------------------------------------------
 
@@ -133,34 +124,6 @@ class PatternRewriter:
         for use in new.uses:
             self.affected_ops.append(use.operation)
         self.changed = True
-
-    # -- region surgery -------------------------------------------------------------
-
-    def inline_region_before_matched(
-        self, region: Region, arg_values: Sequence[SSAValue]
-    ) -> None:
-        """Inline the single block of ``region`` before the matched op,
-        substituting block arguments (terminator must be pre-removed)."""
-        block = region.block
-        if len(arg_values) != len(block.args):
-            raise IRError("inline: argument count mismatch")
-        for arg, value in zip(block.args, arg_values):
-            arg.replace_by(value)
-        ops = list(block.ops)
-        for op in ops:
-            op.detach()
-            self._builder.insert(op)
-        self.affected_ops.extend(ops)
-        self.changed = True
-
-    def notify_changed(self) -> None:
-        self.changed = True
-        # no structured information: conservatively revisit the op itself
-        # and the users of its results
-        self.affected_ops.append(self.current_op)
-        for result in self.current_op.results:
-            for use in result.uses:
-                self.affected_ops.append(use.operation)
 
 
 class RewritePattern:

@@ -24,12 +24,6 @@ class ConstantLike(OpTrait):
     """The op materializes a compile-time constant."""
 
 
-class HasParent(OpTrait):
-    """The op must be directly nested in one of ``parent_op_names``."""
-
-    parent_op_names: tuple[str, ...] = ()
-
-
 class IsolatedFromAbove(OpTrait):
     """Regions of the op may not reference values defined outside it."""
 

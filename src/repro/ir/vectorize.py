@@ -74,9 +74,6 @@ per-row trip counts (equal-width rows broadcast a row-by-width grid
 instead), and each row folds from its prologue's init in iteration
 order.
 
-``scf.for`` loops carrying ``iter_args`` fold ``combine(%acc, %expr)``
-per carried value (``iter_reduction``).
-
 Every rectangular plan runs through :func:`_run_nest`, the imperfect one
 through :func:`_run_segmented`.  Both charge interpreter steps and fire
 the loop observer exactly as the scalar nested walk would (batched by
@@ -322,14 +319,6 @@ def _loop_is_vectorizable(loop: Operation) -> bool:
 
 
 @dataclass(frozen=True)
-class _IterReduction:
-    """Per-iter_arg combiner plan: (combiner name, expr value, position)."""
-
-    combiners: tuple[tuple[str, SSAValue, int], ...]
-    skip: frozenset[int]  # op ids excluded from elementwise evaluation
-
-
-@dataclass(frozen=True)
 class _MemrefReduction:
     """``P[idx] = combine(P[idx], expr)`` accumulator plan."""
 
@@ -413,52 +402,6 @@ class _NestPlan:
     reduction: _MemrefReduction | None  # innermost-dim reduction fold
     scatter: _NestScatter | None = None  # deferred indirect stores
     span: bool = False  # runtime-bounded depth-1 loop: no trip floor
-
-
-def _analyze_iter_reduction(loop: Operation) -> _IterReduction | None:
-    body = loop.regions[0].block
-    if len(body.args) < 2:
-        return None
-    last = body.ops[-1] if body.ops else None
-    if last is None or last.name != "scf.yield":
-        return None
-    if len(last.operands) != len(body.args) - 1:
-        return None
-    iv = body.args[0]
-    combiners: list[tuple[str, SSAValue, int]] = []
-    combiner_ids: set[int] = set()
-    for position, acc in enumerate(body.args[1:]):
-        if len(acc.uses) != 1:
-            return None
-        combiner = acc.uses[0].operation
-        if combiner.parent is not body or combiner.name not in _REDUCERS:
-            return None
-        if len(combiner.results) != 1 or len(combiner.operands) != 2:
-            return None
-        result = combiner.results[0]
-        if len(result.uses) != 1:
-            return None
-        yield_use = result.uses[0]
-        if yield_use.operation is not last or yield_use.index != position:
-            return None
-        lhs, rhs = combiner.operands
-        expr = rhs if lhs is acc else lhs if rhs is acc else None
-        if expr is None:
-            return None
-        combiners.append((combiner.name, expr, position))
-        combiner_ids.add(id(combiner))
-    for op in body.ops:
-        if id(op) in combiner_ids or op is last:
-            continue
-        if op.regions or op.name not in _SUPPORTED:
-            return None
-        if op.name == "memref.store":
-            return None
-        if op.name == "memref.load":
-            for idx in op.operands[1:]:
-                if not _load_index_ok(idx, iv, body):
-                    return None
-    return _IterReduction(tuple(combiners), frozenset(combiner_ids))
 
 
 def _analyze_memref_reduction_body(
@@ -548,8 +491,7 @@ def _analyze_memref_reduction_body(
 def _classify(loop: Operation) -> tuple:
     """Plan ``loop`` once: the cached ``(loop, mode, plan, program)``.
 
-    ``scf.for`` loops carrying iter_args are ``iter_reduction``
-    candidates; every other loop op is planned as a depth-d nest by
+    Every loop op is planned as a depth-d nest by
     :func:`_nest_vector_plan`, with imperfect nests getting a second
     chance as a :class:`_SegmentedNest`.  A loop no plan fits is logged
     with its reason at DEBUG.
@@ -561,24 +503,13 @@ def _classify(loop: Operation) -> tuple:
         return cached
     mode = plan = program = reason = bail_kind = None
     if len(loop.regions) >= 1 and len(loop.regions[0].blocks) == 1:
-        body = loop.regions[0].blocks[0]
-        if loop.name == "scf.for" and len(body.args) != 1:
-            plan = _analyze_iter_reduction(loop)
-            if plan is not None:
-                mode = "iter_reduction"
-                # the induction variable is the sole iv slot (iter_args
-                # feed skipped combiners, never the program)
-                program = _compile_vector_body(
-                    list(body.ops), plan.skip, [body.args[0]]
-                )
-        else:
-            mode, plan, program, reason = _nest_vector_plan(loop)
-            if mode is None:
-                seg = _segmented_nest_plan(loop)
-                if seg[0] is not None:
-                    mode, plan, program, reason = seg
-                elif seg[3] is not None:
-                    bail_kind, reason = "segmented nest", seg[3]
+        mode, plan, program, reason = _nest_vector_plan(loop)
+        if mode is None:
+            seg = _segmented_nest_plan(loop)
+            if seg[0] is not None:
+                mode, plan, program, reason = seg
+            elif seg[3] is not None:
+                bail_kind, reason = "segmented nest", seg[3]
     cached = (loop, mode, plan, program)
     if mode is None and logger.isEnabledFor(logging.DEBUG):
         if reason is not None:
@@ -921,11 +852,7 @@ def _walk_levels(loop: Operation, depth: int | None = None):
             level_loops = (main_for, rem_for)
         else:
             inner_for = nested[0]
-            if inner_for.results or len(inner_for.regions[0].blocks) != 1:
-                return "nested loop carries iter_args"
             inner_body = inner_for.regions[0].block
-            if len(inner_body.args) != 1:
-                return "nested loop carries iter_args"
             level_loops = (inner_for,)
         level_extras: list[Operation] = []
         for op in body.ops:
@@ -1017,9 +944,9 @@ def _chain_is_rectangular(chain, root_body: Block, independent) -> bool:
 
 
 def _nest_vector_plan(loop: Operation):
-    """Plan ``loop`` — an ``scf.for`` or ``omp.loop_nest`` carrying no
-    iter_args — as a depth-d nest: walk its levels, then give every
-    store a role (see the module docstring).
+    """Plan ``loop`` — an ``scf.for`` or ``omp.loop_nest`` — as a
+    depth-d nest: walk its levels, then give every store a role (see
+    the module docstring).
 
     Returns ``(mode, plan, program, reason)``.  Depth-1 modes are
     ``elementwise`` (``nest_segmented`` when the bounds are runtime
@@ -1324,7 +1251,7 @@ def _segmented_nest_plan(loop: Operation):
         root_memref,
     )
 
-    if loop.name != "scf.for" or loop.results:
+    if loop.name != "scf.for":
         return None, None, None, None
     loops = [loop]
     while True:
@@ -1336,8 +1263,6 @@ def _segmented_nest_plan(loop: Operation):
         loops.append(nested[0])
     if nested or len(loops) == 1:
         return None, None, None, None
-    if any(member.results for member in loops[1:]):
-        return None, None, None, "inner loop carries iter_args"
     root_body = loop.regions[0].block
     inner_for = loops[-1]
     inner_body = inner_for.regions[0].block
@@ -2145,27 +2070,11 @@ def _is_vector(value) -> bool:
     return isinstance(value, np.ndarray) and value.ndim > 0
 
 
-def _dtype_for(ty) -> np.dtype:
-    from repro.ir.types import FloatType
-
-    if isinstance(ty, FloatType):
-        return np.dtype(np.float32 if ty.width == 32 else np.float64)
-    return np.dtype(np.int64)
-
-
 def _as_vector(value, trips: int, dtype) -> np.ndarray:
     vec = np.asarray(value)
     if vec.ndim == 0:
         return np.full(trips, vec[()], dtype=dtype)
     return vec.astype(dtype, copy=False)
-
-
-def _to_python(value, ty):
-    from repro.ir.types import FloatType
-
-    if isinstance(ty, FloatType):
-        return float(value)
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -2191,9 +2100,9 @@ def try_vectorized_loop(
 def try_vectorized_nest(
     interp, loop: Operation, env, lb: int, ub: int, step: int
 ) -> bool:
-    """Whole-space evaluation of a nest rooted at the ``scf.for``
-    ``loop``, or of a runtime-bounded span.  Returns True when handled;
-    the scalar walk must run otherwise."""
+    """Whole-space evaluation of a nest rooted at the ``scf.for`` or
+    rank-1 ``omp.loop_nest`` ``loop``, or of a runtime-bounded span.
+    Returns True when handled; the scalar walk must run otherwise."""
     _, mode, plan, program = _classify_guarded(interp, loop)
     if isinstance(plan, _SegmentedNest):
         return _run_segmented(interp, env, lb, ub, step, plan)
@@ -2221,35 +2130,15 @@ def try_vectorized_loop_nest(
 
 def try_vectorized_reduction(
     interp, loop: Operation, env, lb: int, ub: int, step: int
-) -> list | None:
-    """Execute a recognised reduction loop vectorized.
-
-    Returns the loop's final result values when handled (``[]`` for
-    memref-accumulator loops, which have no results); None means the
-    scalar path must run.
-    """
+) -> bool:
+    """Execute a ``memref_reduction`` loop whole-space.  Returns True
+    when handled (the scalar path must run otherwise)."""
     _, mode, plan, program = _classify_guarded(interp, loop)
-    if mode not in ("iter_reduction", "memref_reduction"):
-        return None
-    trips = _trip_count(lb, ub, step)
-    if trips < _MIN_TRIPS:
-        return None  # zero-trip loops included: the scalar walk is free
-    if mode == "memref_reduction":
-        handled = _run_nest(interp, env, ((lb, ub, step),), plan, program)
-        return [] if handled else None
-    ivs = np.arange(lb, lb + trips * step, step, dtype=np.int64)
-    value = program.lookup(program.run(interp, env, [ivs]), interp, env)
-    finals = []
-    for op_name, expr, position in plan.combiners:
-        result_type = loop.results[position].type
-        dtype = _dtype_for(result_type)
-        acc = np.array(interp.get(env, loop.operands[3 + position]), dtype)
-        vec = _as_vector(value(expr), trips, dtype)
-        if not _ordered_fold(op_name, acc, (), vec, trips):
-            return None  # evaluation was side-effect free: rerun scalar
-        finals.append(_to_python(acc[()], result_type))
-    interp.steps += trips * max(1, len(loop.regions[0].block.ops))
-    return finals
+    if mode != "memref_reduction":
+        return False
+    if _trip_count(lb, ub, step) < _MIN_TRIPS:
+        return False  # zero-trip loops included: the scalar walk is free
+    return _run_nest(interp, env, ((lb, ub, step),), plan, program)
 
 
 def loop_vector_mode(loop: Operation) -> tuple[str | None, Any]:
@@ -2257,8 +2146,7 @@ def loop_vector_mode(loop: Operation) -> tuple[str | None, Any]:
 
     Depth-1 loops are ``elementwise``, ``memref_reduction`` or
     ``scatter_store``, and ``nest_segmented`` when their bounds are
-    runtime data; ``scf.for`` loops carrying iter_args are
-    ``iter_reduction``; nest roots are ``nest_elementwise``,
+    runtime data; nest roots are ``nest_elementwise``,
     ``nest_reduction`` or ``nest_scatter``, and imperfect (triangular,
     CSR or tiled) nests ``nest_segmented``.  ``(None, None)`` means the
     loop runs scalar.  Cached per loop op."""

@@ -3,10 +3,9 @@
 Structural checks: parent links, def-use consistency, dominance (within
 single-block regions: defs precede uses), terminator placement and
 per-op ``verify_`` hooks.  Typed checks (:func:`typed_check_op`):
-operand/result element-type agreement on arith/math ops, memref rank
-vs. subscript count on load/store, and iter_args type agreement on
-``scf.for`` — so a pass that builds ill-typed IR fails at the pass
-boundary instead of as an interpreter crash.  Called by the pass
+operand/result element-type agreement on arith/math ops and memref rank
+vs. subscript count on load/store — so a pass that builds ill-typed IR
+fails at the pass boundary instead of as an interpreter crash.  Called by the pass
 manager between passes when verification is enabled, and directly by
 tests; the kernel checker (:mod:`repro.analysis`) reuses
 :func:`typed_check_op` to report the same conditions as ``TYPE``
@@ -185,9 +184,7 @@ def typed_check_op(op: Operation) -> tuple[str, str] | None:
     * ``TYPE001`` — operand/result element types disagree on an
       arith/math op (including ``arith.select``'s value legs);
     * ``TYPE002`` — memref rank vs. subscript count (and element type)
-      on ``memref.load``/``memref.store``;
-    * ``TYPE003`` — ``scf.for`` iter_args disagree between the init
-      operands, body block arguments, yielded values and results.
+      on ``memref.load``/``memref.store``.
     """
     name = op.name
     if name in _UNIFORM_TYPE_OPS:
@@ -259,28 +256,5 @@ def typed_check_op(op: Operation) -> tuple[str, str] | None:
                 f"memref.store value {op.operands[0].type.print()} does not "
                 f"match element type {memref_type.element_type.print()}",
             )
-        return None
-    if name == "scf.for":
-        iter_args = op.operands[3:]
-        body = op.regions[0].blocks[0] if op.regions and op.regions[0].blocks else None
-        if body is None:
-            return None
-        carried = body.args[1:]
-        yielded: tuple = ()
-        if body.ops and body.ops[-1].name == "scf.yield":
-            yielded = body.ops[-1].operands
-        for position, init in enumerate(iter_args):
-            expected = init.type
-            for role, value in (
-                ("body argument", carried[position] if position < len(carried) else None),
-                ("yielded value", yielded[position] if position < len(yielded) else None),
-                ("result", op.results[position] if position < len(op.results) else None),
-            ):
-                if value is not None and value.type != expected:
-                    return (
-                        "TYPE003",
-                        f"scf.for iter_arg {position} is {expected.print()} "
-                        f"but its {role} is {value.type.print()}",
-                    )
         return None
     return None

@@ -130,25 +130,6 @@ def pass_timing_table(instrumentation) -> str:
     )
 
 
-def stage_trace_table(instrumentation) -> str:
-    """The captured pipeline-stage snapshots as a summary table (stage
-    name + IR size), for reports that trace the Figure-2 flow."""
-    rows = [
-        (snap.name, len(snap.ir.splitlines()), len(snap.ir))
-        for snap in instrumentation.snapshots
-    ]
-    return format_table(
-        "Pipeline stages", ["stage", "IR lines", "IR bytes"], rows
-    )
-
-
-def counter_table(instrumentation) -> str:
-    """Artifact-build counters (frontend/host/device) — the DSE
-    artifact-reuse evidence in human-readable form."""
-    rows = sorted(instrumentation.counters.items())
-    return format_table("Build counters", ["event", "count"], rows)
-
-
 def service_stats_table(stats) -> str:
     """Aggregate :class:`~repro.service.service.ServiceStats` counters
     as a table (requests, tier hits, coalesced, builds, rejections)."""
@@ -177,12 +158,6 @@ def service_request_table(responses) -> str:
     )
 
 
-def store_stats_table(stats) -> str:
-    """Tier-level :class:`~repro.service.store.StoreStats` counters."""
-    rows = sorted(stats.as_dict().items())
-    return format_table("Artifact store", ["counter", "count"], rows)
-
-
 def gallery_table() -> str:
     """The workload gallery as a paper-style table (name, loop shape,
     entry point, size sweep) — regenerated from the registry so reports
@@ -202,56 +177,5 @@ def gallery_table() -> str:
     return format_table(
         "Workload gallery",
         ["workload", "loop shape", "entry", "sizes", "description"],
-        rows,
-    )
-
-
-def scaling_table(curves: dict[str, Sequence[tuple[int, float]]]) -> str:
-    """Multi-compute-unit scaling curves as a report table.
-
-    ``curves`` maps a workload label to its ``(compute_units,
-    device_time_s)`` samples; each row reports the modelled time at that
-    CU count, the speedup over the curve's 1-CU sample and the parallel
-    efficiency (``speedup / CUs``).  This is the human-readable twin of
-    the ``scaling_tiers`` section the perf-smoke bench gates on.
-    """
-    rows = []
-    for label in sorted(curves):
-        samples = sorted(curves[label])
-        base = next(
-            (time_s for units, time_s in samples if units == 1), None
-        )
-        for units, time_s in samples:
-            speedup = base / time_s if base else float("nan")
-            rows.append(
-                (
-                    label,
-                    units,
-                    f"{time_s * 1e3:.3f}",
-                    f"{speedup:.2f}x",
-                    f"{100.0 * speedup / units:.1f}%",
-                )
-            )
-    if not rows:
-        rows = [("-", "-", "-", "-", "no samples")]
-    return format_table(
-        "Multi-CU scaling",
-        ["workload", "CUs", "time (ms)", "speedup", "efficiency"],
-        rows,
-    )
-
-
-def diagnostics_table(diagnostics) -> str:
-    """Kernel static-analysis findings (``Session.diagnostics()`` /
-    ``check-kernels``) as a report table, one row per finding."""
-    rows = [
-        (d.severity, d.code, d.kernel, d.line if d.line > 0 else "-", d.message)
-        for d in diagnostics
-    ]
-    if not rows:
-        rows = [("-", "-", "-", "-", "no findings")]
-    return format_table(
-        "Kernel diagnostics",
-        ["severity", "code", "kernel", "line", "message"],
         rows,
     )

@@ -80,8 +80,8 @@ class KernelRunner:
         )
         self._interp.loop_observer = self._observe_loop
         self._compute_units = max(1, getattr(bitstream, "compute_units", 1))
-        # Per-run {id(loop op): {trips: count}} observation multisets.
-        self._agg_stack: list[dict[int, dict[int, int]]] = []
+        # Per-run {loop op: {trips: count}} observation multisets.
+        self._agg_stack: list[dict[Operation, dict[int, int]]] = []
 
     @property
     def interpreter_steps(self) -> int:
@@ -119,7 +119,7 @@ class KernelRunner:
         if budget is not None:
             budget_limit = interp.steps + budget
             interp.max_steps = min(saved_max, budget_limit)
-        agg: dict[int, dict[int, int]] = {}
+        agg: dict[Operation, dict[int, int]] = {}
         self._agg_stack.append(agg)
         try:
             interp.call(kernel_name, *args)
@@ -149,11 +149,11 @@ class KernelRunner:
         each (the whole-space fast paths batch identical inner-loop
         executions) in the running kernel's multiset."""
         if self._agg_stack:
-            per_loop = self._agg_stack[-1].setdefault(id(op), {})
+            per_loop = self._agg_stack[-1].setdefault(op, {})
             per_loop[trips] = per_loop.get(trips, 0) + count
 
     def _makespan(
-        self, design: KernelSchedule, agg: dict[int, dict[int, int]]
+        self, design: KernelSchedule, agg: dict[Operation, dict[int, int]]
     ) -> tuple[float, tuple[float, ...]]:
         """Shard the observed iteration space over the CUs and return
         ``(makespan, per-CU cycles)``; a single-CU build is the N=1 case,
@@ -174,8 +174,8 @@ class KernelRunner:
         outer_cycles = [0.0] * n
         outer_iters = [0] * n
         inner_cycles = 0.0
-        for op_id, per_loop in agg.items():
-            schedule = design.loops.get(op_id)
+        for op, per_loop in agg.items():
+            schedule = design.loops.get(op)
             if schedule is None:
                 continue
             for trips, count in per_loop.items():

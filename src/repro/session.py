@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -56,7 +55,6 @@ from repro.transforms import (
     LowerOmpMappedDataPass,
     LowerOmpTargetRegionPass,
     LowerOmpToHlsPass,
-    MemorySpacePolicy,
     split_host_device,
 )
 
@@ -110,11 +108,14 @@ def _config_digest(label: str, value) -> str:
 @dataclass(frozen=True)
 class TargetConfig:
     """Session-wide target description: the board plus the default
-    memory-space policy used when a stage is built without an explicit
-    policy."""
+    memory-space policy mode (``"single"`` or ``"round_robin"``) used
+    when a stage is built without an explicit policy."""
 
     board: U280Board | None = None
-    memory_space_policy: "MemorySpacePolicy | str | None" = None
+    memory_space_policy: str | None = None
+
+    def __post_init__(self):
+        _policy_mode(self.memory_space_policy)
 
     def resolved_board(self) -> U280Board:
         return self.board or U280Board()
@@ -122,30 +123,11 @@ class TargetConfig:
     def digest(self) -> str:
         """Stable content digest of this target (sorted, versioned field
         serialization) — one component of the compile service's
-        content-addressed artifact keys.
-
-        A caller-supplied *mutable* :class:`MemorySpacePolicy` object is
-        snapshotted (mode, banks, current assignments) with a
-        :class:`DeprecationWarning`: later mutation of the object would
-        silently invalidate the digest, so pass the policy mode string
-        instead.
-        """
-        policy = self.memory_space_policy
-        if policy is not None and not isinstance(policy, str):
-            warnings.warn(
-                "TargetConfig.digest() over a mutable MemorySpacePolicy "
-                "object snapshots its current state; pass the policy "
-                "mode string for a stable content key",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = (
-                f"{policy.mode}/banks={policy.num_banks}/"
-                f"assigned={sorted(policy._assigned.items())!r}"
-            )
+        content-addressed artifact keys."""
         board = self.resolved_board()
         text = (
-            f"board={_canonical_value(board)}|policy={policy!r}"
+            f"board={_canonical_value(board)}|"
+            f"policy={self.memory_space_policy!r}"
         )
         return _config_digest("TargetConfig", text)
 
@@ -200,30 +182,18 @@ def _stage_failed(
     raise wrap_error(error, error_cls, context=context) from error
 
 
-def _policy_key(policy: "MemorySpacePolicy | str | None") -> tuple:
+def _policy_mode(policy: str | None) -> str:
+    """The memory-space policy mode a host/device build uses — also its
+    stage cache key.  Each build gets a fresh policy of that mode, so
+    bank assignment restarts per build; the bank count is the
+    ``lower-omp-mapped-data{num_banks=...}`` pass option."""
     if policy is None:
-        return ("single", 16)
-    if isinstance(policy, str):
-        return (policy, 16)
-    # A caller-supplied policy object carries mutable bank-assignment
-    # state, so it must never alias a cache entry built from a fresh
-    # policy of the same mode: key it by identity.
-    return (policy.mode, policy.num_banks, id(policy))
-
-
-def _policy_instance(
-    policy: "MemorySpacePolicy | str | None",
-) -> MemorySpacePolicy:
-    """A fresh (or caller-supplied) policy for one host/device build.
-
-    String modes always get a fresh instance so bank assignment restarts
-    per build; a caller's :class:`MemorySpacePolicy` object is used as-is
-    (its assignments are part of what the caller configured).
-    """
-    if policy is None:
-        return MemorySpacePolicy()
-    if isinstance(policy, str):
-        return MemorySpacePolicy(mode=policy)
+        return "single"
+    if not isinstance(policy, str):
+        raise TypeError(
+            "memory-space policy must be a mode string or None, got "
+            f"{type(policy).__name__}"
+        )
     return policy
 
 
@@ -233,7 +203,7 @@ def _policy_instance(
 
 
 def host_device_pipeline(
-    policy: "MemorySpacePolicy | str | None" = None,
+    policy: str | None = None,
     *,
     instrumentation: Instrumentation | None = None,
     verify_each: bool = True,
@@ -241,7 +211,7 @@ def host_device_pipeline(
     """Stages 2-4 of Figure 2: data mapping, target regions, extraction."""
     pm = PassManager(verify_each=verify_each, instrumentation=instrumentation)
     pm.add(
-        LowerOmpMappedDataPass(_policy_instance(policy)),
+        LowerOmpMappedDataPass(_policy_mode(policy)),
         LowerOmpTargetRegionPass(),
         ExtractDeviceModulePass(),
     )
@@ -295,7 +265,7 @@ class HostDeviceArtifact:
     host_module: builtin.ModuleOp
     device_module: builtin.ModuleOp
     host_cpp: str
-    policy_key: tuple
+    policy_key: str
     snapshots: list[PipelineStage] = field(default_factory=list)
 
 
@@ -425,7 +395,7 @@ class Session:
     # -- stages 2-5 (host) -------------------------------------------------------------
 
     def host_device(
-        self, memory_space_policy: "MemorySpacePolicy | str | None" = None
+        self, memory_space_policy: str | None = None
     ) -> HostDeviceArtifact:
         """Device-dialect lowering, module split and host C++ generation,
         cached per memory-space policy."""
@@ -434,7 +404,7 @@ class Session:
             if memory_space_policy is not None
             else self.target.memory_space_policy
         )
-        key = _policy_key(policy)
+        key = _policy_mode(policy)
         if key not in self._host_device:
             try:
                 frontend = self.frontend()
@@ -469,7 +439,7 @@ class Session:
         self,
         overrides: KernelOverrides | None = None,
         *,
-        memory_space_policy: "MemorySpacePolicy | str | None" = None,
+        memory_space_policy: str | None = None,
     ) -> DeviceBuild:
         """HLS lowering + simulated Vitis synthesis, cached per
         (policy, overrides) — the only work a DSE sweep repeats."""
@@ -530,7 +500,7 @@ class Session:
         self,
         overrides: KernelOverrides | None = None,
         *,
-        memory_space_policy: "MemorySpacePolicy | str | None" = None,
+        memory_space_policy: str | None = None,
     ) -> CompiledProgram:
         """A :class:`CompiledProgram` view over the cached artifacts."""
         frontend = self.frontend()
@@ -556,7 +526,7 @@ class Session:
         self,
         overrides: KernelOverrides | None = None,
         *,
-        memory_space_policy: "MemorySpacePolicy | str | None" = None,
+        memory_space_policy: str | None = None,
     ) -> bool:
         """Drop one device build from the cache (the bitstream and the
         lowered module are the heavy artifacts; a sweep that has already
@@ -568,7 +538,7 @@ class Session:
             if memory_space_policy is not None
             else self.target.memory_space_policy
         )
-        key = (_policy_key(policy), overrides.digest())
+        key = (_policy_mode(policy), overrides.digest())
         return self._builds.pop(key, None) is not None
 
     # -- introspection -----------------------------------------------------------------

@@ -319,7 +319,7 @@ class LowerOmpToHlsPass(ModulePass):
         if isinstance(last, omp.YieldOp):
             last.erase()
         block.add_op(scf.Yield())
-        loop = scf.For(lb, ub_ex, step, [], body)
+        loop = scf.For(lb, ub_ex, step, body)
         builder.insert(loop)
         inner = Builder.at_start(loop.body)
         ii = inner.insert(arith.Constant.int(self.target_ii, 32))

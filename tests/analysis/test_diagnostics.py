@@ -9,7 +9,7 @@ def test_catalogue_covers_all_rule_families():
     codes = set(RULES)
     assert {"RACE001", "RACE002", "RACE003"} <= codes
     assert {"DEP001", "DEP002"} <= codes
-    assert {"TYPE001", "TYPE002", "TYPE003"} <= codes
+    assert {"TYPE001", "TYPE002"} <= codes
     for severity, summary in RULES.values():
         assert severity in SEVERITIES
         assert summary

@@ -1,4 +1,4 @@
-"""Typed IR verification (TYPE001–TYPE003).
+"""Typed IR verification (TYPE001–TYPE002).
 
 The textual IR parser builds ops generically (it does not go through the
 typed constructors), so ill-typed modules can be written down directly —
@@ -54,28 +54,9 @@ TYPE002_SILENT = TYPE002_RANK_MISMATCH.replace(
     '"memref.load"(%a, %0, %0) <{loc = 7 : i64}> : (memref<4x4xf32, 1 : i32>, index, index)',
 )
 
-TYPE003_YIELD_MISMATCH = wrap(
-    """\
-      %0 = "arith.constant"() <{value = 0 : index}> : () -> (index)
-      %1 = "arith.constant"() <{value = 1 : index}> : () -> (index)
-      %2 = "arith.constant"() <{value = 4 : index}> : () -> (index)
-      %3 = "arith.constant"() <{value = 1.0 : f32}> : () -> (f32)
-      %4 = "scf.for"(%0, %2, %1, %3) <{loc = 9 : i64}> ({
-        ^bb(%i: index, %acc: f32):
-          %5 = "arith.constant"() <{value = 2.0 : f64}> : () -> (f64)
-          "scf.yield"(%5) : (f64) -> ()
-      }) : (index, index, index, f32) -> (f32)
-""",
-    name="bad_for",
-)
-
-TYPE003_SILENT = TYPE003_YIELD_MISMATCH.replace("f64", "f32")
-
-
 CASES = [
     ("TYPE001", TYPE001_MIXED_ADDF, TYPE001_SILENT, 12),
     ("TYPE002", TYPE002_RANK_MISMATCH, TYPE002_SILENT, 7),
-    ("TYPE003", TYPE003_YIELD_MISMATCH, TYPE003_SILENT, 9),
 ]
 
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.dialects import arith, memref, scf
-from repro.ir import Block, IRError
-from repro.ir.types import MemRefType, f32, i32, index
+from repro.dialects import arith, builtin, func, memref, scf
+from repro.ir import Block, Builder, IRError, Operation, Region, verify
+from repro.ir.types import FunctionType, MemRefType, f32, i32, index
 
 
 def _c(v):
@@ -94,22 +94,16 @@ class TestScfValidation:
         loop = scf.For(lb, ub, step)
         assert loop.lb is lb and loop.ub is ub and loop.step is step
         assert loop.induction_var.type == index
-        assert loop.iter_args == ()
-
-    def test_for_with_iter_args(self):
-        lb, ub, step = _c(0), _c(8), _c(1)
-        init = _c(0)
-        loop = scf.For(lb, ub, step, [init])
-        assert len(loop.results) == 1
-        assert len(loop.body.args) == 2
+        assert loop.operands == (lb, ub, step) and loop.results == []
+        assert loop.body.args == [loop.induction_var]
 
     def test_for_verify_requires_yield_arity(self):
         lb, ub, step = _c(0), _c(8), _c(1)
-        init = _c(0)
-        loop = scf.For(lb, ub, step, [init])
-        loop.body.add_op(scf.Yield([]))  # wrong arity
-        with pytest.raises(IRError, match="arity"):
+        loop = scf.For(lb, ub, step)
+        with pytest.raises(IRError, match="must end with scf.yield"):
             loop.verify_()
+        loop.body.add_op(scf.Yield())
+        loop.verify_()
 
     def test_if_blocks(self):
         block = Block()
@@ -117,3 +111,67 @@ class TestScfValidation:
         if_op = scf.If(cond)
         assert if_op.cond is cond
         assert if_op.then_block is not if_op.else_block
+
+
+def _generic(cls, operands=(), result_types=(), regions=()):
+    """``cls`` built through the generic :class:`Operation` constructor
+    (as the IR parser builds ops), bypassing its typed ``__init__``."""
+    op = object.__new__(cls)
+    Operation.__init__(
+        op, operands=operands, result_types=result_types, regions=regions
+    )
+    return op
+
+
+def _value_carrying(form):
+    """A module holding one value-carrying ``scf`` form that is otherwise
+    well formed: ``(module, the offending op, its rejection message)``."""
+    module = builtin.ModuleOp()
+    fn = func.FuncOp("f", FunctionType([], []))
+    module.body.add_op(fn)
+    b = Builder.at_end(fn.body)
+    c0, c8, c1 = (
+        b.insert(arith.Constant.index(v)).results[0] for v in (0, 8, 1)
+    )
+    cond = b.insert(arith.CmpI("slt", c0, c8)).results[0]
+    if form == "for_fourth_operand":
+        body = Block([index, index])
+        body.add_op(scf.Yield())
+        op = _generic(scf.For, [c0, c8, c1, c0], regions=[Region([body])])
+        message = "takes lb, ub and step"
+    elif form == "for_result":
+        body = Block([index])
+        body.add_op(_generic(scf.Yield, [body.args[0]]))
+        op = _generic(scf.For, [c0, c8, c1], [index], [Region([body])])
+        message = "has no results"
+    elif form == "if_result":
+        branches = [Block(), Block()]
+        for block in branches:
+            block.add_op(scf.Yield())
+        op = _generic(
+            scf.If, [cond], [index], [Region([block]) for block in branches]
+        )
+        message = "scf.if has no results"
+    else:  # yield_operand
+        if_op = b.insert(scf.If(cond))
+        op = _generic(scf.Yield, [c0])
+        if_op.then_block.add_op(op)
+        if_op.else_block.add_op(scf.Yield())
+        message = "scf.yield carries no values"
+    if op.parent is None:
+        b.insert(op)
+    b.insert(func.ReturnOp([]))
+    return module, op, message
+
+
+@pytest.mark.parametrize(
+    "form", ["for_fourth_operand", "for_result", "if_result", "yield_operand"]
+)
+def test_value_carrying_forms_rejected(form):
+    """Loop state lives in memory: ``scf`` ops carry no SSA values, and
+    the structural verifier rejects each form that would."""
+    module, op, message = _value_carrying(form)
+    with pytest.raises(IRError):
+        verify(module)
+    with pytest.raises(IRError, match=message):
+        op.verify_()

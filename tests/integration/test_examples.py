@@ -2,8 +2,7 @@
 
 Examples run with ``-W error::DeprecationWarning`` (part of the CI fast
 job): they are the public face of the API, so any deprecated call path
-(such as a digest over a mutable ``MemorySpacePolicy`` object) fails the
-example outright.
+fails the example outright.
 """
 
 import subprocess

@@ -6,9 +6,14 @@ import warnings
 import pytest
 
 from repro.ir import print_op
-from repro.ir.pass_manager import Instrumentation
+from repro.ir.pass_manager import Instrumentation, PassManager
 from repro.pipeline import compile_fortran
-from repro.session import KernelOverrides, Session, TargetConfig
+from repro.session import (
+    KernelOverrides,
+    Session,
+    TargetConfig,
+    host_device_pipeline,
+)
 from repro.transforms import MemorySpacePolicy
 from repro.workloads import SAXPY_SOURCE, get_workload
 from tests.conftest import SAXPY_MINI
@@ -295,14 +300,24 @@ class TestTargetConfig:
         }
         assert len(spaces) > 1  # spread across HBM banks
 
-    def test_policy_object_accepted(self):
+    def test_policy_object_rejected(self):
+        """The policy is a mode string; the bank count is the
+        ``lower-omp-mapped-data{num_banks=...}`` pass option."""
         policy = MemorySpacePolicy(mode="round_robin", num_banks=4)
-        session = Session(
-            SAXPY_SOURCE, target=TargetConfig(memory_space_policy=policy)
+        with pytest.raises(TypeError, match="mode string"):
+            TargetConfig(memory_space_policy=policy)
+        session = Session(SAXPY_SOURCE)
+        for stage in (
+            session.device_build, session.program, session.release_build,
+        ):
+            with pytest.raises(TypeError, match="mode string"):
+                stage(memory_space_policy=policy)
+        with pytest.raises(TypeError, match="mode string"):
+            session.host_device(policy)
+        with pytest.raises(TypeError, match="mode string"):
+            host_device_pipeline(policy)
+        pm = PassManager.parse(
+            "lower-omp-mapped-data{policy=round_robin,num_banks=4}"
         )
-        program = session.program()
-        kernel = next(iter(program.bitstream.kernels.values()))
-        assert all(
-            arg.type.memory_space <= 4
-            for arg in kernel.func_op.body.args
-        )
+        assert pm.passes[0].policy.num_banks == 4
+        assert session.counters["host_device_builds"] == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dialects import arith, builtin, func, math as math_d, memref, scf
-from repro.ir import Builder, Interpreter, InterpreterError, Region, Block
+from repro.ir import Builder, Interpreter, InterpreterError
 from repro.ir.types import FunctionType, MemRefType, f32, f64, i32, index
 
 
@@ -108,62 +108,6 @@ class TestMath:
 
 
 class TestScf:
-    def test_for_with_iter_args(self):
-        """sum 0..9 via loop-carried value."""
-
-        def populate(b, args):
-            lb = b.insert(arith.Constant.index(0)).results[0]
-            ub = b.insert(arith.Constant.index(10)).results[0]
-            step = b.insert(arith.Constant.index(1)).results[0]
-            init = b.insert(arith.Constant.index(0)).results[0]
-            loop = b.insert(scf.For(lb, ub, step, [init]))
-            inner = Builder.at_end(loop.body)
-            acc = loop.body.args[1]
-            new = inner.insert(arith.AddI(acc, loop.induction_var)).results[0]
-            inner.insert(scf.Yield([new]))
-            return [loop.results[0]]
-
-        module = build_fn([], [index], populate)
-        assert call(module) == (45,)
-
-    def test_if_yields(self):
-        def populate(b, args):
-            cond = b.insert(
-                arith.CmpI("sgt", args[0], args[1])
-            ).results[0]
-            if_op = b.insert(scf.If(cond, [i32]))
-            Builder.at_end(if_op.then_block).insert(scf.Yield([args[0]]))
-            Builder.at_end(if_op.else_block).insert(scf.Yield([args[1]]))
-            return [if_op.results[0]]
-
-        module = build_fn([i32, i32], [i32], populate)
-        assert call(module, 3, 8) == (8,)
-        assert call(module, 9, 1) == (9,)
-
-    def test_while(self):
-        """count doublings until >= 100."""
-
-        def populate(b, args):
-            one = b.insert(arith.Constant.int(1, 32)).results[0]
-            hundred = b.insert(arith.Constant.int(100, 32)).results[0]
-            before = Region([Block([i32])])
-            bb = Builder.at_end(before.block)
-            cond = bb.insert(
-                arith.CmpI("slt", before.block.args[0], hundred)
-            ).results[0]
-            bb.insert(scf.Condition(cond, [before.block.args[0]]))
-            after = Region([Block([i32])])
-            ab = Builder.at_end(after.block)
-            doubled = ab.insert(
-                arith.AddI(after.block.args[0], after.block.args[0])
-            ).results[0]
-            ab.insert(scf.Yield([doubled]))
-            loop = b.insert(scf.While([one], [i32], before, after))
-            return [loop.results[0]]
-
-        module = build_fn([], [i32], populate)
-        assert call(module) == (128,)
-
     def test_empty_trip_count(self):
         def populate(b, args):
             lb = b.insert(arith.Constant.index(5)).results[0]

@@ -260,3 +260,41 @@ class TestTiledGemm:
         scalar, _ = _run_gemm(program, 20, False, False)
         assert fast.tobytes() == scalar.tobytes()
         assert not any(loop is loops[-1] for loop in entered)
+
+
+@pytest.mark.parametrize("name", ["saxpy", "sgesl"])
+def test_rank1_loop_nest_runs_whole_space(monkeypatch, name):
+    """The pre-offload core module (the CPU baseline of Tables 5/6)
+    runs its rank-1 ``omp.loop_nest`` loops — runtime-bounded spans
+    (SAXPY's loaded ``n``, SGESL's ``j = k+1, n``) — through
+    ``try_vectorized_nest``, matching the scalar tier's outputs and
+    steps exactly."""
+    import repro.ir.vectorize as vectorize
+    from repro.frontend import compile_to_core
+    from repro.workloads import get_workload
+
+    handled = []
+    real = vectorize.try_vectorized_nest
+
+    def recording(interp, loop, *args):
+        result = real(interp, loop, *args)
+        if result:
+            handled.append(loop)
+        return result
+
+    monkeypatch.setattr(vectorize, "try_vectorized_nest", recording)
+    workload = get_workload(name)
+    module = compile_to_core(workload.source).module
+    nests = [op for op in module.walk() if op.name == "omp.loop_nest"]
+    assert nests
+    assert {loop_vector_mode(op)[0] for op in nests} == {"nest_segmented"}
+    runs = []
+    for tier in ({}, {"compiled": False, "vectorize": False}):
+        instance = workload.instance(workload.smoke_size)
+        interp = Interpreter(module, **tier)
+        interp.call(workload.entry, *instance.args)
+        runs.append((instance.args, interp.steps))
+    (fast, fast_steps), (scalar, scalar_steps) = runs
+    assert all(any(op is loop for loop in handled) for op in nests)
+    assert [a.tobytes() for a in fast] == [a.tobytes() for a in scalar]
+    assert fast_steps == scalar_steps

@@ -674,51 +674,6 @@ class TestBailOutLogging:
         assert mode is None
         assert any("bail-out" in r.message for r in caplog.records)
 
-    def test_nan_minmax_bail_is_logged_and_scalar_identical(self, caplog):
-        """A NaN in a min/max reduction input logs the documented reason
-        (NumPy would propagate the NaN where Python min/max ignore it)
-        and the scalar rerun produces the scalar tier's exact bits."""
-        import logging
-
-        n = 128
-        rng_local = np.random.default_rng(31)
-        x = rng_local.standard_normal(n).astype(np.float32)
-        x[n // 2] = np.nan
-
-        def reduce_with(compiled, vectorize):
-            module = builtin.ModuleOp()
-            fn = func.FuncOp(
-                "f", FunctionType([MemRefType(f32, [n]), f32], [f32])
-            )
-            module.body.add_op(fn)
-            b = Builder.at_end(fn.body)
-            arr, init = fn.body.args
-            lb = b.insert(arith.Constant.index(0)).results[0]
-            ub = b.insert(arith.Constant.index(n)).results[0]
-            step = b.insert(arith.Constant.index(1)).results[0]
-            loop = b.insert(scf.For(lb, ub, step, [init]))
-            inner = Builder.at_end(loop.body)
-            xv = inner.insert(
-                memref.Load(arr, [loop.induction_var])
-            ).results[0]
-            combined = inner.insert(
-                arith.MinF(loop.body.args[1], xv)
-            ).results[0]
-            inner.insert(scf.Yield([combined]))
-            b.insert(func.ReturnOp([loop.results[0]]))
-            interp = Interpreter(module, compiled=compiled, vectorize=vectorize)
-            (value,) = interp.call("f", x, float(np.float32(1e5)))
-            return value
-
-        with caplog.at_level(logging.DEBUG, logger="repro.ir.vectorize"):
-            fast = reduce_with(True, True)
-        scalar = reduce_with(False, False)
-        assert np.float32(fast).tobytes() == np.float32(scalar).tobytes()
-        assert any(
-            "NaN" in r.message and "bail-out" in r.message
-            for r in caplog.records
-        )
-
     def test_rank_n_nest_bail_is_logged(self, caplog):
         """A rank-2 nest whose store couples both IVs logs the reasoned
         rank-n bail-out, and the scalar nested walk it falls back to

@@ -4,8 +4,8 @@ The vectorizer's contract is that a loop it declines is *re-run on the
 scalar tier with identical results*, and that the decline is a reasoned
 DEBUG log on ``repro.ir.vectorize`` — never a silent divergence.  The
 classes already pinned in ``test_vectorize.py`` (generic
-no-classification, scatter injectivity, iter-args NaN min/max, rank-n
-``omp.loop_nest``) are complemented here by the remaining ones:
+no-classification, scatter injectivity, rank-n ``omp.loop_nest``) are
+complemented here by the remaining ones:
 
 * memref-accumulator NaN min/max (``try_vectorized_reduction``);
 * nest-reduction NaN min/max (single-chunk whole-space path);

@@ -1,7 +1,7 @@
 """Reduction fast path: bit-level equivalence with the scalar interpreter.
 
-The vectorized reduction paths (iter_args combiners and the round-robin
-memref accumulator form) promise the *same float32 bits* as the scalar
+The vectorized reduction path (memref accumulators: the round-robin
+copies and a rank-0 cell) promises the *same float32 bits* as the scalar
 walk: ordered ``ufunc.accumulate``/``ufunc.at`` folding preserves the
 per-cell combine order, so no reassociation-induced rounding differences
 can appear.  These properties pin that guarantee, including empty and
@@ -45,27 +45,6 @@ def _finite_f32_list(min_size=0, max_size=130, bound=1e5):
         min_size=min_size,
         max_size=max_size,
     )
-
-
-def build_iter_reduction(n: int, op_cls):
-    """func @f(%x: memref<n x f32>, %init: f32) -> f32 reducing with
-    ``op_cls`` over iter_args."""
-    module = builtin.ModuleOp()
-    fn = func.FuncOp("f", FunctionType([MemRefType(f32, [n]), f32], [f32]))
-    module.body.add_op(fn)
-    b = Builder.at_end(fn.body)
-    x, init = fn.body.args
-    lb = b.insert(arith.Constant.index(0)).results[0]
-    ub = b.insert(arith.Constant.index(n)).results[0]
-    step = b.insert(arith.Constant.index(1)).results[0]
-    loop = b.insert(scf.For(lb, ub, step, [init]))
-    inner = Builder.at_end(loop.body)
-    acc = loop.body.args[1]
-    xv = inner.insert(memref.Load(x, [loop.induction_var])).results[0]
-    combined = inner.insert(op_cls(acc, xv)).results[0]
-    inner.insert(scf.Yield([combined]))
-    b.insert(func.ReturnOp([loop.results[0]]))
-    return module
 
 
 def build_round_robin(n: int, ncopies: int):
@@ -141,22 +120,6 @@ _COMBINERS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_COMBINERS))
-@given(values=_finite_f32_list(), init=st.floats(-1e5, 1e5, width=32))
-@settings(max_examples=25, deadline=None)
-def test_iter_args_reduction_bit_identical(kind, values, init):
-    op_cls = _COMBINERS[kind]
-    n = len(values)
-    x = np.array(values, dtype=np.float32)
-    init32 = float(np.float32(init + 0.0))
-
-    (got,), fast_steps = _fast(build_iter_reduction(n, op_cls), x, init32)
-    (want,), scalar_steps = _scalar(build_iter_reduction(n, op_cls), x, init32)
-
-    assert np.float32(got).tobytes() == np.float32(want).tobytes()
-    assert fast_steps == scalar_steps
-
-
 @given(
     values=_finite_f32_list(min_size=0, max_size=200),
     ncopies=st.integers(min_value=1, max_value=9),
@@ -201,9 +164,12 @@ def test_trip_count_boundaries(n):
     vectorize._MIN_TRIPS = 64  # undo the fixture for this test
     x = (np.arange(n, dtype=np.float32) - n / 3).astype(np.float32)
 
-    (got,), _ = _fast(build_iter_reduction(n, arith.AddF), x, 0.25)
-    (want,), _ = _scalar(build_iter_reduction(n, arith.AddF), x, 0.25)
-    assert np.float32(got).tobytes() == np.float32(want).tobytes()
+    p_fast = np.full(4, 0.25, dtype=np.float32)
+    _, fast_steps = _fast(build_round_robin(n, 4), x, p_fast)
+    p_scalar = np.full(4, 0.25, dtype=np.float32)
+    _, scalar_steps = _scalar(build_round_robin(n, 4), x, p_scalar)
+    assert p_fast.tobytes() == p_scalar.tobytes()
+    assert fast_steps == scalar_steps
 
     s_fast = np.array(0.0, dtype=np.float32)
     _fast(build_rank0_accumulator(n, arith.AddF), x, s_fast)
@@ -213,12 +179,8 @@ def test_trip_count_boundaries(n):
 
 
 def test_reduction_modes_recognised():
-    """The analysis classifies the three shapes as intended."""
+    """The analysis classifies both accumulator shapes as intended."""
     from repro.ir.vectorize import loop_vector_mode
-
-    module = build_iter_reduction(128, arith.AddF)
-    (loop,) = [op for op in module.walk() if op.name == "scf.for"]
-    assert loop_vector_mode(loop)[0] == "iter_reduction"
 
     module = build_round_robin(128, 8)
     (loop,) = [op for op in module.walk() if op.name == "scf.for"]

@@ -54,11 +54,13 @@ def test_device_build_round_trip_preserves_schedules(session):
     ours = build.bitstream.utilization()
     theirs = copy.bitstream.utilization()
     assert (ours.lut, ours.dsp) == (theirs.lut, theirs.dsp)
-    # the id()-keyed loop schedules were re-keyed onto the unpickled
-    # module's ops: every schedule still addresses a live op
+    # the loop schedules are keyed by their op, which pickles with the
+    # module: every key is an op of the unpickled module
+    module_ops = set(copy.device_module.walk())
     for name, kernel in copy.bitstream.kernels.items():
-        module_ids = {id(op) for op in copy.device_module.walk()}
-        assert set(kernel.loops) <= module_ids, name
+        assert kernel.loops, name
+        assert set(kernel.loops) <= module_ops, name
+        assert all(s.loop is op for op, s in kernel.loops.items()), name
 
 
 def test_program_round_trip_reruns_bit_identically(session):
