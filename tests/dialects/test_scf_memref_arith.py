@@ -3,7 +3,19 @@
 import pytest
 
 from repro.dialects import arith, builtin, func, memref, scf
-from repro.ir import Block, Builder, IRError, Operation, Region, verify
+from repro.ir import (
+    Block,
+    Builder,
+    Interpreter,
+    InterpreterError,
+    IRError,
+    Operation,
+    Region,
+    UnregisteredOp,
+    default_context,
+    parse_module,
+    verify,
+)
 from repro.ir.types import FunctionType, MemRefType, f32, i32, index
 
 
@@ -144,6 +156,11 @@ def _value_carrying(form):
         body.add_op(_generic(scf.Yield, [body.args[0]]))
         op = _generic(scf.For, [c0, c8, c1], [index], [Region([body])])
         message = "has no results"
+    elif form == "for_body_carried_arg":
+        body = Block([index, index])
+        body.add_op(scf.Yield())
+        op = _generic(scf.For, [c0, c8, c1], regions=[Region([body])])
+        message = "body takes the induction variable only"
     elif form == "if_result":
         branches = [Block(), Block()]
         for block in branches:
@@ -165,7 +182,11 @@ def _value_carrying(form):
 
 
 @pytest.mark.parametrize(
-    "form", ["for_fourth_operand", "for_result", "if_result", "yield_operand"]
+    "form",
+    [
+        "for_fourth_operand", "for_result", "for_body_carried_arg",
+        "if_result", "yield_operand",
+    ],
 )
 def test_value_carrying_forms_rejected(form):
     """Loop state lives in memory: ``scf`` ops carry no SSA values, and
@@ -175,3 +196,25 @@ def test_value_carrying_forms_rejected(form):
         verify(module)
     with pytest.raises(IRError, match=message):
         op.verify_()
+
+
+@pytest.mark.parametrize("name", ["scf.while", "scf.condition", "scf.parallel"])
+def test_value_carrying_ops_unregistered(name):
+    """``scf`` registers no op whose regions pass values between
+    iterations: a module naming one parses as an unregistered op and
+    fails to run instead of running some other semantics."""
+    assert default_context().get_op(name) is None
+    module = parse_module(
+        '"builtin.module"() ({\n'
+        '  "func.func"() <{function_type = () -> (), sym_name = "f", '
+        'sym_visibility = "public"}> ({\n'
+        "    ^bb():\n"
+        f'      "{name}"() : () -> ()\n'
+        '      "func.return"() : () -> ()\n'
+        "  }) : () -> ()\n"
+        "}) : () -> ()\n"
+    )
+    (op,) = [op for op in module.walk() if isinstance(op, UnregisteredOp)]
+    assert op.op_name == name
+    with pytest.raises(InterpreterError, match="no interpreter impl"):
+        Interpreter(module).call("f")

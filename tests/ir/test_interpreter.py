@@ -107,7 +107,62 @@ class TestMath:
         assert call(module, 2.0, 10.0) == (pytest.approx(1024.0),)
 
 
+#: the scalar walk, the closure-compiled tier, and the vectorized default
+TIERS = (
+    {"compiled": False, "vectorize": False},
+    {"compiled": True, "vectorize": False},
+    {},
+)
+
+
 class TestScf:
+    def test_for_accumulates_through_memory(self):
+        """sum 0..99 via a rank-0 accumulator cell: loop state lives in
+        memory, and every tier agrees on the value and the steps."""
+
+        def populate(b, args):
+            cell = b.insert(memref.Alloca(MemRefType(index, []))).results[0]
+            zero = b.insert(arith.Constant.index(0)).results[0]
+            b.insert(memref.Store(zero, cell, []))
+            ub = b.insert(arith.Constant.index(100)).results[0]
+            step = b.insert(arith.Constant.index(1)).results[0]
+            loop = b.insert(scf.For(zero, ub, step))
+            inner = Builder.at_end(loop.body)
+            acc = inner.insert(memref.Load(cell, [])).results[0]
+            new = inner.insert(arith.AddI(acc, loop.induction_var)).results[0]
+            inner.insert(memref.Store(new, cell, []))
+            inner.insert(scf.Yield())
+            return [b.insert(memref.Load(cell, [])).results[0]]
+
+        module = build_fn([], [index], populate)
+        runs = []
+        for tier in TIERS:
+            interp = Interpreter(module, **tier)
+            runs.append((interp.call("f"), interp.steps))
+        assert runs[0][0] == (4950,)
+        assert runs[1:] == runs[:1] * 2
+
+    def test_if_stores_selected_branch(self):
+        """max(a, b) through ``scf.if`` branches that store into a cell."""
+
+        def populate(b, args):
+            cell = b.insert(memref.Alloca(MemRefType(i32, []))).results[0]
+            cond = b.insert(arith.CmpI("sgt", args[0], args[1])).results[0]
+            if_op = b.insert(scf.If(cond))
+            for block, value in (
+                (if_op.then_block, args[0]), (if_op.else_block, args[1]),
+            ):
+                branch = Builder.at_end(block)
+                branch.insert(memref.Store(value, cell, []))
+                branch.insert(scf.Yield())
+            return [b.insert(memref.Load(cell, [])).results[0]]
+
+        module = build_fn([i32, i32], [i32], populate)
+        for tier in TIERS:
+            interp = Interpreter(module, **tier)
+            assert interp.call("f", 3, 8) == (8,)
+            assert interp.call("f", 9, 1) == (9,)
+
     def test_empty_trip_count(self):
         def populate(b, args):
             lb = b.insert(arith.Constant.index(5)).results[0]

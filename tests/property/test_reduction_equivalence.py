@@ -140,7 +140,7 @@ def test_round_robin_accumulator_bit_identical(values, ncopies):
     assert fast_steps == scalar_steps
 
 
-@pytest.mark.parametrize("kind", ["add", "min", "max"])
+@pytest.mark.parametrize("kind", sorted(_COMBINERS))
 @given(values=_finite_f32_list(max_size=150))
 @settings(max_examples=20, deadline=None)
 def test_rank0_accumulator_bit_identical(kind, values):
