@@ -511,17 +511,9 @@ def _run_loop_nest(interp: Interpreter, op: Operation, env: dict):
     if rank == 1:
         lb, ub, step = lbs[0], ubs[0], steps[0]
         if step > 0 and interp.vectorize:
-            from repro.ir.vectorize import (
-                try_vectorized_loop,
-                try_vectorized_nest,
-                try_vectorized_reduction,
-            )
+            from repro.ir.vectorize import try_rank1_loop
 
-            if (
-                try_vectorized_loop(interp, op, env, lb, ub, step)
-                or try_vectorized_nest(interp, op, env, lb, ub, step)
-                or try_vectorized_reduction(interp, op, env, lb, ub, step)
-            ):
+            if try_rank1_loop(interp, op, env, lb, ub, step):
                 return None
         iv = lb
         while (step > 0 and iv < ub) or (step < 0 and iv > ub):

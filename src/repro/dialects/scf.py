@@ -143,17 +143,9 @@ def _run_for(interp: Interpreter, op: Operation, env: dict):
     if observer is not None:
         observer(op, _observed_trips(lb, ub, step), 1)
     if interp.vectorize:
-        from repro.ir.vectorize import (
-            try_vectorized_loop,
-            try_vectorized_nest,
-            try_vectorized_reduction,
-        )
+        from repro.ir.vectorize import try_rank1_loop
 
-        if (
-            try_vectorized_loop(interp, op, env, lb, ub, step)
-            or try_vectorized_nest(interp, op, env, lb, ub, step)
-            or try_vectorized_reduction(interp, op, env, lb, ub, step)
-        ):
+        if try_rank1_loop(interp, op, env, lb, ub, step):
             return None
     body = op.regions[0].block
     iv = lb

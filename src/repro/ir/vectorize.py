@@ -2081,9 +2081,11 @@ def _as_vector(value, trips: int, dtype) -> np.ndarray:
 # Entry points
 # ---------------------------------------------------------------------------
 #
-# The dispatch sites in ``dialects/scf.py`` and ``dialects/omp.py`` look
-# these four entries up by name, and each hands one family of modes to
-# the shared executors.
+# Each of the four entries hands one family of modes to the shared
+# executors.  The interpreter's rank-1 dispatch (``scf.for`` and rank-1
+# ``omp.loop_nest``) tries three of them through :func:`try_rank1_loop`,
+# which calls them by their module-global names, so a wrapper bound to
+# one of those names sees every call.
 
 
 def try_vectorized_loop(
@@ -2139,6 +2141,19 @@ def try_vectorized_reduction(
     if _trip_count(lb, ub, step) < _MIN_TRIPS:
         return False  # zero-trip loops included: the scalar walk is free
     return _run_nest(interp, env, ((lb, ub, step),), plan, program)
+
+
+def try_rank1_loop(
+    interp, loop: Operation, env, lb: int, ub: int, step: int
+) -> bool:
+    """Try the rank-1 entries in turn on the ``scf.for`` or rank-1
+    ``omp.loop_nest`` ``loop``.  Returns True when one handled it; the
+    scalar walk must run otherwise."""
+    return (
+        try_vectorized_loop(interp, loop, env, lb, ub, step)
+        or try_vectorized_nest(interp, loop, env, lb, ub, step)
+        or try_vectorized_reduction(interp, loop, env, lb, ub, step)
+    )
 
 
 def loop_vector_mode(loop: Operation) -> tuple[str | None, Any]:

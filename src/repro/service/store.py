@@ -40,7 +40,7 @@ from repro.session import KernelOverrides, TargetConfig
 
 #: Bump together with the on-disk layout, the key serialization or the
 #: pickle form of the artifacts: a new version addresses old entries away.
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 #: Stage names the store addresses, in pipeline order.
 STAGES = ("frontend", "host_device", "device_build", "program")

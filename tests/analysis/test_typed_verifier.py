@@ -11,7 +11,7 @@ source-located diagnostic (the ``loc`` attributes below).
 import pytest
 
 from repro.analysis import check_module
-from repro.ir import IRError, parse_module, verify
+from repro.ir import parse_module, verify
 from repro.ir.verifier import VerificationError, typed_check_op
 
 
@@ -74,34 +74,6 @@ def test_check_module_reports_located_diagnostic(code, bad, good, line):
     assert diags[0].severity == "error"
     assert diags[0].line == line
     assert len(check_module(parse_module(good))) == 0
-
-
-def test_carried_loop_value_is_a_structural_error():
-    """A loop-carried ``scf.for`` value with a mistyped yield is not a
-    type diagnostic: ``scf`` ops carry no SSA values, so the structural
-    check rejects the carried value itself, and no typed rule fires."""
-    carried = wrap(
-        """\
-      %0 = "arith.constant"() <{value = 0 : index}> : () -> (index)
-      %1 = "arith.constant"() <{value = 1 : index}> : () -> (index)
-      %2 = "arith.constant"() <{value = 4 : index}> : () -> (index)
-      %3 = "arith.constant"() <{value = 1.0 : f32}> : () -> (f32)
-      %4 = "scf.for"(%0, %2, %1, %3) <{loc = 9 : i64}> ({
-        ^bb(%i: index, %acc: f32):
-          %5 = "arith.constant"() <{value = 2.0 : f64}> : () -> (f64)
-          "scf.yield"(%5) : (f64) -> ()
-      }) : (index, index, index, f32) -> (f32)
-""",
-        name="carried_for",
-    )
-    module = parse_module(carried)
-    with pytest.raises(IRError, match="carries no values") as info:
-        verify(module)  # the nested yield is verified first
-    assert "[TYPE" not in str(info.value)
-    (loop,) = [op for op in module.walk() if op.name == "scf.for"]
-    with pytest.raises(IRError, match="lb, ub and step"):
-        loop.verify_()
-    assert all(typed_check_op(op) is None for op in module.walk())
 
 
 def test_select_value_legs_must_agree():

@@ -17,6 +17,7 @@ from repro.ir import (
     verify,
 )
 from repro.ir.types import FunctionType, MemRefType, f32, i32, index
+from repro.ir.verifier import typed_check_op
 
 
 def _c(v):
@@ -135,9 +136,43 @@ def _generic(cls, operands=(), result_types=(), regions=()):
     return op
 
 
+def _parse_func(body: str):
+    """Parse a module holding one ``() -> ()`` function ``f`` whose entry
+    block holds the generic-form ops ``body`` and a return."""
+    return parse_module(
+        '"builtin.module"() ({\n'
+        '  "func.func"() <{function_type = () -> (), sym_name = "f", '
+        'sym_visibility = "public"}> ({\n'
+        "    ^bb():\n"
+        f"{body}"
+        '      "func.return"() : () -> ()\n'
+        "  }) : () -> ()\n"
+        "}) : () -> ()\n"
+    )
+
+
+#: a carried ``scf.for`` value whose yield is also mistyped, written as
+#: text (the parser builds ops generically, like a buggy rewrite would)
+_PARSED_CARRIED_FOR = """\
+      %0 = "arith.constant"() <{value = 0 : index}> : () -> (index)
+      %1 = "arith.constant"() <{value = 1 : index}> : () -> (index)
+      %2 = "arith.constant"() <{value = 4 : index}> : () -> (index)
+      %3 = "arith.constant"() <{value = 1.0 : f32}> : () -> (f32)
+      %4 = "scf.for"(%0, %2, %1, %3) <{loc = 9 : i64}> ({
+        ^bb(%i: index, %acc: f32):
+          %5 = "arith.constant"() <{value = 2.0 : f64}> : () -> (f64)
+          "scf.yield"(%5) : (f64) -> ()
+      }) : (index, index, index, f32) -> (f32)
+"""
+
+
 def _value_carrying(form):
     """A module holding one value-carrying ``scf`` form that is otherwise
     well formed: ``(module, the offending op, its rejection message)``."""
+    if form == "parsed_carried_for":
+        module = _parse_func(_PARSED_CARRIED_FOR)
+        (op,) = [op for op in module.walk() if op.name == "scf.for"]
+        return module, op, "takes lb, ub and step"
     module = builtin.ModuleOp()
     fn = func.FuncOp("f", FunctionType([], []))
     module.body.add_op(fn)
@@ -185,17 +220,21 @@ def _value_carrying(form):
     "form",
     [
         "for_fourth_operand", "for_result", "for_body_carried_arg",
-        "if_result", "yield_operand",
+        "if_result", "yield_operand", "parsed_carried_for",
     ],
 )
 def test_value_carrying_forms_rejected(form):
     """Loop state lives in memory: ``scf`` ops carry no SSA values, and
-    the structural verifier rejects each form that would."""
+    the structural verifier rejects each form that would.  A carried
+    value is a structural error, not a type diagnostic: no typed rule
+    fires, even on a mistyped yield."""
     module, op, message = _value_carrying(form)
-    with pytest.raises(IRError):
+    with pytest.raises(IRError) as info:
         verify(module)
+    assert "[TYPE" not in str(info.value)
     with pytest.raises(IRError, match=message):
         op.verify_()
+    assert all(typed_check_op(each) is None for each in module.walk())
 
 
 @pytest.mark.parametrize("name", ["scf.while", "scf.condition", "scf.parallel"])
@@ -204,16 +243,7 @@ def test_value_carrying_ops_unregistered(name):
     iterations: a module naming one parses as an unregistered op and
     fails to run instead of running some other semantics."""
     assert default_context().get_op(name) is None
-    module = parse_module(
-        '"builtin.module"() ({\n'
-        '  "func.func"() <{function_type = () -> (), sym_name = "f", '
-        'sym_visibility = "public"}> ({\n'
-        "    ^bb():\n"
-        f'      "{name}"() : () -> ()\n'
-        '      "func.return"() : () -> ()\n'
-        "  }) : () -> ()\n"
-        "}) : () -> ()\n"
-    )
+    module = _parse_func(f'      "{name}"() : () -> ()\n')
     (op,) = [op for op in module.walk() if isinstance(op, UnregisteredOp)]
     assert op.op_name == name
     with pytest.raises(InterpreterError, match="no interpreter impl"):

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+import repro.service.store as store_module
 from repro.reliability import DataIntegrityError
 from repro.service import (
     ArtifactKey,
     ArtifactStore,
     canonical_source,
 )
-from repro.session import KernelOverrides, TargetConfig
+from repro.session import KernelOverrides, Session, TargetConfig
 from tests.conftest import SAXPY_MINI
 
 
@@ -61,6 +62,27 @@ def test_key_overrides_do_not_affect_host_stages():
 def test_key_rejects_unknown_stage():
     with pytest.raises(ValueError, match="unknown stage"):
         ArtifactKey(source=SAXPY_MINI, stage="bitstream")
+
+
+def test_walk_index_keyed_schedules_are_addressed_away(tmp_path):
+    """Store v2 pickled a device build's loop schedules keyed by their
+    walk index in the device module.  Loaded now, those keys match no
+    loop op and the runtime would price no loop, so the op-keyed form
+    has new addresses: a disk store written at v2 never serves them."""
+    build = Session(SAXPY_MINI).device_build(KernelOverrides())
+    walk_index = {
+        op: i for i, op in enumerate(build.bitstream.device_module.walk())
+    }
+    for kernel in build.bitstream.kernels.values():
+        kernel.loops = {walk_index[op]: s for op, s in kernel.loops.items()}
+    key = ArtifactKey(source=SAXPY_MINI, stage="device_build")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store_module, "STORE_VERSION", 2)
+        v2_digest = key.digest
+    ArtifactStore(tmp_path).put(v2_digest, build, stage="device_build")
+    store = ArtifactStore(tmp_path)
+    assert store.get(v2_digest) is not None
+    assert store.get(key) is None
 
 
 # -- tiers -------------------------------------------------------------------
