@@ -1,23 +1,31 @@
 #!/usr/bin/env python
-"""Perf smoke: wall-clock of the compiled execution engine, plus the CI
-bench-regression gate.
+"""Perf smoke: the modelled-value oracle and the CI bench gate.
 
-Times compilation and simulated runs of **every gallery workload**
-(``repro.workloads`` registry: SAXPY, SGESL, dot, Jacobi 2-D, SpMV,
-tiled GEMM, histogram, heat3d, batched GEMM) and writes
-``BENCH_pr10.json`` (at the repo root) with seconds and interpreter-step
-counts, so later PRs have a perf trajectory to regress against.  The
-simulator's *modelled* numbers (device time, cycles) are recorded too —
-they must stay constant across engine optimisations; only wall-clock may
-move.  Every run is checked bit-for-bit against the workload's NumPy
-reference.
+Runs **every gallery workload** (``repro.workloads`` registry: SAXPY,
+SGESL, dot, Jacobi 2-D, SpMV, tiled GEMM, histogram, heat3d, batched
+GEMM) once at each ``BENCH_PLAN`` size, checks every output bit for bit
+against the workload's NumPy reference, and writes ``BENCH_pr10.json``
+(at the repo root) with each run's *modelled* ``interpreter_steps``,
+``device_time_ms`` and ``kernel_cycles``.  These are simulator outputs,
+not wall-clock: an engine change must leave them byte-identical.  Three
+small sections ride along:
 
-New in PR 10: the ``scaling_tiers`` benchmark — multi-compute-unit
-weak/strong scaling curves (saxpy/heat3d/jacobi2d at 1/2/4 CUs) on
-*modelled* device time; the recorded speedups are deterministic
-simulator ratios whose floors gate the sharded cycle model.  PR 8 added
-``service_tiers`` (warm vs cold compile, 8-way coalesced burst, parallel
-vs serial DSE).  The ``--check-against`` bench gate (hardened in PR 7):
+* ``engine_tiers`` — one scalar-vs-vectorized wall-clock ratio per
+  whole-space tier family (scatter, nest, segmented) at the family's
+  smallest sweep size; both tiers must agree on steps and cycles, and
+  the vectorized tier must stay >= 5x faster;
+* ``service_tiers`` — warm-cache vs cold compile service build (>= 10x);
+* ``scaling_tiers`` — multi-compute-unit strong/weak scaling curves
+  (saxpy/heat3d/jacobi2d at 1/2/4 CUs) on modelled device time, whose
+  deterministic ratios gate the sharded cycle model.
+
+Wall-clock of compiles and runs is measured by ``perfbench/run.py``.  A
+large-size loop that silently falls off the whole-space tier is caught
+exactly, not by timing, by the seed-1 counts that
+``benchmarks/check_perfbench.py`` pins (calls per vectorizer entry,
+whole-space loops, ``vectorize.hit_ratio``).
+
+The ``--check-against`` gate:
 
     PYTHONPATH=src python benchmarks/perf_smoke.py \\
         --out bench.json --check-against BENCH_pr10.json
@@ -25,14 +33,12 @@ vs serial DSE).  The ``--check-against`` bench gate (hardened in PR 7):
 compares the fresh run to the committed baseline and exits non-zero when
 
 * any modelled ``interpreter_steps`` / ``device_time_ms`` /
-  ``kernel_cycles`` drifts for a bench present in both files (these are
-  simulator outputs, not wall-clock: an engine change must not move
-  them),
-* any recorded scalar-vs-vectorized speedup falls below the baseline's
-  ``floor`` (wall-clock ratio: the fast tier must stay >= 5x), or
+  ``kernel_cycles`` differs for a bench present in both files,
+* any recorded ``*_tiers`` speedup falls below the baseline's ``floor``,
+  or
 * a bench or ``*_tiers`` entry the baseline records is missing from the
-  current run — a dropped tier bench would otherwise un-gate its
-  regression silently.
+  current run — a dropped entry would otherwise un-gate its regression
+  silently.
 
 Benches only the *current* run has are reported but never fail the
 gate; they become binding once the fresh JSON is committed as the new
@@ -44,34 +50,42 @@ Run:  PYTHONPATH=src python benchmarks/perf_smoke.py [--out PATH]
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import sys
 import time
 from pathlib import Path
 
-from repro.ir.pass_manager import Instrumentation
 from repro.session import KernelOverrides, Session
-from repro.workloads import all_workloads, get_workload
+from repro.workloads import get_workload
 
-#: (workload, sizes timed, best-of rounds) — interpreter-bound benches
-#: first; the allocation-heavy n=10M SAXPY goes last so its memory
-#: pressure cannot skew them.
-BENCH_PLAN: tuple[tuple[str, tuple[int, ...], int], ...] = (
-    ("sgesl", (256, 512), 5),
-    ("dot", (50_000,), 5),
-    ("spmv", (1024, 4096), 5),
-    ("jacobi2d", (256, 512), 5),
-    ("gemm", (64, 128), 3),
-    ("histogram", (16384, 65536), 5),
-    ("heat3d", (32, 64), 5),
-    ("batched_gemm", (32, 64), 3),
-    ("saxpy", (1_000_000, 10_000_000), 3),
+#: (workload, sizes) whose modelled values the baseline records
+BENCH_PLAN: tuple[tuple[str, tuple[int, ...]], ...] = (
+    ("sgesl", (256, 512, 2048)),
+    ("dot", (50_000,)),
+    ("spmv", (1024, 4096, 16384)),
+    ("jacobi2d", (256, 512)),
+    ("gemm", (64, 128)),
+    ("histogram", (16384, 65536, 262144)),
+    ("heat3d", (32, 64)),
+    ("batched_gemm", (32, 64)),
+    ("saxpy", (1_000_000, 10_000_000)),
+)
+
+#: (tier family, workload) for ``engine_tiers``, each run at the
+#: workload's smallest sweep size: histogram's ``ufunc.at`` scatter,
+#: heat3d's rank-3 ``collapse(3)`` nest and spmv's CSR row loops on the
+#: segmented tier.
+TIER_PLAN: tuple[tuple[str, str], ...] = (
+    ("scatter", "histogram"),
+    ("nest", "heat3d"),
+    ("segmented", "spmv"),
 )
 
 #: wall-clock ratio the vectorized tier must keep over the scalar tier
-#: in the ``*_tiers`` benches; recorded into the JSON so the bench gate
-#: can hold later PRs to it.
+#: in ``engine_tiers``; recorded into the JSON so the bench gate can
+#: hold later runs to it.
 TIER_SPEEDUP_FLOOR = 5.0
 
 #: (workload, fixed size) for the strong-scaling curves and the CU
@@ -95,138 +109,73 @@ SCALING_WEAK_FLOOR = 0.7
 SCALING_WEAK_BASE_N = 250_000
 
 
-def _best_of(fn, rounds: int = 5):
-    """Best-of-N with the cycle collector paused during the timed region
+def _timed(fn):
+    """``(seconds, fn())`` with the cycle collector paused while timed
     (the live programs' IR graphs make gen-2 collections expensive and
-    noisy, exactly like pytest-benchmark's calibrated mode avoids)."""
-    import gc
+    noisy)."""
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = fn()
+        return time.perf_counter() - start, result
+    finally:
+        gc.enable()
 
-    best = None
-    result = None
+
+def _best_of(fn, rounds: int) -> float:
+    """The fastest of ``rounds`` timed calls of ``fn``."""
+    best = float("inf")
     for _ in range(rounds):
         gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - start
-        finally:
-            gc.enable()
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+        best = min(best, _timed(fn)[0])
+    return best
 
 
-def bench_compile(name: str) -> tuple[dict, object]:
-    workload = get_workload(name)
-    seconds, program = _best_of(lambda: workload.compile())
-    return {"name": f"compile:{name}", "seconds": round(seconds, 6)}, program
-
-
-def _timed_checked_run(
-    program, workload, instance, rounds: int, **executor_kwargs
-):
-    """Best-of-N of one executor run, outputs checked bit-for-bit.
-
-    Instance construction and the NumPy reference are *not* part of the
-    timed region — only executor work is; mutated outputs get a fresh
-    copy per round (the copy cost is negligible next to the run).
-    """
-
-    def run():
-        args = list(instance.args)
-        for pos in instance.expected:
-            args[pos] = instance.args[pos].copy()
-        result = program.executor(**executor_kwargs).run(
-            workload.entry, *args
-        )
-        for pos, expected in instance.expected.items():
-            assert args[pos].tobytes() == expected.tobytes(), (
-                f"{workload.name}: output {pos} diverged from the "
-                "NumPy reference"
-            )
-        return result
-
-    return _best_of(run, rounds=rounds)
-
-
-def bench_run(program, name: str, n: int, rounds: int) -> dict:
-    workload = get_workload(name)
+def _checked_run(program, workload, n: int, **executor_kwargs):
+    """One executor run of ``workload`` at size ``n`` with its outputs
+    checked bit for bit against the NumPy reference; returns
+    ``(seconds, result)``.  Only the executor run is timed, not building
+    the instance or the check."""
     instance = workload.instance(n)
-    seconds, result = _timed_checked_run(program, workload, instance, rounds)
+    seconds, result = _timed(
+        lambda: program.executor(**executor_kwargs).run(
+            workload.entry, *instance.args
+        )
+    )
+    workload.check(instance)
+    return seconds, result
+
+
+def bench_run(program, name: str, n: int) -> dict:
+    _, result = _checked_run(program, get_workload(name), n)
     return {
         "name": f"{name}:n={n}",
-        "seconds": round(seconds, 6),
         "interpreter_steps": result.interpreter_steps,
         "device_time_ms": result.device_time_ms,
         "kernel_cycles": result.kernel_cycles,
     }
 
 
-#: (workload, simdlen sweep, evaluation size) for the DSE reuse bench —
-#: small n so compile cost dominates and the reuse win is what's measured.
-DSE_PLAN: tuple[tuple[str, tuple[int, ...], int], ...] = (
-    ("saxpy", (1, 2, 4, 8), 2000),
-    ("jacobi2d", (1, 2, 4), 32),
-)
-
-
-def bench_dse_reuse(name: str, factors: tuple[int, ...], n: int) -> dict:
-    """One sweep, two ways: fresh session per point vs shared session."""
+def bench_tiers(program, family: str, name: str) -> dict:
+    """Scalar vs vectorized tier on one workload at its smallest sweep
+    size: both tiers must agree bit for bit and in step and cycle
+    accounting; only wall-clock may differ."""
     workload = get_workload(name)
-    evaluate = workload.evaluator(n)
-
-    def sweep_fresh_sessions() -> int:
-        compiles = 0
-        for factor in factors:
-            session = Session(
-                workload.source, instrumentation=Instrumentation()
-            )
-            evaluate(session.program(KernelOverrides(simdlen=factor)))
-            compiles += session.counters["frontend_compiles"]
-        return compiles
-
-    def sweep_shared_session() -> int:
-        session = Session(workload.source, instrumentation=Instrumentation())
-        for factor in factors:
-            evaluate(session.program(KernelOverrides(simdlen=factor)))
-        return session.counters["frontend_compiles"]
-
-    fresh_s, fresh_compiles = _best_of(sweep_fresh_sessions, rounds=3)
-    shared_s, shared_compiles = _best_of(sweep_shared_session, rounds=3)
-    return {
-        "name": f"dse:{name}:points={len(factors)}",
-        "fresh_seconds": round(fresh_s, 6),
-        "shared_seconds": round(shared_s, 6),
-        "speedup": round(fresh_s / shared_s, 3),
-        "fresh_frontend_compiles": fresh_compiles,
-        "shared_frontend_compiles": shared_compiles,
-    }
-
-
-def bench_tiers(program, name: str, n: int) -> dict:
-    """Scalar vs vectorized tier on one workload: both tiers must agree
-    bit-for-bit and in step accounting; only wall-clock may differ.  The
-    scalar side interprets millions of ops per kernel, so it runs once;
-    the vectorized side is best-of-3."""
-    workload = get_workload(name)
-    instance = workload.instance(n)
-    scalar_s, scalar_result = _timed_checked_run(
-        program, workload, instance, rounds=1,
-        compiled=False, vectorize=False,
+    n = min(workload.sizes)
+    scalar_s, scalar = _checked_run(
+        program, workload, n, compiled=False, vectorize=False
     )
-    fast_s, fast_result = _timed_checked_run(
-        program, workload, instance, rounds=3,
-        compiled=True, vectorize=True,
-    )
-    assert scalar_result.interpreter_steps == fast_result.interpreter_steps
-    assert scalar_result.kernel_cycles == fast_result.kernel_cycles
+    fast_s, fast = _checked_run(program, workload, n)
+    assert scalar.interpreter_steps == fast.interpreter_steps
+    assert scalar.kernel_cycles == fast.kernel_cycles
     return {
         "name": f"{name}:n={n}",
+        "family": family,
         "scalar_seconds": round(scalar_s, 6),
         "vectorized_seconds": round(fast_s, 6),
         "speedup": round(scalar_s / fast_s, 2),
         "floor": TIER_SPEEDUP_FLOOR,
-        "interpreter_steps": scalar_result.interpreter_steps,
+        "interpreter_steps": scalar.interpreter_steps,
     }
 
 
@@ -236,20 +185,20 @@ def bench_scaling() -> list[dict]:
     Strong: fixed problem size, CU count swept — ``speedup`` is the
     1-CU modelled time over this CU count's.  Weak: the problem grows
     with the CU count (saxpy: work linear in n), ``speedup`` is the
-    parallel efficiency (1.0 = perfect).  Every entry's outputs are
-    checked bit-for-bit by the executor path itself (the evaluator runs
-    the workload's NumPy reference check); determinism across CU counts
-    is separately pinned by tests/runtime/test_multi_cu.py.
+    parallel efficiency (1.0 = perfect).  Every run's outputs are
+    checked bit for bit against the NumPy reference; determinism across
+    CU counts is separately pinned by tests/runtime/test_multi_cu.py.
     """
     entries = []
     for name, n in SCALING_PLAN:
         workload = get_workload(name)
-        evaluate = workload.evaluator(n)
         session = Session(workload.source)
         results = {}
         for units in SCALING_CUS:
             overrides = KernelOverrides(compute_units=units)
-            results[units] = evaluate(session.program(overrides))
+            _, results[units] = _checked_run(
+                session.program(overrides), workload, n
+            )
             session.release_build(overrides)
         base_ms = results[1].device_time_ms
         for units in SCALING_CUS:
@@ -269,7 +218,7 @@ def bench_scaling() -> list[dict]:
     for units in SCALING_CUS:
         n = SCALING_WEAK_BASE_N * units
         overrides = KernelOverrides(compute_units=units)
-        result = workload.evaluator(n)(session.program(overrides))
+        _, result = _checked_run(session.program(overrides), workload, n)
         session.release_build(overrides)
         if base_ms is None:
             base_ms = result.device_time_ms
@@ -286,27 +235,15 @@ def bench_scaling() -> list[dict]:
 
 
 #: regression floor for the warm-cache service compile over a cold
-#: build.  The *recorded* speedup is ~20-24x (the PR 8 acceptance bar);
-#: the floor sits well below it, like every other tier floor (e.g.
-#: segmented 688x recorded / 5x floor), because its job is to catch the
-#: cache breaking (ratio collapsing toward 1x), not 10% timer jitter on
-#: a ~1 ms unpickle.
+#: build.  The *recorded* speedup is ~16-31x; the floor sits well below
+#: it, like every other tier floor, because its job is to catch the
+#: cache breaking (ratio collapsing toward 1x), not timer jitter on a
+#: ~1 ms unpickle.
 SERVICE_WARM_FLOOR = 10.0
-#: an 8-way coalesced burst must beat 8 serial cold builds by at least
-#: this much (it performs exactly one build).
-SERVICE_COALESCE_FLOOR = 2.0
-#: parallel-vs-serial DSE floor: an overhead bound, not a speedup claim.
-#: CI runners may expose a single core, where process-parallel builds
-#: cannot win wall-clock; the floor guards against the parallel path
-#: degrading catastrophically (e.g. losing per-worker session reuse).
-SERVICE_DSE_FLOOR = 0.25
 
 
 def bench_service_tiers() -> list[dict]:
-    """The compile-service benches: warm cache vs cold build, an 8-way
-    coalesced burst vs 8 serial builds, and a parallel vs serial 8-point
-    DSE sweep (identical tables asserted)."""
-    from repro.dse import explore_workload
+    """Warm-cache vs cold compile service build of saxpy."""
     from repro.service import (
         ArtifactStore,
         CompileRequest,
@@ -314,94 +251,36 @@ def bench_service_tiers() -> list[dict]:
         reset_worker_sessions,
     )
 
-    source = get_workload("saxpy").source
-    request = CompileRequest(source)
+    request = CompileRequest(get_workload("saxpy").source)
 
-    # -- warm vs cold --------------------------------------------------
     def cold_build():
         reset_worker_sessions()
         with CompileService(store=ArtifactStore(), max_workers=0) as svc:
             svc.compile(request)
 
-    cold_s, _ = _best_of(cold_build, rounds=5)
+    cold_s = _best_of(cold_build, rounds=5)
     with CompileService(store=ArtifactStore(), max_workers=0) as service:
         service.compile(request)
         # the warm path unpickles a fresh artifact per hit (~1-2 ms); a
         # deep best-of keeps the recorded minimum stable against GC /
         # allocator noise so the floor compares stable minima
-        warm_s, _ = _best_of(
-            lambda: service.compile(request), rounds=25
-        )
+        warm_s = _best_of(lambda: service.compile(request), rounds=25)
         assert service.stats.memory_hits >= 25
-    warm_vs_cold = {
-        "name": "saxpy:warm_vs_cold",
-        "cold_seconds": round(cold_s, 6),
-        "warm_seconds": round(warm_s, 6),
-        "speedup": round(cold_s / warm_s, 2),
-        "floor": SERVICE_WARM_FLOOR,
-    }
-
-    # -- coalesced 8-way burst vs 8 serial builds ----------------------
-    def serial_8():
-        for _ in range(8):
-            cold_build()
-
-    serial_s, _ = _best_of(serial_8, rounds=2)
-    with CompileService(
-        store=ArtifactStore(), max_workers=2
-    ) as service:
-        service.warm_pool()
-
-        def burst_8():
-            futures = [service.submit(request) for _ in range(8)]
-            for future in futures:
-                future.result()
-
-        start = time.perf_counter()
-        burst_8()
-        burst_s = time.perf_counter() - start
-        builds = service.stats.builds
-    assert builds == 1, f"coalesced burst performed {builds} builds"
-    coalesced = {
-        "name": "saxpy:coalesced8",
-        "serial_seconds": round(serial_s, 6),
-        "burst_seconds": round(burst_s, 6),
-        "speedup": round(serial_s / burst_s, 2),
-        "floor": SERVICE_COALESCE_FLOOR,
-        "builds": builds,
-    }
-
-    # -- parallel vs serial 8-point DSE sweep --------------------------
-    factors = (1, 2, 3, 4, 5, 6, 7, 8)
-    start = time.perf_counter()
-    serial_sweep = explore_workload("saxpy", simdlen_factors=factors)
-    dse_serial_s = time.perf_counter() - start
-    with CompileService(
-        store=ArtifactStore(), max_workers=2, queue_depth=len(factors)
-    ) as service:
-        service.warm_pool()
-        start = time.perf_counter()
-        parallel_sweep = explore_workload(
-            "saxpy", simdlen_factors=factors, service=service
-        )
-        dse_parallel_s = time.perf_counter() - start
-    assert parallel_sweep.table() == serial_sweep.table(), (
-        "parallel DSE sweep produced a different table than serial"
-    )
-    dse = {
-        "name": "saxpy:dse8",
-        "serial_seconds": round(dse_serial_s, 6),
-        "parallel_seconds": round(dse_parallel_s, 6),
-        "speedup": round(dse_serial_s / dse_parallel_s, 2),
-        "floor": SERVICE_DSE_FLOOR,
-        "points": len(factors),
-    }
-    return [warm_vs_cold, coalesced, dse]
+    return [
+        {
+            "name": "saxpy:warm_vs_cold",
+            "cold_seconds": round(cold_s, 6),
+            "warm_seconds": round(warm_s, 6),
+            "speedup": round(cold_s / warm_s, 2),
+            "floor": SERVICE_WARM_FLOOR,
+        }
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Bench gate (--check-against)
 # ---------------------------------------------------------------------------
+
 
 #: per-bench values the simulator *models*; an engine change must not
 #: move them, so the gate requires exact equality against the baseline.
@@ -449,8 +328,6 @@ def check_against(
             )
             continue
         for key in MODELLED_KEYS:
-            if key not in base and key not in cur:
-                continue  # compile:* entries carry wall-clock only
             if base.get(key) != cur.get(key):
                 failures.append(
                     f"{name}: modelled {key} drifted from the baseline "
@@ -498,85 +375,44 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    # service benches run first, while the process heap is still small:
-    # the warm path is a ~1 ms unpickle, and running it after the gallery
-    # has filled gen-2 with live IR graphs measurably slows allocation
-    # inside pickle.loads (enough to blur the recorded cold/warm ratio).
+    # the service bench runs first, while the process heap is still
+    # small: the warm path is a ~1 ms unpickle, and running it after the
+    # gallery has filled gen-2 with live IR graphs measurably slows
+    # allocation inside pickle.loads (enough to blur the ratio).
     service_benches = bench_service_tiers()
     scaling_benches = bench_scaling()
 
-    benches = []
-    programs: dict[str, object] = {}
-    for workload in all_workloads():
-        entry, program = bench_compile(workload.name)
-        benches.append(entry)
-        programs[workload.name] = program
-
-    for name, sizes, rounds in BENCH_PLAN:
-        for n in sizes:
-            benches.append(bench_run(programs[name], name, n, rounds))
-
-    dse_benches = [
-        bench_dse_reuse(name, factors, n) for name, factors, n in DSE_PLAN
+    programs = {name: get_workload(name).compile() for name, _ in BENCH_PLAN}
+    benches = [
+        bench_run(programs[name], name, n)
+        for name, sizes in BENCH_PLAN
+        for n in sizes
     ]
-
-    scatter_benches = [
-        bench_tiers(
-            programs["histogram"], "histogram",
-            max(get_workload("histogram").sizes),
-        )
-    ]
-    nest_benches = [
-        bench_tiers(
-            programs["heat3d"], "heat3d", max(get_workload("heat3d").sizes)
-        ),
-        bench_tiers(
-            programs["batched_gemm"], "batched_gemm",
-            max(get_workload("batched_gemm").sizes),
-        ),
-    ]
-    segmented_benches = [
-        bench_tiers(
-            programs["spmv"], "spmv", max(get_workload("spmv").sizes)
-        ),
-        bench_tiers(
-            programs["sgesl"], "sgesl", max(get_workload("sgesl").sizes)
-        ),
+    # after the plan, so the timed vectorized runs find their functions
+    # already JIT-compiled
+    engine_benches = [
+        bench_tiers(programs[name], family, name)
+        for family, name in TIER_PLAN
     ]
     payload = {
         "pr": 10,
         "description": (
-            "Workload gallery through the three-tier engine: every "
-            "registered workload compiled + run, outputs checked bit-for-"
-            "bit against NumPy references. Wall-clock of the simulator; "
-            "device_time_ms/kernel_cycles are modelled values and must "
-            "stay constant across engine changes (the --check-against "
-            "bench gate enforces this in CI). dse_artifact_reuse "
-            "compares a sweep with a fresh Session per point (old cost "
-            "model) against one shared Session. scatter_tiers, "
-            "nest_tiers and segmented_tiers record scalar-vs-vectorized "
-            "wall-clock at each workload's largest sweep size (ufunc.at "
-            "scatter; rank-3 collapse(3) whole-space nests; spmv's CSR "
-            "row loops and sgesl's triangular updates on the segmented "
-            "tier); each records the speedup floor the gate holds later "
-            "runs to. service_tiers (PR 8) records the compile-service "
-            "wins: warm-cache vs cold compile, an 8-way coalesced burst "
-            "(exactly one build) vs 8 serial builds, and parallel vs "
-            "serial 8-point DSE (the dse8 floor is an overhead bound — "
-            "single-core runners cannot win wall-clock on process-"
-            "parallel builds). scaling_tiers (PR 10) records multi-"
-            "compute-unit weak/strong scaling curves on *modelled* "
-            "device time (saxpy/heat3d/jacobi2d at 1/2/4 CUs): the "
-            "speedups are deterministic simulator ratios, so their "
-            "floors gate the sharded cycle model itself, not wall-clock "
-            "noise."
+            "Modelled-value oracle of the workload gallery: each "
+            "workload run once per size, outputs checked bit for bit "
+            "against NumPy references. interpreter_steps, "
+            "device_time_ms and kernel_cycles are modelled values and "
+            "must stay byte-identical across engine changes (the "
+            "--check-against bench gate enforces this in CI). "
+            "engine_tiers: one scalar-vs-vectorized wall-clock ratio per "
+            "whole-space tier family at its smallest sweep size. "
+            "service_tiers: warm-cache vs cold compile service build. "
+            "scaling_tiers: multi-CU weak/strong scaling curves on "
+            "modelled device time. Every *_tiers entry records the "
+            "floor the gate holds later runs to."
         ),
         "python": platform.python_version(),
         "benches": benches,
-        "dse_artifact_reuse": dse_benches,
-        "scatter_tiers": scatter_benches,
-        "nest_tiers": nest_benches,
-        "segmented_tiers": segmented_benches,
+        "engine_tiers": engine_benches,
         "service_tiers": service_benches,
         "scaling_tiers": scaling_benches,
     }
@@ -585,39 +421,23 @@ def main() -> None:
 
     width = max(len(b["name"]) for b in benches)
     for bench in benches:
-        steps = bench.get("interpreter_steps")
-        extra = f"  steps={steps:,}" if steps is not None else ""
-        print(f"{bench['name']:<{width}}  {bench['seconds']*1e3:9.2f} ms{extra}")
-    for bench in dse_benches:
         print(
-            f"{bench['name']}  fresh {bench['fresh_seconds']*1e3:8.2f} ms "
-            f"({bench['fresh_frontend_compiles']} frontend compiles)  "
-            f"shared {bench['shared_seconds']*1e3:8.2f} ms "
-            f"({bench['shared_frontend_compiles']})  "
-            f"speedup {bench['speedup']:.2f}x"
+            f"{bench['name']:<{width}}  steps={bench['interpreter_steps']:,}"
+            f"  device {bench['device_time_ms']:.3f} ms"
+            f"  cycles={bench['kernel_cycles']:,.0f}"
         )
-    for section, entries in (
-        ("scatter_tiers", scatter_benches),
-        ("nest_tiers", nest_benches),
-        ("segmented_tiers", segmented_benches),
-    ):
-        for bench in entries:
-            print(
-                f"{section}:{bench['name']}  "
-                f"scalar {bench['scalar_seconds']*1e3:9.2f} ms  "
-                f"vectorized {bench['vectorized_seconds']*1e3:8.2f} ms  "
-                f"speedup {bench['speedup']:.1f}x (floor {bench['floor']:.0f}x)"
-            )
+    for bench in engine_benches:
+        print(
+            f"engine_tiers:{bench['name']} ({bench['family']})  "
+            f"scalar {bench['scalar_seconds']*1e3:9.2f} ms  "
+            f"vectorized {bench['vectorized_seconds']*1e3:8.2f} ms  "
+            f"speedup {bench['speedup']:.1f}x (floor {bench['floor']:g}x)"
+        )
     for bench in service_benches:
-        slow_key, fast_key = [
-            k for k in bench if k.endswith("_seconds")
-        ]
         print(
             f"service_tiers:{bench['name']}  "
-            f"{slow_key.removesuffix('_seconds')} "
-            f"{bench[slow_key]*1e3:9.2f} ms  "
-            f"{fast_key.removesuffix('_seconds')} "
-            f"{bench[fast_key]*1e3:8.2f} ms  "
+            f"cold {bench['cold_seconds']*1e3:9.2f} ms  "
+            f"warm {bench['warm_seconds']*1e3:8.2f} ms  "
             f"speedup {bench['speedup']:.2f}x (floor {bench['floor']:g}x)"
         )
     for bench in scaling_benches:

@@ -76,11 +76,6 @@ def compiled_for(op_name: str, *, counts_own_steps: bool = False):
     return register
 
 
-def native_op_names() -> frozenset[str]:
-    """Op names with a registered compiled form."""
-    return frozenset(_EMITTERS)
-
-
 class CannotCompile(Exception):
     """Internal signal: this function must stay on the scalar path."""
 

@@ -10,7 +10,7 @@ eagerly so rewrites can use :meth:`SSAValue.replace_by`.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from repro.ir.attributes import Attribute
 from repro.ir.types import TypeAttribute
@@ -485,10 +485,6 @@ class Block:
         self.ops.append(op)
         return op
 
-    def add_ops(self, ops: Iterable[Operation]) -> None:
-        for op in ops:
-            self.add_op(op)
-
     def _anchor_index(self, anchor: Operation, anchor_index: int | None) -> int:
         """Resolve ``anchor``'s position, trusting a caller-supplied index
         when it checks out so repeated insertions avoid ``list.index``."""
@@ -678,9 +674,6 @@ class Context:
 
     def get_op(self, name: str) -> type[Operation] | None:
         return self._op_registry.get(name)
-
-    def registered_dialects(self) -> list[str]:
-        return sorted(self._dialects)
 
     @property
     def op_names(self) -> list[str]:

@@ -34,7 +34,6 @@ import numpy as np
 from repro.backend.vitis import Bitstream
 from repro.dialects import builtin
 from repro.dialects.memref import element_dtype
-from repro.fpga.board import U280Board
 from repro.ir.attributes import IntegerAttr
 from repro.ir.core import IRError, Operation
 from repro.ir.interpreter import Interpreter, InterpreterError, impl
@@ -62,8 +61,6 @@ class FpgaExecutor:
         self,
         host_module: builtin.ModuleOp,
         bitstream: Bitstream,
-        board: U280Board | None = None,
-        flow_label: str = "fortran-openmp",
         *,
         compiled: bool = True,
         vectorize: bool = True,
@@ -73,8 +70,7 @@ class FpgaExecutor:
     ):
         self.host_module = host_module
         self.bitstream = bitstream
-        self.board = board or bitstream.board
-        self.flow_label = flow_label
+        self.board = bitstream.board
         #: execution-tier selection, forwarded to both the host program
         #: interpreter and the device-kernel runner (the conformance suite
         #: sweeps these and asserts bit-identical results + accounting)
@@ -131,7 +127,7 @@ class FpgaExecutor:
         # the jitter key reads the clock once pending input tiles landed
         now_s = queue.finish()
         return queue.result(
-            f"{self.flow_label}:{func_name}:{now_s:.9f}",
+            f"fortran-openmp:{func_name}:{now_s:.9f}",
             returned=returned,
             interpreter_steps=interp.steps + kernel_steps,
             report=report,

@@ -302,7 +302,6 @@ class CompiledProgram:
 
     def executor(
         self,
-        flow_label: str = "fortran-openmp",
         *,
         compiled: bool = True,
         vectorize: bool = True,
@@ -322,7 +321,7 @@ class CompiledProgram:
         per-kernel step budget.
         """
         return FpgaExecutor(
-            self.host_module, self.bitstream, self.board, flow_label,
+            self.host_module, self.bitstream,
             compiled=compiled, vectorize=vectorize,
             fault_plan=fault_plan, retry_policy=retry_policy,
             watchdog_steps=watchdog_steps,

@@ -106,11 +106,7 @@ class LowerOmpToHlsPass(ModulePass):
         target_ii: int = 1,
         shared_bundle: bool = False,
         simdlen: int | None = None,
-        *,
-        default_reduction_copies: int | None = None,
     ):
-        if default_reduction_copies is not None:  # pre-Session spelling
-            reduction_copies = default_reduction_copies
         self.reduction_copies = reduction_copies
         self.target_ii = target_ii
         #: ablation knob: True binds every array to one shared m_axi
@@ -119,10 +115,6 @@ class LowerOmpToHlsPass(ModulePass):
         #: when set, wins over (or supplies) the ``omp.simd`` factor —
         #: the DSE sweep knob that replaced source-text rewriting.
         self.simdlen = simdlen
-
-    @property
-    def default_reduction_copies(self) -> int:
-        return self.reduction_copies
 
     def apply(self, module: Operation) -> None:
         for fn in list(module.walk_type(func.FuncOp)):

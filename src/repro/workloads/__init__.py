@@ -19,7 +19,6 @@ from repro.workloads.base import (
     WorkloadInstance,
     all_workloads,
     get_workload,
-    iter_workloads,
     register,
     workload_names,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "WorkloadInstance",
     "all_workloads",
     "get_workload",
-    "iter_workloads",
     "register",
     "workload_names",
     # saxpy

@@ -20,7 +20,7 @@ The registry is the single list of workloads consumed by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -155,6 +155,3 @@ def all_workloads() -> tuple[GalleryWorkload, ...]:
     """Every registered workload, in registration order."""
     return tuple(_REGISTRY.values())
 
-
-def iter_workloads() -> Iterator[GalleryWorkload]:
-    yield from _REGISTRY.values()

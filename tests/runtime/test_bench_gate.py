@@ -1,22 +1,36 @@
-"""The ``--check-against`` bench gate must *report* what it cannot
-compare.
+"""The bench gates: ``perf_smoke.py --check-against`` and
+``check_perfbench.py``.
 
-PR 7 bugfix: the gate used to iterate the intersection of baseline and
-current entries, so a bench or ``*_tiers`` entry that vanished from the
-current run (a retired workload, a tier bench silently dropped by a
-refactor) simply un-gated its own regression.  Missing entries are now
-first-class reported failures — never a silent pass, never a traceback.
+PR 7 bugfix: the ``--check-against`` gate used to iterate the
+intersection of baseline and current entries, so a bench or ``*_tiers``
+entry that vanished from the current run (a retired workload, a tier
+bench silently dropped by a refactor) simply un-gated its own
+regression.  Missing entries are now first-class reported failures —
+never a silent pass, never a traceback.
+
+``check_perfbench.check`` is fed synthetic perfbench result lines: any
+exact count that drifts, a missing result line or an incorrect run must
+be a reported failure.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
-_spec = importlib.util.spec_from_file_location(
-    "perf_smoke", REPO / "benchmarks" / "perf_smoke.py"
-)
-perf_smoke = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(perf_smoke)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, REPO / "benchmarks" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+perf_smoke = _load("perf_smoke")
+check_perfbench = _load("check_perfbench")
 
 check_against = perf_smoke.check_against
 
@@ -144,3 +158,52 @@ class TestBaselineName:
         failures = check_against(base, cur)
         assert len(failures) == 1
         assert "baseline" in failures[0]
+
+
+def _result_lines(workload, correct=True, **overrides):
+    """A perfbench output whose last line is a result carrying
+    ``workload``'s expected counts, with ``overrides`` applied."""
+    counts = {**check_perfbench.EXPECTED[workload], **overrides}
+    result = {
+        "correct": correct,
+        "attempted": 10,
+        "failed": 0 if correct else 1,
+        "metrics": {
+            name: {"value": value, "unit": "count"}
+            for name, value in counts.items()
+        },
+    }
+    return ['{"samples": {}}', json.dumps(result)]
+
+
+class TestCheckPerfbench:
+    def test_matching_counts_pass(self):
+        for workload in check_perfbench.EXPECTED:
+            lines = _result_lines(workload)
+            assert check_perfbench.check(workload, lines) == []
+
+    def test_drifted_hit_ratio_fails(self):
+        """A loop whose runtime proof declines keeps its entry calls and
+        its steps; only the hit ratio sees it."""
+        lines = _result_lines("run-sgesl", **{"vectorize.hit_ratio": 0.99})
+        failures = check_perfbench.check("run-sgesl", lines)
+        assert len(failures) == 1
+        assert "vectorize.hit_ratio" in failures[0]
+
+    def test_drifted_calls_fail(self):
+        name = "vectorize.try_vectorized_reduction.calls"
+        lines = _result_lines("run-kernels", **{name: 98_328})
+        failures = check_perfbench.check("run-kernels", lines)
+        assert len(failures) == 1
+        assert name in failures[0]
+
+    def test_missing_result_line_fails(self):
+        lines = _result_lines("run-kernels")[:1]
+        failures = check_perfbench.check("run-kernels", lines)
+        assert failures == ["no result line in the perfbench output"]
+
+    def test_incorrect_run_fails(self):
+        lines = _result_lines("dse-sweep", correct=False)
+        failures = check_perfbench.check("dse-sweep", lines)
+        assert len(failures) == 1
+        assert "not correct" in failures[0]

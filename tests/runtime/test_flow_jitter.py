@@ -30,7 +30,7 @@ class TestDeterminism:
 
     def test_pinned_exact_values(self):
         """Golden values: a change here means every BENCH_*.json baseline
-        in benchmarks/ is invalidated — regenerate them deliberately,
+        at the repo root is invalidated — regenerate them deliberately,
         never rebase the expectation silently."""
         assert _flow_jitter("a") == 1.0023309941641791
         assert _flow_jitter("fortran-openmp:main:0.001234567") == (

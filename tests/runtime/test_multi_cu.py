@@ -282,8 +282,8 @@ def _small_bank_session():
 
 
 def test_oversized_alloc_without_streaming_is_typed():
-    """An array bigger than its HBM bank fails as DeviceAllocationError
-    (not a raw ClError) and the message points at streaming mode."""
+    """An array bigger than its HBM bank fails as a typed
+    DeviceAllocationError and the message points at streaming mode."""
     session = _small_bank_session()
     program = session.program(KernelOverrides())
     workload = get_workload("saxpy")
