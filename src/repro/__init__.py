@@ -7,10 +7,10 @@ and transformation passes, the HLS dialect of Stencil-HMLS, the AMD HLS
 backend bridge, a simulated Vitis toolchain and U280 board, and the
 OpenCL-style host runtime.
 
-The public API is the staged session (each stage computed once, cached
-by its options, later stages re-runnable with different overrides)::
+The public API is the staged session (each stage computed once and
+cached, the device build re-runnable with different overrides)::
 
-    from repro import KernelOverrides, Session
+    from repro import KernelOverrides, Session, TargetConfig
 
     session = Session(FORTRAN_SOURCE)
     program = session.program()            # full Figure-2 flow
@@ -18,9 +18,17 @@ by its options, later stages re-runnable with different overrides)::
     print(program.bitstream.report())      # Vitis-style utilisation
 
     wide = session.program(KernelOverrides(simdlen=8))  # device build only
+    banked = Session(
+        FORTRAN_SOURCE, target=TargetConfig(memory_space_policy="round_robin")
+    ).program()
 
-``compile_fortran(source, board=None)`` is the one-shot form, a fresh
-session's ``program()``.  Pass pipelines are declarative
+Each compile setting has one place: the board and the memory-space
+policy are :class:`TargetConfig` fields fixed per session, the kernel
+knobs are :class:`KernelOverrides`, and every stage product has one
+type (``program()`` is the cached ``device_build()``, a
+:class:`CompiledProgram`).  ``compile_fortran(source, board=None)`` is
+the one-shot form, a fresh session's ``program()``.  Pass pipelines
+are declarative
 (``PassManager.parse("lower-omp-to-hls{reduction_copies=4},cse")``) and
 observable through :class:`Instrumentation` (stage snapshots, per-pass
 timing, artifact-build counters).
@@ -46,7 +54,6 @@ from repro.service import (
     CompileService,
 )
 from repro.session import (
-    DeviceBuild,
     FrontendArtifact,
     HostDeviceArtifact,
     KernelOverrides,
@@ -64,7 +71,6 @@ __all__ = [
     "CompileRequest",
     "CompileService",
     "CompiledProgram",
-    "DeviceBuild",
     "Diagnostic",
     "DiagnosticEngine",
     "FrontendArtifact",

@@ -43,6 +43,7 @@ from repro.transforms.loop_analysis import (
     _defined_inside,
     _exact_offset,
     classify_index,
+    const_int,
     float_chain_latency,
     index_values_equal,
     root_memref,
@@ -90,14 +91,6 @@ def _enclosing(op: Operation, name: str) -> Operation | None:
         if parent.name == name:
             return parent
         parent = _parent_op(parent)
-    return None
-
-
-def _static_value(value: SSAValue) -> int | None:
-    if isinstance(value, OpResult) and value.op.name == "arith.constant":
-        attr = value.op.attributes.get("value")
-        if isinstance(attr, IntegerAttr):
-            return attr.value
     return None
 
 
@@ -194,7 +187,7 @@ class _NestContext:
         )
 
     def static_step(self, dim: int) -> int | None:
-        return _static_value(self.nest.steps[dim])
+        return const_int(self.nest.steps[dim])
 
 
 def check_module(

@@ -188,10 +188,6 @@ class KernelCreateOp(Operation):
         )
 
     @property
-    def kernel_args(self) -> tuple[SSAValue, ...]:
-        return self.operands
-
-    @property
     def device_function(self) -> str | None:
         attr = self.attributes.get("device_function")
         return attr.symbol if isinstance(attr, SymbolRefAttr) else None

@@ -14,6 +14,7 @@ from repro.ir.core import Block, Dialect, IRError, Operation, Region, SSAValue
 from repro.ir.interpreter import Interpreter, Yielded, impl
 from repro.ir.traits import IsTerminator
 from repro.ir.types import index
+from repro.transforms.loop_analysis import trip_count
 
 
 class Yield(Operation):
@@ -127,10 +128,6 @@ Scf = Dialect("scf", [Yield, For, If])
 # -- interpreter implementations ---------------------------------------------------
 
 
-def _observed_trips(lb, ub, step) -> int:
-    return max(0, -(-(ub - lb) // step)) if step > 0 else 0
-
-
 @impl("scf.yield")
 def _run_yield(interp: Interpreter, op: Operation, env: dict):
     return Yielded(())
@@ -141,7 +138,7 @@ def _run_for(interp: Interpreter, op: Operation, env: dict):
     lb, ub, step = interp.operand_values(op, env)
     observer = interp.loop_observer
     if observer is not None:
-        observer(op, _observed_trips(lb, ub, step), 1)
+        observer(op, trip_count(lb, ub, step), 1)
     if interp.vectorize:
         from repro.ir.vectorize import try_rank1_loop
 
@@ -232,7 +229,7 @@ def _emit_for(op: Operation, ctx: FnCompiler):
         lb, ub, step = frame[lb_i], frame[ub_i], frame[st_i]
         obs = interp.loop_observer
         if obs is not None:
-            obs(op, _observed_trips(lb, ub, step), 1)
+            obs(op, trip_count(lb, ub, step), 1)
         if (
             fast_path is not None
             and interp.vectorize

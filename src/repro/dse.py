@@ -3,13 +3,14 @@
 The paper (§4) notes that "design space exploration could be added in
 the future to automatically find the best combination of directives and
 their parameters".  This module implements that extension on top of the
-staged :class:`~repro.session.Session` API: one session per source
-compiles the frontend and the host side exactly once, and the sweep
-re-runs only the device build with each
+staged :class:`~repro.session.Session` API: a sweep builds its own
+session over the source for ``board=`` (the sweep's one target
+setting), which compiles the frontend and the host side exactly once;
+the sweep re-runs only the device build with each
 :class:`~repro.session.KernelOverrides` point (``simdlen`` x reduction
 copies x compute units), evaluates the modeled runtime on a
-user-supplied workload, and
-reports the Pareto-best choice under a resource budget.
+user-supplied workload, and reports the Pareto-best choice under a
+resource budget.
 
 .. code-block:: python
 
@@ -43,7 +44,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.fpga.board import U280Board
-from repro.ir.pass_manager import Instrumentation
 from repro.reliability.errors import DataIntegrityError
 from repro.runtime.executor import ExecutionResult
 from repro.session import (
@@ -200,7 +200,7 @@ def _point_digest(
     from repro.service.store import ArtifactKey
 
     return ArtifactKey(
-        source=source, target=target, stage="program", overrides=overrides
+        source=source, target=target, overrides=overrides
     ).digest
 
 
@@ -251,7 +251,6 @@ def explore(
     max_dsp_pct: float = 70.0,
     board: U280Board | None = None,
     keep_programs: bool = False,
-    session: Session | None = None,
     workers: int = 0,
     service=None,
     result_store: DseResultStore | None = None,
@@ -276,27 +275,7 @@ def explore(
     read back from disk instead of re-evaluated (their ``program`` slot
     is ``None`` even with ``keep_programs=True``).
     """
-    if session is not None and session.source != source:
-        raise ValueError(
-            "explore(session=...) got a session built over different "
-            "source text than the `source` argument"
-        )
-    if session is not None and board is not None and session.board != board:
-        raise ValueError(
-            "explore(session=..., board=...) got a session built for a "
-            "different board than the `board` argument — the session's "
-            "board always wins, so passing a disagreeing board would be "
-            "silently ignored; build the session with "
-            "TargetConfig(board=...) instead"
-        )
     parallel = workers > 0 or service is not None
-    if parallel and session is not None:
-        raise ValueError(
-            "explore(session=...) cannot be combined with workers/"
-            "service: a Session's cached artifacts live in this process "
-            "and cannot be shared with pool workers — drop session= (the "
-            "sweep builds through the service's own per-worker sessions)"
-        )
 
     # The plan is the cartesian order of the input sequences; the result
     # table is always assembled in this order, so worker completion
@@ -309,9 +288,7 @@ def explore(
         for factor in simdlen_factors
         for units in compute_units
     ]
-    target = (
-        session.target if session is not None else TargetConfig(board=board)
-    )
+    target = TargetConfig(board=board)
 
     # Resume: load every already-evaluated point from the result store.
     records: dict[tuple[int, int, int], dict] = {}
@@ -329,18 +306,14 @@ def explore(
     pending = [key for key in plan if key not in records]
 
     programs: dict[tuple[int, int, int], CompiledProgram] = {}
+    session = None
     if parallel and pending:
-        session = None
         _run_points_parallel(
             source, target, pending, programs,
             workers=workers, service=service,
         )
     elif pending:
-        session = session or Session(
-            source,
-            target=TargetConfig(board=board),
-            instrumentation=Instrumentation(),
-        )
+        session = Session(source, target=target)
 
     result = DseResult(
         session=session, max_lut_pct=max_lut_pct, max_dsp_pct=max_dsp_pct
@@ -408,10 +381,7 @@ def _run_points_parallel(
             )
             futures[(copies, factor, units)] = service.submit(
                 CompileRequest(
-                    source=source,
-                    target=target,
-                    overrides=overrides,
-                    stage="program",
+                    source=source, target=target, overrides=overrides
                 )
             )
         for key, future in futures.items():
@@ -474,14 +444,6 @@ def explore_gallery(
     unless ``keep_programs=True`` is forwarded.
     """
     from repro.workloads import all_workloads, get_workload
-
-    if "session" in kwargs:
-        raise ValueError(
-            "explore_gallery() builds one Session per workload (each "
-            "workload has its own source text); a shared session= cannot "
-            "be forwarded — pass session= to explore_workload/explore "
-            "for a single-source sweep instead"
-        )
 
     workloads = (
         [get_workload(name) for name in names]

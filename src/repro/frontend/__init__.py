@@ -6,13 +6,13 @@ Public entry points:
 * :func:`repro.frontend.driver.compile_to_core` — source -> core dialects
 """
 
-from repro.frontend.driver import FrontendResult, compile_to_core, compile_to_fir
+from repro.frontend.driver import FrontendArtifact, compile_to_core, compile_to_fir
 from repro.frontend.lexer import FortranSyntaxError, tokenize
 from repro.frontend.parser import parse_source
 from repro.frontend.sema import ProgramInfo, SemanticError, analyze
 
 __all__ = [
-    "FrontendResult",
+    "FrontendArtifact",
     "compile_to_core",
     "compile_to_fir",
     "FortranSyntaxError",

@@ -17,18 +17,24 @@ from repro.frontend.fir_to_core import FirToCorePass
 from repro.frontend.lowering import lower_program
 from repro.frontend.parser import parse_source
 from repro.frontend.sema import ProgramInfo, analyze
-from repro.ir.pass_manager import Instrumentation, PassManager
+from repro.ir.pass_manager import Instrumentation, PassManager, PipelineStage
 from repro.ir.verifier import verify
 from repro.reliability.errors import FrontendError, ReproError, wrap_error
 
 
 @dataclass
-class FrontendResult:
-    """Output of the frontend: the module plus stage snapshots."""
+class FrontendArtifact:
+    """The frontend's product: the module (FIR+omp from
+    :func:`compile_to_fir`, core+omp from :func:`compile_to_core`), the
+    analyzed program and the stage snapshots recorded while building it.
+
+    :meth:`repro.session.Session.frontend` caches it as it is and never
+    mutates it — later stages clone the module before running their
+    pipelines."""
 
     module: builtin.ModuleOp
     program_info: ProgramInfo
-    stages: list[tuple[str, str]] = field(default_factory=list)
+    snapshots: list[PipelineStage] = field(default_factory=list)
 
 
 def _stage(name: str, fn, *args):
@@ -50,31 +56,31 @@ def _stage(name: str, fn, *args):
 
 def compile_to_fir(
     source: str, *, instrumentation: Instrumentation | None = None
-) -> FrontendResult:
+) -> FrontendArtifact:
     """Parse + analyze + lower Fortran source to the FIR+omp module."""
     tree = _stage("parse", parse_source, source)
     info = _stage("sema", analyze, tree)
     module = _stage("lower", lower_program, info)
     _stage("verify", verify, module)
-    result = FrontendResult(module=module, program_info=info)
+    artifact = FrontendArtifact(module=module, program_info=info)
     if instrumentation is not None:
         snap = instrumentation.snapshot("fir+omp", module)
         if snap is not None:
-            result.stages.append((snap.name, snap.ir))
-    return result
+            artifact.snapshots.append(snap)
+    return artifact
 
 
 def compile_to_core(
     source: str, *, instrumentation: Instrumentation | None = None
-) -> FrontendResult:
+) -> FrontendArtifact:
     """Full frontend path: Fortran -> FIR -> core dialects (+omp)."""
-    result = compile_to_fir(source, instrumentation=instrumentation)
-    pm = PassManager(verify_each=True, instrumentation=instrumentation)
+    artifact = compile_to_fir(source, instrumentation=instrumentation)
+    pm = PassManager(instrumentation=instrumentation)
     pm.add(FirToCorePass())
-    _stage("fir-to-core", pm.run, result.module)
+    _stage("fir-to-core", pm.run, artifact.module)
     if instrumentation is not None:
         instrumentation.count("frontend_compiles")
-        snap = instrumentation.snapshot("core+omp", result.module)
+        snap = instrumentation.snapshot("core+omp", artifact.module)
         if snap is not None:
-            result.stages.append((snap.name, snap.ir))
-    return result
+            artifact.snapshots.append(snap)
+    return artifact

@@ -10,7 +10,7 @@ standard way frontend lowerings and transforms create IR::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from repro.ir.attributes import IntegerAttr
 from repro.ir.core import LOC_ATTR, Block, IRError, Operation, Region, SSAValue
@@ -94,22 +94,10 @@ class Builder:
             op.attributes[LOC_ATTR] = IntegerAttr.i64(self.loc)
         return op
 
-    def insert_all(self, ops: Iterable[Operation]) -> list[Operation]:
-        return [self.insert(op) for op in ops]
-
     # -- movement -------------------------------------------------------------
-
-    def set_insertion_point(self, point: InsertPoint) -> None:
-        self.insert_point = point
-
-    def goto_end(self, block: Block) -> None:
-        self.insert_point = InsertPoint.at_end(block)
 
     def goto_start(self, block: Block) -> None:
         self.insert_point = InsertPoint.at_start(block)
-
-    def goto_before(self, op: Operation) -> None:
-        self.insert_point = InsertPoint.before(op)
 
     def goto_after(self, op: Operation) -> None:
         self.insert_point = InsertPoint.after(op)

@@ -9,7 +9,6 @@ eagerly so rewrites can use :meth:`SSAValue.replace_by`.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterator, Sequence, TypeVar
 
 from repro.ir.attributes import Attribute
@@ -353,9 +352,6 @@ class Operation:
 
     # -- attribute helpers -----------------------------------------------------
 
-    def get_attr(self, key: str, default: Attribute | None = None) -> Attribute | None:
-        return self.attributes.get(key, default)
-
     def has_trait(self, trait: type) -> bool:
         return any(issubclass(t, trait) for t in self.traits)
 
@@ -614,10 +610,6 @@ class Region:
             )
         return self.blocks[0]
 
-    @property
-    def first_block(self) -> Block | None:
-        return self.blocks[0] if self.blocks else None
-
     def drop_all_references(self) -> None:
         for block in self.blocks:
             block.drop_all_references()
@@ -675,10 +667,6 @@ class Context:
     def get_op(self, name: str) -> type[Operation] | None:
         return self._op_registry.get(name)
 
-    @property
-    def op_names(self) -> list[str]:
-        return sorted(self._op_registry)
-
 
 _default_context: Context | None = None
 
@@ -692,44 +680,3 @@ def default_context() -> Context:
         _default_context = Context()
         register_all_dialects(_default_context)
     return _default_context
-
-
-# ---------------------------------------------------------------------------
-# Helpers
-# ---------------------------------------------------------------------------
-
-
-def ops_topologically_sorted(block: Block) -> list[Operation]:
-    """Return block ops sorted so every def precedes its uses.
-
-    Used by transforms that build blocks out of order; ops whose operands
-    are all defined outside the block keep their relative order.  Kahn's
-    algorithm over the in-block def-use edges, O(n + e) with a heap keyed
-    by original position so ties keep source order (the same order the
-    previous quadratic scan produced).
-    """
-    position: dict[int, int] = {id(op): i for i, op in enumerate(block.ops)}
-    indegree: dict[int, int] = {id(op): 0 for op in block.ops}
-    dependents: dict[int, list[Operation]] = {id(op): [] for op in block.ops}
-    for op in block.ops:
-        for operand in op._operands:
-            if isinstance(operand, OpResult) and operand.op.parent is block:
-                if operand.op is not op:  # self-loops cannot be satisfied
-                    indegree[id(op)] += 1
-                    dependents[id(operand.op)].append(op)
-
-    ready = [
-        (position[id(op)], op) for op in block.ops if indegree[id(op)] == 0
-    ]
-    heapq.heapify(ready)
-    result: list[Operation] = []
-    while ready:
-        _, op = heapq.heappop(ready)
-        result.append(op)
-        for user in dependents[id(op)]:
-            indegree[id(user)] -= 1
-            if indegree[id(user)] == 0:
-                heapq.heappush(ready, (position[id(user)], user))
-    if len(result) != len(block.ops):
-        raise IRError("cycle detected while sorting block operations")
-    return result

@@ -113,6 +113,18 @@ from repro.ir.core import (
     analysis_cache,
     semantic_attributes,
 )
+from repro.transforms.loop_analysis import (
+    _defined_inside,
+    _exact_offset,
+    bound_is_runtime,
+    classify_index,
+    const_int,
+    index_values_equal,
+    loop_carried_dependences,
+    root_memref,
+    static_loop_step,
+    trip_count,
+)
 
 #: Bail-out diagnostics: enable with
 #: ``logging.getLogger("repro.ir.vectorize").setLevel(logging.DEBUG)`` to
@@ -194,8 +206,6 @@ def _is_gather_index(idx: SSAValue, iv: SSAValue, body: Block) -> bool:
     from an index array that nothing in the body stores to, subscripted
     affinely itself — SpMV's ``x(col_idx(jj))`` shape.  Safe for *loads*
     only (a scatter through such an index could collide)."""
-    from repro.transforms.loop_analysis import classify_index, root_memref
-
     if not isinstance(idx, OpResult):
         return False
     source = idx.op
@@ -212,8 +222,6 @@ def _is_gather_index(idx: SSAValue, iv: SSAValue, body: Block) -> bool:
 
 
 def _load_index_ok(idx: SSAValue, iv: SSAValue, body: Block) -> bool:
-    from repro.transforms.loop_analysis import classify_index
-
     # ``indirect`` covers the full gather chain (cast/addi/subi/muli
     # around a load from an un-stored index array) — SpMV's
     # ``x(col_idx(jj) - 1)`` wraps the loaded index in a Fortran 1-based
@@ -236,8 +244,6 @@ def _stores_conflict(
     preserved), or some dim on provably disjoint affine lattices (the
     unroll-by-F clones write interleaved strides and never collide).
     """
-    from repro.transforms.loop_analysis import _exact_offset, classify_index
-
     if len(first.operands) != len(second.operands):
         return True
     for wa, wb in zip(first.operands[2:], second.operands[2:]):
@@ -264,13 +270,6 @@ def _stores_conflict(
 
 
 def _loop_is_vectorizable(loop: Operation) -> bool:
-    from repro.transforms.loop_analysis import (
-        classify_index,
-        loop_carried_dependences,
-        root_memref,
-        static_loop_step,
-    )
-
     body = loop.regions[0].block
     if len(body.args) != 1 or not _body_is_vectorizable(body):
         return False
@@ -410,12 +409,6 @@ def _analyze_memref_reduction_body(
     """The ``P[idx] = combine(P[idx], expr)`` accumulator shape in
     ``body``, reduced along ``iv`` — shared between rank-1 loops (``iv``
     is the loop IV) and rank-n nests (``iv`` is the innermost dim)."""
-    from repro.transforms.loop_analysis import (
-        classify_index,
-        index_values_equal,
-        root_memref,
-    )
-
     for op in body.ops:
         if op.regions or op.name not in _SUPPORTED:
             return None
@@ -593,20 +586,8 @@ def _defined_outside(value: SSAValue, root_body: Block) -> bool:
             block = parent_op.parent
         return True
     if isinstance(value, OpResult):
-        from repro.transforms.loop_analysis import _defined_inside
-
         return not _defined_inside(value.op, root_body)
     return False
-
-
-def _const_int(value: SSAValue) -> int | None:
-    from repro.ir.attributes import IntegerAttr
-
-    if isinstance(value, OpResult) and value.op.name == "arith.constant":
-        attr = value.op.attributes.get("value")
-        if isinstance(attr, IntegerAttr):
-            return attr.value
-    return None
 
 
 def _attr_int(attr) -> int | None:
@@ -642,8 +623,6 @@ def _match_unroll_pair(main: Operation, rem: Operation) -> int | None:
       sharing of loads can never observe a value an earlier lane's
       store would have changed.
     """
-    from repro.transforms.loop_analysis import root_memref
-
     for member in (main, rem):
         if member.results or len(member.regions[0].blocks) != 1:
             return None
@@ -655,16 +634,16 @@ def _match_unroll_pair(main: Operation, rem: Operation) -> int | None:
     rem_lb, ub_ex, step = rem.operands[:3]
     if rem_lb is not main_ub:
         return None
-    step_c = _const_int(step)
+    step_c = const_int(step)
     factor: int | None = None
     if isinstance(chunk, OpResult) and chunk.op.name == "arith.muli":
         c_lhs, c_rhs = chunk.op.operands
-        factor = _const_int(c_rhs) if c_lhs is step else (
-            _const_int(c_lhs) if c_rhs is step else None
+        factor = const_int(c_rhs) if c_lhs is step else (
+            const_int(c_lhs) if c_rhs is step else None
         )
     if factor is None:
         # canonicalize folds muli(const_step, const_F) to one constant
-        chunk_c = _const_int(chunk)
+        chunk_c = const_int(chunk)
         if chunk_c is not None and step_c not in (None, 0):
             factor, rem_f = divmod(chunk_c, step_c)
             if rem_f:
@@ -740,13 +719,13 @@ def _match_unroll_pair(main: Operation, rem: Operation) -> int | None:
         off = b if a is main_iv else (a if b is main_iv else None)
         if off is None:
             return False
-        off_c = _const_int(off)
+        off_c = const_int(off)
         if off_c is not None and step_c is not None:
             return off_c == k * step_c
         if isinstance(off, OpResult) and off.op.name == "arith.muli":
             x, y = off.op.operands
-            return (x is step and _const_int(y) == k) or (
-                y is step and _const_int(x) == k
+            return (x is step and const_int(y) == k) or (
+                y is step and const_int(x) == k
             )
         return False
 
@@ -904,8 +883,6 @@ def _level_preludes(extras_by_level, root_body: Block, stored: set[int]):
     scalar walk (a faulting bound expression below a zero-trip dim must
     stay unevaluated, exactly like the scalar tier).
     """
-    from repro.transforms.loop_analysis import root_memref
-
     independent: set[SSAValue] = set()
     prelude_levels: list[tuple[Operation, ...]] = []
     for level_extras in extras_by_level:
@@ -955,12 +932,6 @@ def _nest_vector_plan(loop: Operation):
     None mode comes with the reason for the DEBUG log, or with None when
     the loop is no whole-space shape at all.
     """
-    from repro.transforms.loop_analysis import (
-        bound_is_runtime,
-        classify_index,
-        root_memref,
-    )
-
     root_body = loop.regions[0].block
     root_dims = len(root_body.args) if loop.name == "omp.loop_nest" else 1
     walked = _walk_levels(loop)
@@ -1220,8 +1191,6 @@ def _row_coverage(indices, row_ivs, root_body: Block) -> set[int] | None:
     """The row dims a subscript tuple is affine in, or None when a
     subscript is neither invariant nor affine in exactly one row IV.
     A tuple covering every row dim names a distinct cell per row."""
-    from repro.transforms.loop_analysis import classify_index
-
     covered: set[int] = set()
     for idx in indices:
         dims = []
@@ -1245,12 +1214,6 @@ def _segmented_nest_plan(loop: Operation):
     pair around it.  Returns ``(mode, plan, program, reason)`` like
     :func:`_nest_vector_plan`; all-None means the shape is something
     else entirely (no reasoned diagnostic)."""
-    from repro.transforms.loop_analysis import (
-        classify_index,
-        index_values_equal,
-        root_memref,
-    )
-
     if loop.name != "scf.for":
         return None, None, None, None
     loops = [loop]
@@ -1544,10 +1507,6 @@ def _segmented_nest_plan(loop: Operation):
 # ---------------------------------------------------------------------------
 
 
-def _trip_count(lb, ub, step) -> int:
-    return max(0, -(-(ub - lb) // step)) if step > 0 else 0
-
-
 def _flatten_space(dim_values: list) -> list:
     """Row-major per-dimension index vectors over the product space."""
     size = 1
@@ -1598,7 +1557,7 @@ def _size_levels(interp, env, root_bounds, plan: _NestPlan):
     after its step-neutral prelude.  Returns ``(bounds, trips,
     stitches, total)``, or None when a chain step is not positive (the
     scalar walk decides)."""
-    trips = [_trip_count(lb, ub, step) for lb, ub, step in root_bounds]
+    trips = [trip_count(lb, ub, step) for lb, ub, step in root_bounds]
     bounds = list(root_bounds)
     total = math.prod(trips)
     #: (dims, main_for, rem_for, main_ops, rem_ops, main_trips, rem_trips)
@@ -1638,11 +1597,11 @@ def _size_levels(interp, env, root_bounds, plan: _NestPlan):
                 return None
             stitches.append((
                 len(trips), main_for, rem_for, main_ops, rem_ops,
-                _trip_count(m_lb, m_ub, m_step),
-                _trip_count(r_lb, r_ub, r_step),
+                trip_count(m_lb, m_ub, m_step),
+                trip_count(r_lb, r_ub, r_step),
             ))
         bounds.append((lb, ub, step))
-        trips.append(_trip_count(lb, ub, step))
+        trips.append(trip_count(lb, ub, step))
         total *= trips[-1]
     return bounds, trips, stitches, total
 
@@ -1796,7 +1755,7 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
         )
         if t_step <= 0:
             return False
-        tile_count = _trip_count(t_lb, t_ub, t_step)
+        tile_count = trip_count(t_lb, t_ub, t_step)
         tile_trips = row_space = np.zeros(0, dtype=np.int64)
         if tile_count:
             tiles = np.arange(
@@ -2138,7 +2097,7 @@ def try_vectorized_reduction(
     _, mode, plan, program = _classify_guarded(interp, loop)
     if mode != "memref_reduction":
         return False
-    if _trip_count(lb, ub, step) < _MIN_TRIPS:
+    if trip_count(lb, ub, step) < _MIN_TRIPS:
         return False  # zero-trip loops included: the scalar walk is free
     return _run_nest(interp, env, ((lb, ub, step),), plan, program)
 

@@ -16,9 +16,10 @@ side::
     base = session.program()
     wide = session.program(KernelOverrides(simdlen=8))   # device build only
 
-Memory-space policies, kernel knobs and IR snapshots are configured on
-the session: :class:`~repro.session.TargetConfig`,
-:class:`~repro.session.KernelOverrides` and
+The board and memory-space policy, the kernel knobs and IR snapshots
+are configured on the session, each in one place:
+:class:`~repro.session.TargetConfig` (fixed per session),
+:class:`~repro.session.KernelOverrides` (per device build) and
 :class:`~repro.ir.pass_manager.Instrumentation`.
 
 Pipeline stages (each named as in the paper's Figure 2):

@@ -88,9 +88,7 @@ class FpgaExecutor:
         # only a tile is resident at a time in the streamed model, so
         # arrays may exceed a bank's capacity
         self.table = DeviceDataTable(
-            self.board,
-            oversubscribe=getattr(bitstream, "stream_tile_bytes", None)
-            is not None,
+            self.board, oversubscribe=bitstream.stream_tile_bytes is not None
         )
         #: the clock of the current/most recent run (fresh per run)
         self.queue: ClCommandQueue | None = None

@@ -79,9 +79,11 @@ class KernelRunner:
             bitstream.device_module, compiled=compiled, vectorize=vectorize
         )
         self._interp.loop_observer = self._observe_loop
-        self._compute_units = max(1, getattr(bitstream, "compute_units", 1))
-        # Per-run {loop op: {trips: count}} observation multisets.
-        self._agg_stack: list[dict[Operation, dict[int, int]]] = []
+        self._compute_units = bitstream.compute_units
+        # The running kernel's {loop op: {trips: count}} observation
+        # multiset; None between runs (runs never nest: a retry starts
+        # after the failed attempt has unwound).
+        self._agg: dict[Operation, dict[int, int]] | None = None
 
     @property
     def interpreter_steps(self) -> int:
@@ -120,7 +122,7 @@ class KernelRunner:
             budget_limit = interp.steps + budget
             interp.max_steps = min(saved_max, budget_limit)
         agg: dict[Operation, dict[int, int]] = {}
-        self._agg_stack.append(agg)
+        self._agg = agg
         try:
             interp.call(kernel_name, *args)
         except InterpreterError as error:
@@ -133,7 +135,7 @@ class KernelRunner:
             raise
         finally:
             interp.max_steps = saved_max
-            self._agg_stack.pop()
+            self._agg = None
         cycles, per_cu = self._makespan(design, agg)
         seconds = self.bitstream.board.cycles_to_seconds(cycles)
         return KernelRun(
@@ -148,8 +150,9 @@ class KernelRunner:
         """Record ``count`` executions of ``op`` with ``trips`` iterations
         each (the whole-space fast paths batch identical inner-loop
         executions) in the running kernel's multiset."""
-        if self._agg_stack:
-            per_loop = self._agg_stack[-1].setdefault(op, {})
+        agg = self._agg
+        if agg is not None:
+            per_loop = agg.setdefault(op, {})
             per_loop[trips] = per_loop.get(trips, 0) + count
 
     def _makespan(

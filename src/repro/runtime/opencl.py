@@ -109,10 +109,11 @@ class ClCommandQueue:
     def __init__(self, board: U280Board, bitstream: "Bitstream"):
         self.board = board
         # N CUs mean N OpenCL enqueues per logical launch
-        units = max(1, getattr(bitstream, "compute_units", 1))
-        self._launch_overhead_s = board.kernel_launch_overhead_s * units
+        self._launch_overhead_s = (
+            board.kernel_launch_overhead_s * bitstream.compute_units
+        )
         #: double-buffered streaming tile — ``None`` disables it
-        self._tile = getattr(bitstream, "stream_tile_bytes", None)
+        self._tile = bitstream.stream_tile_bytes
         #: input tiles still streaming in, hidden by the next launch
         self._pending_in_s = 0.0
         #: the last launch's busy window output tiles may hide behind

@@ -4,12 +4,12 @@ Public surface:
 
 * :class:`~repro.service.store.ArtifactStore` /
   :class:`~repro.service.store.ArtifactKey` — two-tier (memory LRU over
-  disk) content-addressed storage of pickled stage artifacts with
+  disk) content-addressed storage of pickled compiled programs with
   integrity-checked loads;
 * :class:`~repro.service.service.CompileService` /
   :class:`~repro.service.service.CompileRequest` — the request front
   door: cache lookup, request coalescing, bounded admission into a
-  process pool of build workers;
+  process pool of workers that build programs;
 * :class:`~repro.service.service.ServiceMetrics` /
   :class:`~repro.service.service.ServiceStats` — per-request and
   aggregate accounting, rendered by :mod:`repro.reporting`.
@@ -25,7 +25,6 @@ from repro.service.service import (
     reset_worker_sessions,
 )
 from repro.service.store import (
-    STAGES,
     STORE_VERSION,
     ArtifactKey,
     ArtifactStore,
@@ -44,7 +43,6 @@ __all__ = [
     "ServiceStats",
     "StoreStats",
     "StoredArtifact",
-    "STAGES",
     "STORE_VERSION",
     "build_stage_payload",
     "canonical_source",

@@ -2,8 +2,8 @@
 
 :class:`CompileService` fronts the content-addressed
 :class:`~repro.service.store.ArtifactStore` with a
-``concurrent.futures`` **process pool** that executes cache-miss stage
-builds::
+``concurrent.futures`` **process pool** that builds the cache-miss
+programs::
 
     with CompileService(store=ArtifactStore(root)) as service:
         response = service.compile(CompileRequest(source))
@@ -13,7 +13,7 @@ builds::
 Request lifecycle:
 
 1. the request's :class:`~repro.service.store.ArtifactKey` digest is
-   computed — identical (source, target, stage, overrides) requests get
+   computed — identical (source, target, overrides) requests get
    identical addresses;
 2. if a build for that digest is already **in flight**, the request
    *coalesces*: it attaches as a waiter and the one build's result fans
@@ -25,10 +25,10 @@ Request lifecycle:
    builds is below ``queue_depth``; past that the request is rejected
    with a typed, transient
    :class:`~repro.reliability.errors.AdmissionRejected`;
-5. the worker builds the stage artifact in its own process and returns
-   the pickled payload + modelled metrics; the parent persists it to the
-   store and resolves every waiter with an independently deserialized
-   artifact.
+5. the worker builds the :class:`~repro.session.CompiledProgram` in its
+   own process and returns the pickled payload + modelled metrics; the
+   parent persists it to the store and resolves every waiter with an
+   independently deserialized artifact.
 
 Every response carries per-request :class:`ServiceMetrics` (queue wait,
 build time, outcome) and the service aggregates :class:`ServiceStats`
@@ -55,19 +55,15 @@ from repro.session import KernelOverrides, Session, TargetConfig
 
 @dataclass(frozen=True)
 class CompileRequest:
-    """One compile/run request: what to build, addressed by content."""
+    """One compile request: the program to build, addressed by content."""
 
     source: str
     target: TargetConfig = field(default_factory=TargetConfig)
     overrides: KernelOverrides = field(default_factory=KernelOverrides)
-    stage: str = "program"
 
     def key(self) -> ArtifactKey:
         return ArtifactKey(
-            source=self.source,
-            target=self.target,
-            stage=self.stage,
-            overrides=self.overrides,
+            source=self.source, target=self.target, overrides=self.overrides
         )
 
 
@@ -116,7 +112,7 @@ class ServiceResponse:
 
     artifact: object
     metrics: ServiceMetrics
-    #: the store metadata record (stage, modelled metrics, payload size)
+    #: the store metadata record (modelled metrics, payload size)
     metadata: dict = field(default_factory=dict)
 
 
@@ -148,12 +144,9 @@ def reset_worker_sessions() -> None:
 
 
 def build_stage_payload(
-    source: str,
-    target: TargetConfig,
-    overrides: KernelOverrides,
-    stage: str,
+    source: str, target: TargetConfig, overrides: KernelOverrides
 ) -> tuple[bytes, dict]:
-    """Build one stage artifact and return (pickled payload, metrics).
+    """Build one program and return (pickled payload, metrics).
 
     Runs inside a pool worker (module-level so it pickles by reference);
     also the inline build path when the service runs with
@@ -162,32 +155,24 @@ def build_stage_payload(
     """
     start = perf_counter()
     session = _worker_session(source, target)
-    if stage == "frontend":
-        artifact = session.frontend()
-    elif stage == "host_device":
-        artifact = session.host_device()
-    elif stage == "device_build":
-        artifact = session.device_build(overrides)
-    elif stage == "program":
-        artifact = session.program(overrides)
-    else:
-        raise ServiceError(f"unknown build stage {stage!r}")
-    payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
-    metrics: dict = {"build_s": round(perf_counter() - start, 6)}
-    bitstream = getattr(artifact, "bitstream", None)
-    if bitstream is not None:
-        utilization = bitstream.utilization()
-        metrics["lut_pct"] = utilization.lut
-        metrics["dsp_pct"] = utilization.dsp
-        metrics["achieved_iis"] = [
+    program = session.program(overrides)
+    payload = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
+    build_s = round(perf_counter() - start, 6)
+    bitstream = program.bitstream
+    utilization = bitstream.utilization()
+    metrics = {
+        "build_s": build_s,
+        "lut_pct": utilization.lut,
+        "dsp_pct": utilization.dsp,
+        "achieved_iis": [
             sched.achieved_ii
             for kernel in bitstream.kernels.values()
             for sched in kernel.loops.values()
-        ]
-    if stage in ("device_build", "program"):
-        # the payload holds the pickled copy; drop the live build so the
-        # long-lived worker session stays flat across a sweep
-        session.release_build(overrides)
+        ],
+    }
+    # the payload holds the pickled copy; drop the live build so the
+    # long-lived worker session stays flat across a sweep
+    session.release_build(overrides)
     return payload, metrics
 
 
@@ -327,9 +312,7 @@ class CompileService:
             return None
 
     def _start_build(self, request: CompileRequest, digest: str) -> None:
-        args = (
-            request.source, request.target, request.overrides, request.stage,
-        )
+        args = (request.source, request.target, request.overrides)
         if self._pool is None:
             done: Future = Future()
             try:

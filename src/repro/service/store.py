@@ -1,19 +1,18 @@
-"""Content-addressed artifact store for compiled stage artifacts.
+"""Content-addressed artifact store for compiled programs.
 
-Every cacheable pipeline product — a frontend module, a host/device
-split, a device build, an assembled :class:`~repro.session.CompiledProgram`
-— is addressed by an :class:`ArtifactKey`: a stable SHA-256 digest of
-(canonical source text, :class:`~repro.session.TargetConfig`, stage
-name, :class:`~repro.session.KernelOverrides`).  Identical requests from
-any process therefore resolve to the same address, which is what lets
-the compile service (:mod:`repro.service.service`) serve a cache hit
-instead of recompiling.
+Every :class:`~repro.session.CompiledProgram` the compile service builds
+is addressed by an :class:`ArtifactKey`: a stable SHA-256 digest of
+(canonical source text, :class:`~repro.session.TargetConfig`,
+:class:`~repro.session.KernelOverrides`).  Identical requests from any
+process therefore resolve to the same address, which is what lets the
+compile service (:mod:`repro.service.service`) serve a cache hit instead
+of recompiling.
 
 Two tiers:
 
 * an **in-memory LRU** of pickled payloads (bounded entry count), and
 * an **on-disk tier** persisting ``<digest>.pkl`` payloads next to a
-  ``<digest>.json`` metadata record (stage, modelled metrics, payload
+  ``<digest>.json`` metadata record (modelled metrics, payload size and
   SHA-256), surviving process restarts and shared between workers.
 
 **Integrity is checked on load**: a disk payload whose SHA-256 does not
@@ -40,10 +39,7 @@ from repro.session import KernelOverrides, TargetConfig
 
 #: Bump together with the on-disk layout, the key serialization or the
 #: pickle form of the artifacts: a new version addresses old entries away.
-STORE_VERSION = 3
-
-#: Stage names the store addresses, in pipeline order.
-STAGES = ("frontend", "host_device", "device_build", "program")
+STORE_VERSION = 4
 
 
 def canonical_source(text: str) -> str:
@@ -63,23 +59,11 @@ def canonical_source(text: str) -> str:
 
 @dataclass(frozen=True)
 class ArtifactKey:
-    """Content address of one stage artifact.
-
-    ``overrides`` only participates for device-side stages (the frontend
-    and host/device split do not depend on it), so a DSE sweep's points
-    share their frontend/host addresses.
-    """
+    """Content address of one compiled program."""
 
     source: str
     target: TargetConfig = field(default_factory=TargetConfig)
-    stage: str = "program"
     overrides: KernelOverrides = field(default_factory=KernelOverrides)
-
-    def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ValueError(
-                f"unknown stage {self.stage!r}; expected one of {STAGES}"
-            )
 
     @property
     def digest(self) -> str:
@@ -87,18 +71,12 @@ class ArtifactKey:
         source_digest = hashlib.sha256(
             canonical_source(self.source).encode()
         ).hexdigest()
-        overrides_digest = (
-            self.overrides.digest()
-            if self.stage in ("device_build", "program")
-            else "-"
-        )
         text = "|".join(
             (
                 f"artifact/v{STORE_VERSION}",
                 source_digest,
                 self.target.digest(),
-                self.stage,
-                overrides_digest,
+                self.overrides.digest(),
             )
         )
         return hashlib.sha256(text.encode()).hexdigest()
@@ -242,14 +220,10 @@ class ArtifactStore:
         key: "ArtifactKey | str",
         artifact_or_payload,
         metrics: dict | None = None,
-        *,
-        stage: str | None = None,
     ) -> StoredArtifact:
         """Store an artifact (object, pickled here — or pre-pickled
         ``bytes`` from a worker) with its modelled ``metrics`` record."""
         digest = key if isinstance(key, str) else key.digest
-        if stage is None and isinstance(key, ArtifactKey):
-            stage = key.stage
         payload = (
             artifact_or_payload
             if isinstance(artifact_or_payload, bytes)
@@ -260,7 +234,6 @@ class ArtifactStore:
         metadata = {
             "store_version": STORE_VERSION,
             "key_digest": digest,
-            "stage": stage,
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
             "payload_bytes": len(payload),
             "metrics": dict(metrics or {}),

@@ -1,15 +1,20 @@
 """Staged compiler sessions: the Figure-2 flow as composable, cached stages.
 
 One :class:`Session` owns one Fortran+OpenMP source and a
-:class:`TargetConfig`; the pipeline is exposed as four artifacts, each
-computed once and cached on the session keyed by its options::
+:class:`TargetConfig` (the board and the memory-space policy); the
+pipeline is exposed as three stage products, each computed once and
+cached on the session::
 
     Session(source)
       .frontend()                    # Flang + [3]: source -> core+omp IR
-      .host_device(policy)           # data/kernel passes, module split,
-                                     #   host C++  (keyed by policy)
-      .device_build(KernelOverrides) # omp->HLS + Vitis  (keyed by overrides)
-      .program(KernelOverrides)      # assembled CompiledProgram view
+      .host_device()                 # data/kernel passes, module split,
+                                     #   host C++
+      .device_build(KernelOverrides) # omp->HLS + Vitis, assembled into a
+                                     #   CompiledProgram (keyed by overrides)
+
+``program(overrides)`` is ``device_build(overrides)``: the same cached
+:class:`CompiledProgram`, under the name the one-shot form and the
+compile service use.
 
 Later stages re-run with different :class:`KernelOverrides` (simdlen,
 reduction copies, bundle layout) *without* re-parsing the source or
@@ -17,9 +22,9 @@ re-building the host side — the artifact reuse that makes design-space
 exploration (:mod:`repro.dse`) sweep at device-build cost instead of
 full-pipeline cost.  Every stage pipeline is a declarative
 :class:`~repro.ir.pass_manager.PassManager` spec (``parse``/``spec``
-round-trip), and a session-wide
-:class:`~repro.ir.pass_manager.Instrumentation` records stage snapshots,
-per-pass timing and artifact-build counters.
+round-trip) that verifies the module after every pass, and a
+session-wide :class:`~repro.ir.pass_manager.Instrumentation` records
+stage snapshots, per-pass timing and artifact-build counters.
 
 :func:`repro.pipeline.compile_fortran` is the one-shot form:
 ``compile_fortran(source, board=board)`` is
@@ -37,7 +42,7 @@ from repro.backend.host_codegen import generate_host_code
 from repro.backend.vitis import Bitstream, VitisCompiler
 from repro.dialects import builtin
 from repro.fpga.board import U280Board
-from repro.frontend.driver import compile_to_core
+from repro.frontend.driver import FrontendArtifact, compile_to_core
 from repro.frontend.sema import ProgramInfo
 from repro.ir.pass_manager import Instrumentation, PassManager, PipelineStage
 from repro.reliability.errors import (
@@ -57,6 +62,7 @@ from repro.transforms import (
     LowerOmpToHlsPass,
     split_host_device,
 )
+from repro.transforms.lower_omp_mapped_data import check_memory_space_mode
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +113,17 @@ def _config_digest(label: str, value) -> str:
 
 @dataclass(frozen=True)
 class TargetConfig:
-    """Session-wide target description: the board plus the default
-    memory-space policy mode (``"single"`` or ``"round_robin"``) used
-    when a stage is built without an explicit policy."""
+    """Session-wide target description: the board plus the memory-space
+    policy mode (``"single"`` or ``"round_robin"``) of the host/device
+    build.  Each build gets a fresh policy of that mode, so bank
+    assignment restarts per build; the bank count is the
+    ``lower-omp-mapped-data{num_banks=...}`` pass option."""
 
     board: U280Board | None = None
-    memory_space_policy: str | None = None
+    memory_space_policy: str = "single"
 
     def __post_init__(self):
-        _policy_mode(self.memory_space_policy)
+        check_memory_space_mode(self.memory_space_policy)
 
     def resolved_board(self) -> U280Board:
         return self.board or U280Board()
@@ -166,35 +174,24 @@ class KernelOverrides:
         return _config_digest("KernelOverrides", self)
 
 
-def _stage_failed(
-    error: BaseException, error_cls: type, context: str
-) -> NoReturn:
-    """Re-raise the failure of a stage whose cache key was just evicted.
+def _stage_failed(error: Exception, error_cls: type, context: str) -> NoReturn:
+    """Re-raise the failure of a stage.  A :class:`ReproError`
+    propagates unwrapped; anything else is wrapped as ``error_cls``.
 
-    A :class:`ReproError` and a raise that is not an ``Exception`` (a
-    KeyboardInterrupt mid-stage) propagate unwrapped; anything else is
-    wrapped as ``error_cls``.  Stages catch ``BaseException`` on purpose:
-    an interrupted stage must evict too, or the session holds a poisoned
-    artifact.
+    A stage caches its product only once it is complete, so a failed or
+    interrupted stage (a KeyboardInterrupt propagates as it is) leaves
+    nothing behind and the next call retries it.
     """
-    if isinstance(error, ReproError) or not isinstance(error, Exception):
+    if isinstance(error, ReproError):
         raise error
     raise wrap_error(error, error_cls, context=context) from error
 
 
-def _policy_mode(policy: str | None) -> str:
-    """The memory-space policy mode a host/device build uses — also its
-    stage cache key.  Each build gets a fresh policy of that mode, so
-    bank assignment restarts per build; the bank count is the
-    ``lower-omp-mapped-data{num_banks=...}`` pass option."""
-    if policy is None:
-        return "single"
-    if not isinstance(policy, str):
-        raise TypeError(
-            "memory-space policy must be a mode string or None, got "
-            f"{type(policy).__name__}"
-        )
-    return policy
+def _snapshots(instr: Instrumentation, *named) -> list[PipelineStage]:
+    """Record a snapshot per ``(name, module or IR text)`` pair and return
+    the recorded ones (none unless the instrumentation captures IR)."""
+    snapshots = [instr.snapshot(name, ir) for name, ir in named]
+    return [snap for snap in snapshots if snap is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +200,15 @@ def _policy_mode(policy: str | None) -> str:
 
 
 def host_device_pipeline(
-    policy: str | None = None,
+    policy: str = "single",
     *,
     instrumentation: Instrumentation | None = None,
-    verify_each: bool = True,
 ) -> PassManager:
-    """Stages 2-4 of Figure 2: data mapping, target regions, extraction."""
-    pm = PassManager(verify_each=verify_each, instrumentation=instrumentation)
+    """Stages 2-4 of Figure 2: data mapping, target regions, extraction,
+    with a fresh memory-space policy of mode ``policy``."""
+    pm = PassManager(instrumentation=instrumentation)
     pm.add(
-        LowerOmpMappedDataPass(_policy_mode(policy)),
+        LowerOmpMappedDataPass(check_memory_space_mode(policy)),
         LowerOmpTargetRegionPass(),
         ExtractDeviceModulePass(),
     )
@@ -222,11 +219,10 @@ def device_pipeline(
     overrides: KernelOverrides | None = None,
     *,
     instrumentation: Instrumentation | None = None,
-    verify_each: bool = True,
 ) -> PassManager:
     """Stage 5 (device side): omp->HLS lowering plus cleanup."""
     o = overrides or KernelOverrides()
-    pm = PassManager(verify_each=verify_each, instrumentation=instrumentation)
+    pm = PassManager(instrumentation=instrumentation)
     pm.add(
         LowerOmpToHlsPass(
             reduction_copies=o.reduction_copies,
@@ -241,18 +237,8 @@ def device_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# Stage artifacts
+# Stage products
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FrontendArtifact:
-    """Stage 1 output: the pristine core+omp module.  Never mutated —
-    later stages clone it before running their pipelines."""
-
-    module: builtin.ModuleOp
-    program_info: ProgramInfo
-    snapshots: list[PipelineStage] = field(default_factory=list)
 
 
 @dataclass
@@ -260,36 +246,20 @@ class HostDeviceArtifact:
     """Stages 2-5 (host) output: split modules plus generated host C++.
 
     ``device_module`` is the *pre-HLS* device module (omp form); it is
-    the pristine input every :class:`DeviceBuild` clones."""
+    the pristine input every device build clones."""
 
     host_module: builtin.ModuleOp
     device_module: builtin.ModuleOp
     host_cpp: str
-    policy_key: str
     snapshots: list[PipelineStage] = field(default_factory=list)
-
-
-@dataclass
-class DeviceBuild:
-    """Stages 5 (device) + 6 output: HLS-form module and the bitstream."""
-
-    overrides: KernelOverrides
-    device_module: builtin.ModuleOp
-    bitstream: Bitstream
-    host: HostDeviceArtifact
-    snapshots: list[PipelineStage] = field(default_factory=list)
-
-
-# ---------------------------------------------------------------------------
-# The assembled program view (the stable public artifact type)
-# ---------------------------------------------------------------------------
 
 
 @dataclass
 class CompiledProgram:
-    """Everything the flow produces for one Fortran source file.
+    """Everything the flow produces for one Fortran source file: the
+    product of :meth:`Session.device_build`.
 
-    Programs assembled by one :class:`Session` share the frontend and
+    Programs built by one :class:`Session` share the frontend and
     host-side artifacts; only the device build differs between them."""
 
     host_module: builtin.ModuleOp
@@ -346,8 +316,8 @@ class CompiledProgram:
 class Session:
     """A staged compilation of one Fortran+OpenMP source.
 
-    Each stage is computed lazily, once, and cached keyed by its options;
-    see the module docstring for the stage graph.
+    Each stage is computed lazily, once, and cached (device builds keyed
+    by their overrides); see the module docstring for the stage graph.
     """
 
     def __init__(
@@ -356,16 +326,14 @@ class Session:
         *,
         target: TargetConfig | None = None,
         instrumentation: Instrumentation | None = None,
-        verify_each: bool = True,
     ):
         self.source = source
         self.target = target or TargetConfig()
         self.board = self.target.resolved_board()
         self.instrumentation = instrumentation or Instrumentation()
-        self.verify_each = verify_each
         self._frontend: FrontendArtifact | None = None
-        self._host_device: dict[tuple, HostDeviceArtifact] = {}
-        self._builds: dict[tuple, DeviceBuild] = {}
+        self._host_device: HostDeviceArtifact | None = None
+        self._builds: dict[str, CompiledProgram] = {}
 
     # -- stage 1 ---------------------------------------------------------------------
 
@@ -377,167 +345,111 @@ class Session:
         instrumentation failure without holding a poisoned artifact.
         """
         if self._frontend is None:
-            instr = self.instrumentation
-            mark = len(instr.snapshots)
             try:
-                result = compile_to_core(self.source, instrumentation=instr)
-                self._frontend = FrontendArtifact(
-                    module=result.module,
-                    program_info=result.program_info,
-                    snapshots=list(instr.snapshots[mark:]),
+                self._frontend = compile_to_core(
+                    self.source, instrumentation=self.instrumentation
                 )
-            except BaseException as error:
-                self._frontend = None
+            except Exception as error:
                 _stage_failed(error, FrontendError, "session.frontend")
         return self._frontend
 
     # -- stages 2-5 (host) -------------------------------------------------------------
 
-    def host_device(
-        self, memory_space_policy: str | None = None
-    ) -> HostDeviceArtifact:
-        """Device-dialect lowering, module split and host C++ generation,
-        cached per memory-space policy."""
-        policy = (
-            memory_space_policy
-            if memory_space_policy is not None
-            else self.target.memory_space_policy
-        )
-        key = _policy_mode(policy)
-        if key not in self._host_device:
+    def host_device(self) -> HostDeviceArtifact:
+        """Device-dialect lowering, module split and host C++ generation
+        under the target's memory-space policy (once)."""
+        if self._host_device is None:
+            frontend = self.frontend()
             try:
-                frontend = self.frontend()
                 instr = self.instrumentation
                 module = frontend.module.clone()
-                pm = host_device_pipeline(
-                    policy, instrumentation=instr,
-                    verify_each=self.verify_each,
-                )
-                pm.run(module)
-                snapshots = []
-                snap = instr.snapshot("device-dialect", module)
-                if snap is not None:
-                    snapshots.append(snap)
+                host_device_pipeline(
+                    self.target.memory_space_policy, instrumentation=instr
+                ).run(module)
+                snapshots = _snapshots(instr, ("device-dialect", module))
                 host_module, device_module = split_host_device(module)
                 instr.count("host_device_builds")
-                self._host_device[key] = HostDeviceArtifact(
+                self._host_device = HostDeviceArtifact(
                     host_module=host_module,
                     device_module=device_module,
                     host_cpp=generate_host_code(host_module),
-                    policy_key=key,
                     snapshots=snapshots,
                 )
-            except BaseException as error:
-                self._host_device.pop(key, None)
-                _stage_failed(error, LoweringError, f"host_device {key!r}")
-        return self._host_device[key]
+            except Exception as error:
+                _stage_failed(error, LoweringError, "session.host_device")
+        return self._host_device
 
     # -- stages 5 (device) + 6 ---------------------------------------------------------
 
     def device_build(
-        self,
-        overrides: KernelOverrides | None = None,
-        *,
-        memory_space_policy: str | None = None,
-    ) -> DeviceBuild:
-        """HLS lowering + simulated Vitis synthesis, cached per
-        (policy, overrides) — the only work a DSE sweep repeats."""
+        self, overrides: KernelOverrides | None = None
+    ) -> CompiledProgram:
+        """HLS lowering + simulated Vitis synthesis, assembled with the
+        frontend and host artifacts into a :class:`CompiledProgram`;
+        cached per overrides — the only work a DSE sweep repeats."""
         overrides = overrides or KernelOverrides()
-        host = self.host_device(memory_space_policy)
         # Cache key: the stage-content digest, not the object — two
         # override instances with equal fields share one build, and the
-        # same key addresses the artifact in the cross-process store.
-        key = (host.policy_key, overrides.digest())
-        if key not in self._builds:
-            # Failure discipline: a raise anywhere mid-build must leave
-            # the session reusable — the key is evicted (never a partial
-            # artifact) and the frontend/host caches stay valid, so a
-            # retry with the same overrides re-runs only this stage.
-            try:
-                instr = self.instrumentation
-                device_module = host.device_module.clone()
-                pm = device_pipeline(
-                    overrides, instrumentation=instr,
-                    verify_each=self.verify_each,
-                )
-                pm.run(device_module)
-                snapshots = []
-                snap = instr.snapshot("device-hls", device_module)
-                if snap is not None:
-                    snapshots.append(snap)
-                bitstream = VitisCompiler(self.board).compile(
-                    device_module,
-                    compute_units=overrides.compute_units,
-                    stream_tile_bytes=overrides.stream_tile_bytes,
-                )
-                for name, ir in (
-                    ("llvm-ir", bitstream.llvm_ir),
-                    ("amd-hls-llvm7", bitstream.amd_artifact.llvm_ir),
-                ):
-                    snap = instr.snapshot(name, ir)
-                    if snap is not None:
-                        snapshots.append(snap)
-                instr.count("device_builds")
-                self._builds[key] = DeviceBuild(
-                    overrides=overrides,
-                    device_module=device_module,
-                    bitstream=bitstream,
-                    host=host,
-                    snapshots=snapshots,
-                )
-            except BaseException as error:
-                self._builds.pop(key, None)
-                _stage_failed(
-                    error, DeviceBuildError,
-                    f"device_build overrides={overrides!r}",
-                )
-        return self._builds[key]
-
-    # -- assembly ----------------------------------------------------------------------
+        # same digest addresses the program in the cross-process store.
+        key = overrides.digest()
+        program = self._builds.get(key)
+        if program is not None:
+            return program
+        frontend = self.frontend()
+        host = self.host_device()
+        # Failure discipline: a raise anywhere mid-build must leave the
+        # session reusable — nothing is cached (never a partial
+        # artifact) and the frontend/host caches stay valid, so a retry
+        # with the same overrides re-runs only this stage.
+        try:
+            instr = self.instrumentation
+            device_module = host.device_module.clone()
+            device_pipeline(overrides, instrumentation=instr).run(
+                device_module
+            )
+            snapshots = _snapshots(instr, ("device-hls", device_module))
+            bitstream = VitisCompiler(self.board).compile(
+                device_module,
+                compute_units=overrides.compute_units,
+                stream_tile_bytes=overrides.stream_tile_bytes,
+            )
+            snapshots += _snapshots(
+                instr,
+                ("llvm-ir", bitstream.llvm_ir),
+                ("amd-hls-llvm7", bitstream.amd_artifact.llvm_ir),
+            )
+            instr.count("device_builds")
+            program = self._builds[key] = CompiledProgram(
+                host_module=host.host_module,
+                device_module=device_module,
+                bitstream=bitstream,
+                host_cpp=host.host_cpp,
+                program_info=frontend.program_info,
+                board=self.board,
+                stages=frontend.snapshots + host.snapshots + snapshots,
+            )
+        except Exception as error:
+            _stage_failed(
+                error, DeviceBuildError,
+                f"device_build overrides={overrides!r}",
+            )
+        return program
 
     def program(
-        self,
-        overrides: KernelOverrides | None = None,
-        *,
-        memory_space_policy: str | None = None,
+        self, overrides: KernelOverrides | None = None
     ) -> CompiledProgram:
-        """A :class:`CompiledProgram` view over the cached artifacts."""
-        frontend = self.frontend()
-        build = self.device_build(
-            overrides, memory_space_policy=memory_space_policy
-        )
-        host = build.host
-        return CompiledProgram(
-            host_module=host.host_module,
-            device_module=build.device_module,
-            bitstream=build.bitstream,
-            host_cpp=host.host_cpp,
-            program_info=frontend.program_info,
-            board=self.board,
-            stages=(
-                frontend.snapshots + host.snapshots + build.snapshots
-            ),
-        )
+        """The :class:`CompiledProgram` for ``overrides``: the cached
+        :meth:`device_build`."""
+        return self.device_build(overrides)
 
     # -- cache management --------------------------------------------------------------
 
-    def release_build(
-        self,
-        overrides: KernelOverrides | None = None,
-        *,
-        memory_space_policy: str | None = None,
-    ) -> bool:
+    def release_build(self, overrides: KernelOverrides | None = None) -> bool:
         """Drop one device build from the cache (the bitstream and the
         lowered module are the heavy artifacts; a sweep that has already
         extracted its numbers releases each point to keep memory flat).
         Returns whether a cached build was evicted."""
-        overrides = overrides or KernelOverrides()
-        policy = (
-            memory_space_policy
-            if memory_space_policy is not None
-            else self.target.memory_space_policy
-        )
-        key = (_policy_mode(policy), overrides.digest())
+        key = (overrides or KernelOverrides()).digest()
         return self._builds.pop(key, None) is not None
 
     # -- introspection -----------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.ir.attributes import IntegerAttr
 from repro.ir.core import (
     Block,
     BlockArgument,
@@ -383,16 +384,23 @@ def bound_is_runtime(value: SSAValue) -> bool:
     return walk(value)
 
 
-def static_loop_step(for_op: Operation) -> Optional[int]:
-    """The loop's step when it is a compile-time constant."""
-    step = for_op.operands[2]
-    if isinstance(step, OpResult) and step.op.name == "arith.constant":
-        from repro.ir.attributes import IntegerAttr
-
-        attr = step.op.attributes.get("value")
+def const_int(value: SSAValue) -> Optional[int]:
+    """The value when it is an integer ``arith.constant``."""
+    if isinstance(value, OpResult) and value.op.name == "arith.constant":
+        attr = value.op.attributes.get("value")
         if isinstance(attr, IntegerAttr):
             return attr.value
     return None
+
+
+def static_loop_step(for_op: Operation) -> Optional[int]:
+    """The loop's step when it is a compile-time constant."""
+    return const_int(for_op.operands[2])
+
+
+def trip_count(lb: int, ub: int, step: int) -> int:
+    """Iterations of an ``scf.for`` over ``[lb, ub)`` by ``step``."""
+    return max(0, -(-(ub - lb) // step)) if step > 0 else 0
 
 
 def walk_same_loop_level(body: Block):

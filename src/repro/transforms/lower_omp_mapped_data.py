@@ -42,6 +42,23 @@ from repro.ir.pass_manager import ModulePass, PassOption, register_pass
 from repro.ir.types import DYNAMIC, MemRefType
 
 
+def check_memory_space_mode(mode) -> str:
+    """``mode`` when it names a memory-space policy mode: a non-str raises
+    ``TypeError``, any string but ``"single"`` or ``"round_robin"``
+    ``ValueError``."""
+    if not isinstance(mode, str):
+        raise TypeError(
+            "memory-space policy must be a mode string, got "
+            f"{type(mode).__name__}"
+        )
+    if mode not in ("single", "round_robin"):
+        raise ValueError(
+            f"unknown memory-space policy {mode!r}; the modes are "
+            "'single' and 'round_robin'"
+        )
+    return mode
+
+
 @dataclass
 class MemorySpacePolicy:
     """Assigns device memory spaces (HBM banks / DDR) to identifiers.
@@ -55,6 +72,7 @@ class MemorySpacePolicy:
     num_banks: int = 16
 
     def __post_init__(self):
+        check_memory_space_mode(self.mode)
         self._assigned: dict[str, int] = {}
         self._next = 1
 

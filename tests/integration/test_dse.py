@@ -145,36 +145,17 @@ class TestExploration:
         assert result.session._builds == {}
         assert result.session.counters["device_builds"] == 2
 
-    def test_session_source_mismatch_rejected(self):
-        session = Session(SAXPY_SOURCE)
-        with pytest.raises(ValueError, match="different"):
-            explore(
-                "subroutine other\nend subroutine other",
-                _saxpy_evaluator(),
-                session=session,
-            )
-
-    def test_session_board_mismatch_rejected(self):
-        """board= used to be silently ignored when session= was given;
-        disagreeing values must raise like the source mismatch does."""
+    def test_board_sets_the_session_target(self):
+        """``board=`` is the sweep's one target setting: the session the
+        sweep builds runs on it."""
         from repro.fpga.board import U280Board
-        from repro.session import TargetConfig
 
-        session = Session(SAXPY_SOURCE)
         other = U280Board(kernel_clock_hz=150e6)
-        with pytest.raises(ValueError, match="different board"):
-            explore(
-                SAXPY_SOURCE, _saxpy_evaluator(), session=session,
-                board=other,
-            )
-        # an *agreeing* board is redundant but harmless
-        agreeing = Session(
-            SAXPY_SOURCE, target=TargetConfig(board=U280Board())
-        )
         result = explore(
-            SAXPY_SOURCE, _saxpy_evaluator(), session=agreeing,
-            board=U280Board(), simdlen_factors=(1,),
+            SAXPY_SOURCE, _saxpy_evaluator(), board=other,
+            simdlen_factors=(1,),
         )
+        assert result.session.board == other
         assert len(result.points) == 1
 
     def test_dsp_budget_filters(self):
@@ -211,17 +192,7 @@ class TestExploration:
         assert "LUT <= 65" in table and "DSP <= 55" in table
 
 
-class TestGallerySessionForwarding:
-    def test_shared_session_rejected_up_front(self):
-        """One session cannot serve several workloads (each has its own
-        source); the old behaviour was a confusing source-mismatch error
-        on the *second* workload."""
-        from repro.dse import explore_gallery
-
-        session = Session(SAXPY_SOURCE)
-        with pytest.raises(ValueError, match="one Session per workload"):
-            explore_gallery(["saxpy", "dot"], session=session)
-
+class TestWorkloadSweep:
     def test_histogram_sweep_finds_feasible_point(self):
         result = explore_workload(
             "histogram", simdlen_factors=(1, 2), n=512

@@ -25,13 +25,11 @@ class TestStageCaching:
         assert session.frontend() is session.frontend()
         assert session.counters["frontend_compiles"] == 1
 
-    def test_host_device_cached_per_policy(self):
+    def test_host_device_computed_once(self):
         session = Session(SAXPY_MINI)
-        single = session.host_device()
-        assert session.host_device() is single
-        robin = session.host_device("round_robin")
-        assert robin is not single
-        assert session.counters["host_device_builds"] == 2
+        assert session.host_device() is session.host_device()
+        session.program(KernelOverrides(simdlen=2))
+        assert session.counters["host_device_builds"] == 1
 
     def test_device_build_cached_per_overrides(self):
         session = Session(SAXPY_MINI)
@@ -40,6 +38,16 @@ class TestStageCaching:
         wide = session.device_build(KernelOverrides(simdlen=4))
         assert wide is not base
         assert session.counters["frontend_compiles"] == 1
+        assert session.counters["device_builds"] == 2
+
+    def test_program_is_the_cached_device_build(self):
+        session = Session(SAXPY_MINI)
+        overrides = KernelOverrides(simdlen=2)
+        program = session.program(overrides)
+        assert session.device_build(overrides) is program
+        assert session.program(KernelOverrides(simdlen=2)) is program
+        assert session.release_build(overrides)
+        assert session.program(overrides) is not program
         assert session.counters["device_builds"] == 2
 
     def test_programs_share_host_artifacts(self):
@@ -306,18 +314,29 @@ class TestTargetConfig:
         policy = MemorySpacePolicy(mode="round_robin", num_banks=4)
         with pytest.raises(TypeError, match="mode string"):
             TargetConfig(memory_space_policy=policy)
-        session = Session(SAXPY_SOURCE)
-        for stage in (
-            session.device_build, session.program, session.release_build,
-        ):
-            with pytest.raises(TypeError, match="mode string"):
-                stage(memory_space_policy=policy)
-        with pytest.raises(TypeError, match="mode string"):
-            session.host_device(policy)
         with pytest.raises(TypeError, match="mode string"):
             host_device_pipeline(policy)
         pm = PassManager.parse(
             "lower-omp-mapped-data{policy=round_robin,num_banks=4}"
         )
         assert pm.passes[0].policy.num_banks == 4
-        assert session.counters["host_device_builds"] == 0
+
+    def test_unknown_policy_rejected(self):
+        """A misspelled mode used to build a round-robin bank layout."""
+        with pytest.raises(ValueError, match="'single' and 'round_robin'"):
+            TargetConfig(memory_space_policy="bogus")
+        with pytest.raises(ValueError, match="'single' and 'round_robin'"):
+            host_device_pipeline("bogus")
+
+    def test_default_policy_is_single(self):
+        """The default target and an explicit "single" one build the same
+        artifact, so they share one digest (they used to differ)."""
+        assert TargetConfig().memory_space_policy == "single"
+        assert (
+            TargetConfig().digest()
+            == TargetConfig(memory_space_policy="single").digest()
+        )
+        assert (
+            TargetConfig().digest()
+            != TargetConfig(memory_space_policy="round_robin").digest()
+        )

@@ -4,7 +4,6 @@ import pytest
 
 from repro.dialects import arith, builtin, func, scf
 from repro.ir import Block, Builder, IRError, Region, default_context
-from repro.ir.core import ops_topologically_sorted
 from repro.ir.types import FunctionType, index, f32
 
 
@@ -195,22 +194,3 @@ class TestContext:
 
     def test_unknown_op(self):
         assert default_context().get_op("nope.nope") is None
-
-
-class TestTopologicalSort:
-    def test_already_sorted(self):
-        block, a, b = _two_constants()
-        block.add_op(arith.AddI(a.results[0], b.results[0]))
-        assert ops_topologically_sorted(block) == block.ops
-
-    def test_detects_order(self):
-        block = Block()
-        a = arith.Constant.index(1)
-        block.add_op(a)
-        add = arith.AddI(a.results[0], a.results[0])
-        b = arith.Constant.index(2)
-        # deliberately out of order: add uses a (ok), then b unused
-        block.add_op(add)
-        block.add_op(b)
-        order = ops_topologically_sorted(block)
-        assert order.index(a) < order.index(add)

@@ -11,10 +11,17 @@ never a silent pass, never a traceback.
 ``check_perfbench.check`` is fed synthetic perfbench result lines: any
 exact count that drifts, a missing result line or an incorrect run must
 be a reported failure.
+
+perfbench binds its span wrappers to ``src/`` names from outside the
+package; ``TestPerfbenchBindings`` installs them in a fresh interpreter
+and traces one compile, so renaming a bound name fails here too.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
@@ -207,3 +214,57 @@ class TestCheckPerfbench:
         failures = check_perfbench.check("dse-sweep", lines)
         assert len(failures) == 1
         assert "not correct" in failures[0]
+
+
+#: installs perfbench's span wrappers, traces one direct and one
+#: service compile, and prints the recorded layers and counters
+_TRACE_ONE_COMPILE = """
+import json
+import spans
+from repro.service import ArtifactStore, CompileRequest, CompileService
+from repro.session import Session
+from repro.workloads import get_workload
+
+tracer = spans.Tracer()
+spans.install(tracer)
+source = get_workload("saxpy").source
+with tracer.root(0):
+    Session(source).program()
+    with CompileService(store=ArtifactStore(), max_workers=0) as service:
+        service.compile(CompileRequest(source))
+        response = service.compile(CompileRequest(source))
+print(json.dumps({
+    "layers": sorted(name for name in tracer.calls() if name),
+    "counts": dict(tracer.counts),
+    "payload_bytes": response.metadata["payload_bytes"],
+}))
+"""
+
+
+class TestPerfbenchBindings:
+    def test_span_wrappers_install_and_trace_a_compile(self):
+        """Every name perfbench wraps (session stages, the service build
+        function, store methods, vectorizer entries, one layer per
+        registered pass) still exists and keeps its call shape."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            str(REPO / part) for part in ("src", "perfbench")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACE_ONE_COMPILE],
+            cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        traced = json.loads(proc.stdout.splitlines()[-1])
+        assert {
+            "frontend.parse", "verifier", "pass.lower-omp-mapped-data",
+            "backend.host_codegen", "backend.vitis", "session.frontend",
+            "session.host_device", "session.device_build",
+            "service.build", "service.store", "service.load",
+        } <= set(traced["layers"])
+        # one frontend and one device build per session: the direct one
+        # and the service's worker session; the second request hits
+        assert traced["counts"] == {
+            "session.frontend_compiles": 2, "session.device_builds": 2,
+        }
+        assert traced["payload_bytes"] > 0

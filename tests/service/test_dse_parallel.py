@@ -52,20 +52,6 @@ def test_parallel_keep_programs_returns_runnable_programs():
         assert point.program.bitstream is not None
 
 
-def test_session_with_workers_is_rejected():
-    from repro.session import Session
-    from repro.workloads import get_workload
-
-    workload = get_workload("saxpy")
-    with pytest.raises(ValueError, match="cannot be combined"):
-        explore_workload(
-            workload,
-            simdlen_factors=(1,),
-            workers=2,
-            session=Session(workload.source),
-        )
-
-
 # -- resumable result store --------------------------------------------------
 
 

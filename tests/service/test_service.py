@@ -70,16 +70,6 @@ def test_cached_artifact_runs_bit_identically(inline_service):
     assert r1.kernel_cycles == r2.kernel_cycles
 
 
-def test_stage_requests_are_cached_separately(inline_service):
-    for stage in ("frontend", "host_device", "device_build", "program"):
-        response = inline_service.compile(
-            CompileRequest(SAXPY_MINI, stage=stage)
-        )
-        assert response.metrics.outcome == "built"
-        assert response.metadata["stage"] == stage
-    assert inline_service.stats.builds == 4
-
-
 def test_build_failure_propagates_wrapped_error(inline_service):
     with pytest.raises(FrontendError):
         inline_service.compile(CompileRequest("this is not fortran ("))
@@ -88,11 +78,6 @@ def test_build_failure_propagates_wrapped_error(inline_service):
     assert CompileRequest("this is not fortran (").key() not in (
         inline_service.store
     )
-
-
-def test_unknown_stage_is_rejected_typed(inline_service):
-    with pytest.raises(ValueError, match="unknown stage"):
-        inline_service.compile(CompileRequest(SAXPY_MINI, stage="link"))
 
 
 def test_closed_service_rejects_submissions(tmp_path):

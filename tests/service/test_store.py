@@ -28,18 +28,20 @@ def test_key_digest_stable_across_equal_instances():
     k1 = ArtifactKey(source=SAXPY_MINI)
     k2 = ArtifactKey(
         source=SAXPY_MINI,
-        target=TargetConfig(),
-        stage="program",
+        target=TargetConfig(memory_space_policy="single"),
         overrides=KernelOverrides(),
     )
     assert k1.digest == k2.digest
 
 
-def test_key_digest_distinguishes_stage_and_overrides():
+def test_key_digest_distinguishes_target_and_overrides():
     base = ArtifactKey(source=SAXPY_MINI)
     digests = {
         base.digest,
-        ArtifactKey(source=SAXPY_MINI, stage="frontend").digest,
+        ArtifactKey(
+            source=SAXPY_MINI,
+            target=TargetConfig(memory_space_policy="round_robin"),
+        ).digest,
         ArtifactKey(
             source=SAXPY_MINI, overrides=KernelOverrides(simdlen=8)
         ).digest,
@@ -47,42 +49,31 @@ def test_key_digest_distinguishes_stage_and_overrides():
     assert len(digests) == 3
 
 
-def test_key_overrides_do_not_affect_host_stages():
-    """The frontend/host split does not depend on overrides, so a DSE
-    sweep's points share one frontend address."""
-    a = ArtifactKey(source=SAXPY_MINI, stage="frontend")
-    b = ArtifactKey(
-        source=SAXPY_MINI,
-        stage="frontend",
-        overrides=KernelOverrides(simdlen=8),
-    )
-    assert a.digest == b.digest
-
-
-def test_key_rejects_unknown_stage():
-    with pytest.raises(ValueError, match="unknown stage"):
-        ArtifactKey(source=SAXPY_MINI, stage="bitstream")
-
-
 def test_walk_index_keyed_schedules_are_addressed_away(tmp_path):
     """Store v2 pickled a device build's loop schedules keyed by their
     walk index in the device module.  Loaded now, those keys match no
     loop op and the runtime would price no loop, so the op-keyed form
     has new addresses: a disk store written at v2 never serves them."""
-    build = Session(SAXPY_MINI).device_build(KernelOverrides())
+    program = Session(SAXPY_MINI).program(KernelOverrides())
     walk_index = {
-        op: i for i, op in enumerate(build.bitstream.device_module.walk())
+        op: i for i, op in enumerate(program.bitstream.device_module.walk())
     }
-    for kernel in build.bitstream.kernels.values():
+    for kernel in program.bitstream.kernels.values():
         kernel.loops = {walk_index[op]: s for op, s in kernel.loops.items()}
-    key = ArtifactKey(source=SAXPY_MINI, stage="device_build")
+    key = ArtifactKey(source=SAXPY_MINI)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(store_module, "STORE_VERSION", 2)
         v2_digest = key.digest
-    ArtifactStore(tmp_path).put(v2_digest, build, stage="device_build")
+    ArtifactStore(tmp_path).put(v2_digest, program)
     store = ArtifactStore(tmp_path)
     assert store.get(v2_digest) is not None
     assert store.get(key) is None
+
+
+def test_key_text_change_moved_the_store_version():
+    """Version 4 keys address programs only (no stage in the key text),
+    so every entry an earlier version wrote is addressed away."""
+    assert store_module.STORE_VERSION == 4
 
 
 # -- tiers -------------------------------------------------------------------
@@ -190,7 +181,9 @@ def test_metadata_for_wrong_key_is_rejected(tmp_path):
     file) must not be served."""
     store = ArtifactStore(tmp_path)
     key_a = ArtifactKey(source=SAXPY_MINI)
-    key_b = ArtifactKey(source=SAXPY_MINI, stage="frontend")
+    key_b = ArtifactKey(
+        source=SAXPY_MINI, overrides=KernelOverrides(simdlen=8)
+    )
     store.put(key_a, {"payload": 7})
     a_payload, a_meta = store._paths(key_a.digest)
     b_payload, b_meta = store._paths(key_b.digest)

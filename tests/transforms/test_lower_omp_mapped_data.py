@@ -1,6 +1,7 @@
 """Tests for *lower omp mapped data*: device data ops + ref counting."""
 
 import numpy as np
+import pytest
 
 from repro.frontend import compile_to_core
 from repro.ir import PassManager, print_op
@@ -114,6 +115,21 @@ class TestMemorySpacePolicy:
         first = policy.space_for("a")
         assert policy.space_for("a") == first
         assert policy.space_for("b") != first
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MemorySpacePolicy("bogus"),
+            lambda: LowerOmpMappedDataPass("bogus"),
+            lambda: PassManager.parse("lower-omp-mapped-data{policy=bogus}"),
+        ],
+        ids=["policy", "pass", "pipeline-spec"],
+    )
+    def test_unknown_mode_is_rejected(self, build):
+        """A misspelled mode used to build a round-robin layout, since
+        every mode but "single" assigned banks round-robin."""
+        with pytest.raises(ValueError, match="'single' and 'round_robin'"):
+            build()
 
 
 class TestCounterSemanticsEndToEnd:
