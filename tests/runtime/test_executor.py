@@ -117,6 +117,27 @@ class TestRepeatedRuns:
         assert first == fresh
         assert second == fresh
 
+    def test_watchdog_abort_leaves_no_loop_trips_behind(self, saxpy_program):
+        """A kernel run that the watchdog aborts has already entered its
+        loops; those trip counts must not reach the runner's next run."""
+        from repro.reliability import WatchdogTimeout
+        from repro.runtime.kernel_runner import KernelRunner
+
+        def args():
+            return (
+                np.array(2.0, np.float32),
+                np.array(64, np.int32),
+                np.ones(64, np.float32),
+                np.ones(64, np.float32),
+            )
+
+        kernel = "saxpy_kernel_0"
+        fresh = KernelRunner(saxpy_program.bitstream).run(kernel, *args())
+        runner = KernelRunner(saxpy_program.bitstream)
+        with pytest.raises(WatchdogTimeout):
+            runner.run(kernel, *args(), step_budget=4)
+        assert runner.run(kernel, *args()) == fresh
+
 
 class TestErrors:
     def test_unextracted_kernel_rejected(self):

@@ -7,9 +7,11 @@ from repro.ir.types import FunctionType, MemRefType, f32, index
 from repro.transforms.loop_analysis import (
     DEFAULT_LATENCIES,
     classify_index,
+    const_int,
     float_chain_latency,
     loop_carried_dependences,
     min_initiation_interval,
+    trip_count,
 )
 
 
@@ -158,3 +160,29 @@ class TestLatency:
         latency = float_chain_latency(loop.regions[0].block)
         # two independent muls: latency of one mul (plus load), not two
         assert latency < 2 * DEFAULT_LATENCIES["arith.mulf"] + 2
+
+
+class TestStaticValues:
+    """The helpers the scf interpreter, the vectorizer and the
+    parallel-loop checker share for constant bounds and trip counts."""
+
+    def test_trip_count_rounds_up_and_clamps(self):
+        assert trip_count(0, 100, 1) == 100
+        assert trip_count(0, 10, 3) == 4
+        assert trip_count(2, 10, 4) == 2
+        assert trip_count(5, 5, 1) == 0
+        assert trip_count(10, 0, 1) == 0
+        assert trip_count(0, 10, 0) == 0
+        assert trip_count(0, 10, -1) == 0
+
+    def test_const_int_reads_integer_constants_only(self):
+        _, fn, loop, inner = _loop_skeleton([MemRefType(f32, [100])])
+        lb, ub, step = loop.operands
+        assert (const_int(lb), const_int(ub), const_int(step)) == (0, 100, 1)
+        assert const_int(inner.insert(arith.Constant.int(7)).results[0]) == 7
+        half = inner.insert(arith.Constant.float(0.5)).results[0]
+        assert const_int(half) is None
+        assert const_int(loop.induction_var) is None
+        assert const_int(fn.body.args[0]) is None
+        total = inner.insert(arith.AddI(lb, ub)).results[0]
+        assert const_int(total) is None
