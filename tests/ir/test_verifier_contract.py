@@ -149,6 +149,32 @@ class TestMessages:
         )
 
 
+    def test_region_value_used_after_the_region_op(self):
+        module, fn, b = _func_body()
+        region_op = b.insert(_RegionOp())
+        inner = Builder.at_end(region_op.body).insert(arith.Constant.index(2))
+        b.insert(arith.AddI(inner.results[0], inner.results[0]))
+        b.insert(func.ReturnOp())
+        _raises(
+            module,
+            "arith.addi: operand crosses IsolatedFromAbove boundary (func.func)",
+        )
+
+    def test_then_value_used_in_the_else_region(self):
+        module, fn, b = _func_body()
+        cond = b.insert(arith.Constant.bool(True)).results[0]
+        branch = b.insert(scf.If(cond))
+        c = Builder.at_end(branch.then_block).insert(arith.Constant.index(1))
+        Builder.at_end(branch.else_block).insert(
+            arith.AddI(c.results[0], c.results[0])
+        )
+        b.insert(func.ReturnOp())
+        _raises(
+            module,
+            "arith.addi: operand crosses IsolatedFromAbove boundary (func.func)",
+        )
+
+
 class TestAcceptedUses:
     def test_enclosing_value_defined_after_the_region_op(self):
         module, fn, b = _func_body()
