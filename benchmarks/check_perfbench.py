@@ -5,7 +5,9 @@ line.  This script reads that line and exits 1 unless the run was
 correct and its exact counts equal the seed-1 values in ``EXPECTED``.
 They catch a change that moves the interpreter's step accounting, one
 that sends a loop off the whole-space tier or past the benchmark's
-name-bound span wrappers, or one that changes which entry runs a loop:
+name-bound span wrappers, one that drops a verification
+(``verifier.calls``: every session pipeline verifies after each pass),
+or one that changes which entry runs a loop:
 the calls per ``try_vectorized_*`` entry pin the tier choice itself
 (on run-kernels, gemm's rows falling back to one reduction call per
 (i, j) point would move ``try_vectorized_reduction`` from 24 to about
@@ -32,6 +34,9 @@ import sys
 #: seed-1 totals over the traced pass, per workload
 EXPECTED = {
     "compile-gallery": {
+        # one verification per pass boundary: 11 per compile, 110
+        # compiles; a gain cannot come from a dropped verification
+        "verifier.calls": 1210,
         "interpreter.steps": 0,
         "vectorize.whole_space_loops": 250,
         "vectorize.try_vectorized_loop.calls": 0,
@@ -42,6 +47,7 @@ EXPECTED = {
         "vectorize.hit_ratio": 0.0,
     },
     "dse-sweep": {
+        "verifier.calls": 204,
         "interpreter.steps": 7448802,
         "vectorize.whole_space_loops": 206,
         "vectorize.try_vectorized_loop.calls": 26,
@@ -53,6 +59,8 @@ EXPECTED = {
         "vectorize.hit_ratio": 8613 / 8631,
     },
     "run-kernels": {
+        # kernels are compiled in set-up, so runs verify nothing
+        "verifier.calls": 0,
         "interpreter.steps": 1179768012,
         "vectorize.whole_space_loops": 264,
         "vectorize.try_vectorized_loop.calls": 12,
@@ -63,6 +71,7 @@ EXPECTED = {
         "vectorize.hit_ratio": 1.0,
     },
     "run-sgesl": {
+        "verifier.calls": 0,
         "interpreter.steps": 1010214800,
         "vectorize.whole_space_loops": 200,
         "vectorize.try_vectorized_loop.calls": 0,

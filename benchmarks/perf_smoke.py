@@ -42,7 +42,10 @@ compares the fresh run to the committed baseline and exits non-zero when
 
 Benches only the *current* run has are reported but never fail the
 gate; they become binding once the fresh JSON is committed as the new
-baseline.
+baseline.  The baseline is read before the run, and an ``--out`` that
+resolves to the baseline file (the default ``--out`` is
+``BENCH_pr10.json``) exits 1 without running or writing: the run would
+overwrite the baseline and then pass against its own numbers.
 
 Run:  PYTHONPATH=src python benchmarks/perf_smoke.py [--out PATH]
 """
@@ -371,9 +374,21 @@ def main() -> None:
         default=None,
         help="committed baseline JSON to gate against: exit 1 when any "
         "modelled value drifts or a tier speedup falls below its "
-        "recorded floor",
+        "recorded floor (--out must name another file)",
     )
     args = parser.parse_args()
+    out = Path(args.out)
+    baseline = None
+    if args.check_against:
+        # the gate compares against the baseline as committed: read it
+        # first, and never write the run over it
+        if out.resolve() == Path(args.check_against).resolve():
+            sys.exit(
+                f"--out {args.out} is the --check-against baseline: the "
+                "run would overwrite it and then pass against its own "
+                "numbers; write the run to another path"
+            )
+        baseline = json.loads(Path(args.check_against).read_text())
 
     # the service bench runs first, while the process heap is still
     # small: the warm path is a ~1 ms unpickle, and running it after the
@@ -416,7 +431,6 @@ def main() -> None:
         "service_tiers": service_benches,
         "scaling_tiers": scaling_benches,
     }
-    out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
     width = max(len(b["name"]) for b in benches)
@@ -448,8 +462,7 @@ def main() -> None:
         )
     print(f"\nwrote {out}")
 
-    if args.check_against:
-        baseline = json.loads(Path(args.check_against).read_text())
+    if baseline is not None:
         failures = check_against(
             baseline, payload, baseline_name=args.check_against
         )

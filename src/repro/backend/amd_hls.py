@@ -29,17 +29,20 @@ SSDM_PRIMITIVES = {
     "xlx_stream_write": "_ssdm_op_Write.ap_fifo",
 }
 
-#: Modern-IR constructs rewritten for LLVM 7 compatibility.
-_DOWNGRADES: list[tuple[str, str]] = [
+#: Modern-IR constructs rewritten for LLVM 7 compatibility, each behind
+#: a literal that every match contains: text without the literal is not
+#: scanned (a greedy ``\S+`` match would start at every non-space char).
+_DOWNGRADES: list[tuple[str, re.Pattern, str]] = [
     # fneg did not exist before LLVM 8.
-    (r"(\S+) = fneg (float|double) (\S+)", r"\1 = fsub \2 -0.0, \3"),
+    ("fneg", re.compile(r"(\S+) = fneg (float|double) (\S+)"),
+     r"\1 = fsub \2 -0.0, \3"),
     # 'freeze' (LLVM 10+) drops to a move.
-    (r"(\S+) = freeze (\S+) (\S+)", r"\1 = add \2 0, \3"),
+    ("freeze", re.compile(r"(\S+) = freeze (\S+) (\S+)"), r"\1 = add \2 0, \3"),
     # fast-math flag set spelled differently pre-8 (nnan+contract subset).
-    (r"\bfadd fast\b", "fadd nnan contract"),
-    (r"\bfsub fast\b", "fsub nnan contract"),
-    (r"\bfmul fast\b", "fmul nnan contract"),
-    (r"\bfdiv fast\b", "fdiv nnan contract"),
+    ("fadd fast", re.compile(r"\bfadd fast\b"), "fadd nnan contract"),
+    ("fsub fast", re.compile(r"\bfsub fast\b"), "fsub nnan contract"),
+    ("fmul fast", re.compile(r"\bfmul fast\b"), "fmul nnan contract"),
+    ("fdiv fast", re.compile(r"\bfdiv fast\b"), "fdiv nnan contract"),
 ]
 
 
@@ -70,8 +73,9 @@ def downgrade_to_llvm7(llvm_ir: str) -> str:
     # pointers.  Strip source_filename (added in 3.9 but AMD's reader is
     # picky about interleaving) and pin the data layout AMD ships.
     text = re.sub(r'^source_filename = .*\n', "", text, flags=re.MULTILINE)
-    for pattern, replacement in _DOWNGRADES:
-        text = re.sub(pattern, replacement, text)
+    for literal, pattern, replacement in _DOWNGRADES:
+        if literal in text:
+            text = pattern.sub(replacement, text)
     return text
 
 

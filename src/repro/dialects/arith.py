@@ -93,9 +93,12 @@ class _BinaryOp(Operation):
         return self.operands[1]
 
     def verify_(self) -> None:
-        if self.operands[0].type != self.operands[1].type:
+        lhs, rhs = self.operands[0].type, self.operands[1].type
+        # types compare structurally, but most share one canonical object
+        if lhs is not rhs and lhs != rhs:
             raise IRError(f"{self.name}: operand types differ")
-        if self.results[0].type != self.operands[0].type:
+        result = self.results[0].type
+        if result is not lhs and result != lhs:
             raise IRError(f"{self.name}: result type differs from operands")
 
 

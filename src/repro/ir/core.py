@@ -203,6 +203,10 @@ class Operation:
     #: Trait classes (see :mod:`repro.ir.traits`).
     traits: tuple[type, ...] = ()
 
+    #: Every class in the MRO of every trait in :attr:`traits`, built
+    #: once per op class, so :meth:`has_trait` is one set lookup.
+    _trait_set: frozenset[type] = frozenset()
+
     __slots__ = (
         "_operands",
         "_operand_uses",
@@ -218,6 +222,12 @@ class Operation:
         # module they reference.
         "analysis_cache",
     )
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._trait_set = frozenset(
+            base for trait in cls.traits for base in trait.__mro__
+        )
 
     def __init__(
         self,
@@ -353,7 +363,7 @@ class Operation:
     # -- attribute helpers -----------------------------------------------------
 
     def has_trait(self, trait: type) -> bool:
-        return any(issubclass(t, trait) for t in self.traits)
+        return trait in self._trait_set
 
     # -- pickling --------------------------------------------------------------
 

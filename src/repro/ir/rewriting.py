@@ -39,20 +39,30 @@ class PatternRewriter:
         self.changed = False
         #: ops (possibly) affected by this rewrite, for re-enqueueing
         self.affected_ops: list[Operation] = []
-        self._builder = Builder(InsertPoint.before(current_op))
-        loc = current_op.attributes.get(LOC_ATTR)
-        if isinstance(loc, IntegerAttr):
-            self._builder.loc = loc.value
+        # built on the first insertion: most pattern tries match nothing
+        self._builder: Builder | None = None
+
+    def _matched_builder(self) -> Builder:
+        """The builder that inserts before the matched op and stamps its
+        ``loc``."""
+        if self._builder is None:
+            self._builder = Builder(InsertPoint.before(self.current_op))
+            loc = self.current_op.attributes.get(LOC_ATTR)
+            if isinstance(loc, IntegerAttr):
+                self._builder.loc = loc.value
+        return self._builder
 
     def _stamp_loc(self, op: Operation) -> None:
-        if self._builder.loc > 0 and LOC_ATTR not in op.attributes:
-            op.attributes[LOC_ATTR] = IntegerAttr.i64(self._builder.loc)
+        loc = self._matched_builder().loc
+        if loc > 0 and LOC_ATTR not in op.attributes:
+            op.attributes[LOC_ATTR] = IntegerAttr.i64(loc)
 
     # -- insertion --------------------------------------------------------------
 
     def insert_op_before_matched(self, *ops: Operation) -> None:
+        builder = self._matched_builder()
         for op in ops:
-            self._builder.insert(op)
+            builder.insert(op)
         self.affected_ops.extend(ops)
         self.changed = bool(ops) or self.changed
 

@@ -10,9 +10,23 @@ manager between passes when verification is enabled, and directly by
 tests; the kernel checker (:mod:`repro.analysis`) reuses
 :func:`typed_check_op` to report the same conditions as ``TYPE``
 diagnostics with source locations.
+
+:func:`verify` is one descent that carries the set of values visible at
+each op: the arguments and already-verified results of every enclosing
+block, restarted empty under an ``IsolatedFromAbove`` op.  An operand
+found in the set is defined earlier in its own block or in an enclosing
+one, so it passes dominance and visibility in one lookup.  Only a miss
+runs the full rules (:func:`_check_visibility` walks the enclosing
+blocks), and those rules alone decide, so a miss fails with the same
+message on the same op as the rule would, and the uses they accept
+stay accepted: a value of an enclosing block defined after the region's
+op, an op's own result inside its region, and any value defined above
+the op ``verify`` was called on.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.ir.core import (
     Block,
@@ -20,7 +34,7 @@ from repro.ir.core import (
     IRError,
     Operation,
     OpResult,
-    Region,
+    SSAValue,
 )
 from repro.ir.traits import IsolatedFromAbove, IsTerminator
 from repro.ir.types import MemRefType
@@ -32,87 +46,150 @@ class VerificationError(IRError):
 
 def verify(op: Operation) -> None:
     """Verify ``op`` and everything nested within it."""
-    _verify_op(op, isolation_root=op)
+    _verify_ops((op,), None, set(), op)
 
 
-def _verify_op(op: Operation, isolation_root: Operation) -> None:
-    # Operand def-use back references.  Each operand's registered Use
-    # object is checked directly against the value's use list via its
-    # stored position — O(1) per operand, where scanning ``operand.uses``
-    # is O(#uses) and quadratic on high-fanout values (a loop bound used
-    # by thousands of ops pays its whole use list per user, per pass
-    # boundary when ``verify_each`` is on).
+def _verify_ops(
+    ops: Sequence[Operation],
+    block: Block | None,
+    visible: set[SSAValue],
+    isolation_root: Operation,
+) -> None:
+    """Verify ``ops``, the ops of ``block``, and descend into their
+    regions.  ``visible`` holds the values in scope: this block's
+    arguments and each op's results join it as the walk passes them and
+    leave it again on the way back up, so nothing defined here is in
+    scope after the block.  ``block`` is None for the root op, which has
+    no block to be checked against."""
+    if block is not None:
+        scoped = [arg for arg in block.args if arg.block is block]
+        visible.update(scoped)
+    last = len(ops) - 1
+    for position, op in enumerate(ops):
+        name = op.name
+        if block is not None and op.parent is not block:
+            raise VerificationError(f"{name}: op parent link broken")
+        # Fast path: every operand is in scope and its Use object sits
+        # at its recorded position in the value's use list (O(1) per
+        # operand, where scanning ``operand.uses`` would be quadratic on
+        # high-fanout values).  Anything else takes the rule-order path.
+        operands = op._operands
+        operand_uses = op._operand_uses
+        cleared = len(operands) == len(operand_uses)
+        if cleared:
+            for index, operand in enumerate(operands):
+                use = operand_uses[index]
+                uses = operand.uses
+                pos = use.pos
+                if (
+                    operand not in visible
+                    or use.operation is not op
+                    or use.index != index
+                    or not 0 <= pos < len(uses)
+                    or uses[pos] is not use
+                ):
+                    cleared = False
+                    break
+        if not cleared:
+            _check_operands(
+                op, block, position == last, visible, isolation_root
+            )
+        elif (
+            block is not None
+            and position != last
+            and op.has_trait(IsTerminator)
+        ):
+            raise VerificationError(
+                f"{name}: terminator is not the last op in its block"
+            )
+        # Result forward references.
+        results = op.results
+        for result in results:
+            if result.op is not op:
+                raise VerificationError(f"{name}: result owner link broken")
+            for use in result.uses:
+                user_operands = use.operation._operands
+                if use.index >= len(user_operands) or (
+                    user_operands[use.index] is not result
+                ):
+                    raise VerificationError(
+                        f"{name}: stale use record on result"
+                    )
+        # Type agreement.
+        typed_check = _TYPED_CHECKS.get(name)
+        if typed_check is not None:
+            typed = typed_check(op)
+            if typed is not None:
+                code, message = typed
+                raise VerificationError(f"{name}: [{code}] {message}")
+        # Region structure.
+        if op.regions:
+            if op.has_trait(IsolatedFromAbove):
+                inner_visible, inner_root = set(), op
+            else:
+                inner_visible, inner_root = visible, isolation_root
+            for region in op.regions:
+                if region.parent is not op:
+                    raise VerificationError(
+                        f"{name}: region parent link broken"
+                    )
+                for inner in region.blocks:
+                    if inner.parent is not region:
+                        raise VerificationError("block parent link broken")
+                    _verify_ops(inner.ops, inner, inner_visible, inner_root)
+        op.verify_()
+        if block is not None and results:
+            visible.update(results)
+            scoped.extend(results)
+    if block is not None:
+        visible.difference_update(scoped)
+
+
+def _check_operands(
+    op: Operation,
+    block: Block | None,
+    is_last: bool,
+    visible: set[SSAValue],
+    isolation_root: Operation,
+) -> None:
+    """The operand rules in order, for an op the fast path did not clear:
+    same-block dominance, terminator placement, use bookkeeping, then
+    per operand its back-reference and, unless in scope, visibility."""
+    name = op.name
     operands = op._operands
+    if block is not None:
+        for operand in operands:
+            # every earlier result of this block is in ``visible``
+            if (
+                operand not in visible
+                and isinstance(operand, OpResult)
+                and operand.op.parent is block
+            ):
+                raise VerificationError(
+                    f"{name}: use of value before its definition"
+                )
+        if not is_last and op.has_trait(IsTerminator):
+            raise VerificationError(
+                f"{name}: terminator is not the last op in its block"
+            )
     operand_uses = op._operand_uses
     if len(operands) != len(operand_uses):
         raise VerificationError(
-            f"{op.name}: operand/use bookkeeping length mismatch"
+            f"{name}: operand/use bookkeeping length mismatch"
         )
     for index, (operand, use) in enumerate(zip(operands, operand_uses)):
         pos = use.pos
         if (
             use.operation is not op
             or use.index != index
-            or pos < 0
-            or pos >= len(operand.uses)
+            or not 0 <= pos < len(operand.uses)
             or operand.uses[pos] is not use
         ):
             raise VerificationError(
-                f"{op.name}: operand {index} missing back-reference use"
+                f"{name}: operand {index} missing back-reference use"
             )
-        _check_visibility(op, operand, isolation_root)
-    # Result forward references.
-    for result in op.results:
-        if result.op is not op:
-            raise VerificationError(f"{op.name}: result owner link broken")
-        for use in result.uses:
-            if use.index >= len(use.operation.operands) or (
-                use.operation.operands[use.index] is not result
-            ):
-                raise VerificationError(
-                    f"{op.name}: stale use record on result"
-                )
-    # Type agreement.
-    typed = typed_check_op(op)
-    if typed is not None:
-        code, message = typed
-        raise VerificationError(f"{op.name}: [{code}] {message}")
-    # Region structure.
-    child_root = op if op.has_trait(IsolatedFromAbove) else isolation_root
-    for region in op.regions:
-        if region.parent is not op:
-            raise VerificationError(f"{op.name}: region parent link broken")
-        _verify_region(region, child_root)
-    op.verify_()
-
-
-def _verify_region(region: Region, isolation_root: Operation) -> None:
-    for block in region.blocks:
-        if block.parent is not region:
-            raise VerificationError("block parent link broken")
-        _verify_block(block, isolation_root)
-
-
-def _verify_block(block: Block, isolation_root: Operation) -> None:
-    seen: set[OpResult] = set()
-    for position, op in enumerate(block.ops):
-        if op.parent is not block:
-            raise VerificationError(f"{op.name}: op parent link broken")
-        # Same-block dominance: operands defined in this block must be
-        # defined earlier.
-        for operand in op.operands:
-            if isinstance(operand, OpResult) and operand.op.parent is block:
-                if operand not in seen:
-                    raise VerificationError(
-                        f"{op.name}: use of value before its definition"
-                    )
-        for result in op.results:
-            seen.add(result)
-        if op.has_trait(IsTerminator) and position != len(block.ops) - 1:
-            raise VerificationError(
-                f"{op.name}: terminator is not the last op in its block"
-            )
-        _verify_op(op, isolation_root)
+        if operand not in visible:
+            _check_visibility(op, operand, isolation_root)
 
 
 def _check_visibility(
@@ -175,8 +252,10 @@ _UNIFORM_TYPE_OPS = frozenset(
     }
 )
 
+TypedFinding = tuple[str, str] | None
 
-def typed_check_op(op: Operation) -> tuple[str, str] | None:
+
+def typed_check_op(op: Operation) -> TypedFinding:
     """Type-agreement check for one op: ``(rule code, message)`` or None.
 
     Rule codes mirror :data:`repro.analysis.diagnostics.RULES`:
@@ -186,75 +265,104 @@ def typed_check_op(op: Operation) -> tuple[str, str] | None:
     * ``TYPE002`` — memref rank vs. subscript count (and element type)
       on ``memref.load``/``memref.store``.
     """
-    name = op.name
-    if name in _UNIFORM_TYPE_OPS:
-        types = {o.type for o in op.operands} | {r.type for r in op.results}
+    check = _TYPED_CHECKS.get(op.name)
+    return None if check is None else check(op)
+
+
+def _check_uniform(op: Operation) -> TypedFinding:
+    values = op._operands + op.results
+    if not values:
+        return None
+    first = values[0].type
+    for value in values:
+        # types compare structurally, but most share one canonical object
+        if value.type is not first and value.type != first:
+            types = {v.type for v in values}
+            rendered = ", ".join(sorted(t.print() for t in types))
+            return (
+                "TYPE001",
+                f"operands/results of {op.name} must share one type, "
+                f"found {rendered}",
+            )
+    return None
+
+
+def _check_select(op: Operation) -> TypedFinding:
+    if len(op.operands) == 3:
+        _, lhs, rhs = op.operands
+        types = {lhs.type, rhs.type} | {r.type for r in op.results}
         if len(types) > 1:
             rendered = ", ".join(sorted(t.print() for t in types))
             return (
                 "TYPE001",
-                f"operands/results of {name} must share one type, "
-                f"found {rendered}",
+                "value legs and result of arith.select must share one "
+                f"type, found {rendered}",
             )
-        return None
-    if name == "arith.select":
-        if len(op.operands) == 3:
-            _, lhs, rhs = op.operands
-            types = {lhs.type, rhs.type} | {r.type for r in op.results}
-            if len(types) > 1:
-                rendered = ", ".join(sorted(t.print() for t in types))
-                return (
-                    "TYPE001",
-                    "value legs and result of arith.select must share one "
-                    f"type, found {rendered}",
-                )
-        return None
-    if name == "memref.load":
-        if not op.operands:
-            return None
-        memref_type = op.operands[0].type
-        if not isinstance(memref_type, MemRefType):
-            return (
-                "TYPE002",
-                f"memref.load base is {memref_type.print()}, not a memref",
-            )
-        rank = len(memref_type.shape)
-        subscripts = len(op.operands) - 1
-        if subscripts != rank:
-            return (
-                "TYPE002",
-                f"memref.load of rank-{rank} {memref_type.print()} takes "
-                f"{rank} subscripts, got {subscripts}",
-            )
-        if op.results and op.results[0].type != memref_type.element_type:
-            return (
-                "TYPE002",
-                f"memref.load result {op.results[0].type.print()} does not "
-                f"match element type {memref_type.element_type.print()}",
-            )
-        return None
-    if name == "memref.store":
-        if len(op.operands) < 2:
-            return None
-        memref_type = op.operands[1].type
-        if not isinstance(memref_type, MemRefType):
-            return (
-                "TYPE002",
-                f"memref.store base is {memref_type.print()}, not a memref",
-            )
-        rank = len(memref_type.shape)
-        subscripts = len(op.operands) - 2
-        if subscripts != rank:
-            return (
-                "TYPE002",
-                f"memref.store to rank-{rank} {memref_type.print()} takes "
-                f"{rank} subscripts, got {subscripts}",
-            )
-        if op.operands[0].type != memref_type.element_type:
-            return (
-                "TYPE002",
-                f"memref.store value {op.operands[0].type.print()} does not "
-                f"match element type {memref_type.element_type.print()}",
-            )
-        return None
     return None
+
+
+def _check_load(op: Operation) -> TypedFinding:
+    if not op.operands:
+        return None
+    memref_type = op.operands[0].type
+    if not isinstance(memref_type, MemRefType):
+        return (
+            "TYPE002",
+            f"memref.load base is {memref_type.print()}, not a memref",
+        )
+    rank = len(memref_type.shape)
+    subscripts = len(op.operands) - 1
+    if subscripts != rank:
+        return (
+            "TYPE002",
+            f"memref.load of rank-{rank} {memref_type.print()} takes "
+            f"{rank} subscripts, got {subscripts}",
+        )
+    if not op.results:
+        return None
+    result_type = op.results[0].type
+    element_type = memref_type.element_type
+    if result_type is not element_type and result_type != element_type:
+        return (
+            "TYPE002",
+            f"memref.load result {result_type.print()} does not "
+            f"match element type {element_type.print()}",
+        )
+    return None
+
+
+def _check_store(op: Operation) -> TypedFinding:
+    if len(op.operands) < 2:
+        return None
+    memref_type = op.operands[1].type
+    if not isinstance(memref_type, MemRefType):
+        return (
+            "TYPE002",
+            f"memref.store base is {memref_type.print()}, not a memref",
+        )
+    rank = len(memref_type.shape)
+    subscripts = len(op.operands) - 2
+    if subscripts != rank:
+        return (
+            "TYPE002",
+            f"memref.store to rank-{rank} {memref_type.print()} takes "
+            f"{rank} subscripts, got {subscripts}",
+        )
+    value_type = op.operands[0].type
+    element_type = memref_type.element_type
+    if value_type is not element_type and value_type != element_type:
+        return (
+            "TYPE002",
+            f"memref.store value {value_type.print()} does not "
+            f"match element type {element_type.print()}",
+        )
+    return None
+
+
+#: op name -> its typed check; ops not listed have none.
+_TYPED_CHECKS = {
+    **dict.fromkeys(_UNIFORM_TYPE_OPS, _check_uniform),
+    "arith.select": _check_select,
+    "memref.load": _check_load,
+    "memref.store": _check_store,
+}

@@ -4,6 +4,14 @@ import pytest
 
 from repro.dialects import arith, builtin, func, scf
 from repro.ir import Block, Builder, IRError, Region, default_context
+from repro.ir.core import Operation
+from repro.ir.traits import (
+    ConstantLike,
+    IsolatedFromAbove,
+    IsTerminator,
+    MemoryRead,
+    Pure,
+)
 from repro.ir.types import FunctionType, index, f32
 
 
@@ -194,3 +202,43 @@ class TestContext:
 
     def test_unknown_op(self):
         assert default_context().get_op("nope.nope") is None
+
+
+
+class _Exit(IsTerminator):
+    """A trait that refines IsTerminator."""
+
+
+class TestTraits:
+    def test_trait_base_class_is_present(self):
+        class ExitOp(Operation):
+            name = "test.exit"
+            traits = (_Exit, Pure)
+
+        op = ExitOp()
+        assert op.has_trait(_Exit)
+        assert op.has_trait(IsTerminator)
+        assert op.has_trait(Pure)
+        assert not op.has_trait(IsolatedFromAbove)
+        assert not op.has_trait(ConstantLike)
+
+    def test_subclass_inherits_or_replaces_traits(self):
+        class Base(Operation):
+            name = "test.base"
+            traits = (Pure,)
+
+        class Inherits(Base):
+            name = "test.inherits"
+
+        class Replaces(Base):
+            name = "test.replaces"
+            traits = (MemoryRead,)
+
+        assert Inherits().has_trait(Pure)
+        assert Replaces().has_trait(MemoryRead)
+        assert not Replaces().has_trait(Pure)
+
+    def test_op_without_traits(self):
+        assert not Operation().has_trait(IsTerminator)
+        assert not arith.Constant.index(0).has_trait(IsTerminator)
+        assert func.ReturnOp().has_trait(IsTerminator)

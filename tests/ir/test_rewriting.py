@@ -12,6 +12,8 @@ from repro.ir import (
     RewritePattern,
     verify,
 )
+from repro.ir.attributes import IntegerAttr
+from repro.ir.core import LOC_ATTR
 from repro.ir.types import FunctionType
 
 
@@ -143,3 +145,75 @@ class TestPatternRewriterApi:
 
         GreedyPatternRewriter([EraseConst()]).rewrite(module)
         assert not [op for op in module.walk() if op.name == "arith.constant"]
+
+
+class TestLocStamp:
+    """Ops a pattern inserts take the matched op's ``loc`` unless they
+    carry their own; the rewriter builds its insertion builder only when
+    a pattern inserts."""
+
+    def _module_with_loc(self, line):
+        module, b = _module()
+        b.loc = line
+        x = b.insert(arith.Constant.int(5, 32)).results[0]
+        two = b.insert(arith.Constant.int(2, 32)).results[0]
+        mul = b.insert(arith.MulI(x, two))
+        b.insert(arith.AddI(mul.results[0], x))
+        b.loc = 0
+        b.insert(func.ReturnOp())
+        return module
+
+    def _locs(self, module, name):
+        return [
+            op.attributes.get(LOC_ATTR)
+            for op in module.walk()
+            if op.name == name
+        ]
+
+    def test_replacement_takes_the_matched_loc(self):
+        module = self._module_with_loc(42)
+        GreedyPatternRewriter([MulByTwoToAdd()]).rewrite(module)
+        assert self._locs(module, "arith.addi") == [
+            IntegerAttr.i64(42), IntegerAttr.i64(42)
+        ]
+
+    def test_insert_after_takes_the_matched_loc(self):
+        module = self._module_with_loc(7)
+        inserted = []
+
+        class After(RewritePattern):
+            op_name = "arith.muli"
+
+            def match_and_rewrite(self, op, rewriter):
+                if inserted:
+                    return
+                own = arith.Constant.int(8, 32)
+                own.attributes[LOC_ATTR] = IntegerAttr.i64(3)
+                inserted.extend([arith.Constant.int(9, 32), own])
+                rewriter.insert_op_after_matched(*inserted)
+
+        GreedyPatternRewriter([After()]).rewrite(module)
+        assert [op.attributes[LOC_ATTR] for op in inserted] == [
+            IntegerAttr.i64(7), IntegerAttr.i64(3)
+        ]
+        block = inserted[0].parent
+        mul = block.ops[block.index_of(inserted[0]) - 1]
+        assert mul.name == "arith.muli"
+
+    def test_no_loc_on_the_matched_op_stamps_none(self):
+        module = self._module_with_loc(0)
+        GreedyPatternRewriter([MulByTwoToAdd()]).rewrite(module)
+        assert self._locs(module, "arith.addi") == [None, None]
+
+    def test_a_try_that_inserts_nothing_builds_no_builder(self):
+        module = self._module_with_loc(42)
+        seen = []
+
+        class Look(RewritePattern):
+            op_name = "arith.muli"
+
+            def match_and_rewrite(self, op, rewriter):
+                seen.append(rewriter)
+
+        GreedyPatternRewriter([Look()]).rewrite(module)
+        assert seen and all(r._builder is None for r in seen)

@@ -8,6 +8,10 @@ high-fanout modules quadratic and ``verify_each=True`` pipelines pay
 that at every pass boundary.  These tests pin both properties:
 near-linear scaling on a pathological fan-out module, and bounded
 ``verify_each`` overhead on a real pipeline.
+
+An operand in scope passes dominance and visibility with one set
+lookup; only a miss walks the enclosing blocks in ``_check_visibility``.
+A gallery compile misses nothing, which is counted, not timed.
 """
 
 import time
@@ -67,3 +71,21 @@ def test_verify_each_overhead_is_bounded(saxpy_mini_source):
     # ISSUE bound: verify-at-every-boundary must stay under 2x the
     # unverified pipeline (plus a floor so sub-ms noise cannot fail it).
     assert verified < 2 * baseline + 0.005, (baseline, verified)
+
+
+def test_gallery_compiles_never_walk_for_visibility(monkeypatch):
+    from repro.ir import verifier
+    from repro.session import Session
+    from repro.workloads import get_workload, workload_names
+
+    walks = []
+    real = verifier._check_visibility
+
+    def counted(op, operand, isolation_root):
+        walks.append(op.name)
+        return real(op, operand, isolation_root)
+
+    monkeypatch.setattr(verifier, "_check_visibility", counted)
+    for name in workload_names():
+        Session(get_workload(name).source).program()
+    assert walks == []

@@ -12,6 +12,10 @@ never a silent pass, never a traceback.
 exact count that drifts, a missing result line or an incorrect run must
 be a reported failure.
 
+``perf_smoke.py`` reads its baseline before it runs and refuses an
+``--out`` that would overwrite it, so the gate never compares a run
+with itself.
+
 perfbench binds its span wrappers to ``src/`` names from outside the
 package; ``TestPerfbenchBindings`` installs them in a fresh interpreter
 and traces one compile, so renaming a bound name fails here too.
@@ -23,6 +27,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -143,6 +149,55 @@ class TestDriftAndFloor:
         assert "scaling_tiers:strong:saxpy:n=1000000:cu=2" in failures[0]
 
 
+class TestBaselineIsNotOverwritten:
+    """``--out`` defaults to ``BENCH_pr10.json``, so ``--check-against
+    BENCH_pr10.json`` alone used to write the run over the committed
+    baseline and then pass against its own numbers."""
+
+    @pytest.fixture
+    def no_bench(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("the bench ran")
+
+        monkeypatch.setattr(perf_smoke, "bench_service_tiers", ran)
+
+    def _main(self, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", ["perf_smoke.py", *argv])
+        with pytest.raises(SystemExit) as info:
+            perf_smoke.main()
+        return info.value.code
+
+    def test_out_naming_the_baseline_exits_without_writing(
+        self, tmp_path, monkeypatch, no_bench
+    ):
+        baseline = tmp_path / "base.json"
+        baseline.write_text('{"benches": []}\n')
+        monkeypatch.chdir(tmp_path)
+        code = self._main(
+            monkeypatch, "--out", str(baseline), "--check-against", "base.json"
+        )
+        assert code not in (0, None)
+        assert baseline.read_text() == '{"benches": []}\n'
+
+    def test_default_out_is_the_committed_baseline(self, monkeypatch, no_bench):
+        committed = REPO / "BENCH_pr10.json"
+        before = committed.read_bytes()
+        monkeypatch.chdir(REPO)
+        code = self._main(monkeypatch, "--check-against", "BENCH_pr10.json")
+        assert code not in (0, None)
+        assert committed.read_bytes() == before
+
+    def test_unreadable_baseline_fails_before_the_run(
+        self, tmp_path, monkeypatch, no_bench
+    ):
+        with pytest.raises(FileNotFoundError):
+            self._main(
+                monkeypatch,
+                "--out", str(tmp_path / "out.json"),
+                "--check-against", str(tmp_path / "missing.json"),
+            )
+
+
 class TestBaselineName:
     def test_every_failure_line_names_the_baseline_file(self):
         """PR 10 bugfix: a CI log line must be attributable to the exact
@@ -203,6 +258,12 @@ class TestCheckPerfbench:
         failures = check_perfbench.check("run-kernels", lines)
         assert len(failures) == 1
         assert name in failures[0]
+
+    def test_drifted_verifier_calls_fail(self):
+        """A compile that skips a verification is not a faster verifier."""
+        lines = _result_lines("compile-gallery", **{"verifier.calls": 1100})
+        failures = check_perfbench.check("compile-gallery", lines)
+        assert failures == ["verifier.calls = 1100, expected 1210"]
 
     def test_missing_result_line_fails(self):
         lines = _result_lines("run-kernels")[:1]
