@@ -15,13 +15,15 @@ diagnostics with source locations.
 each op: the arguments and already-verified results of every enclosing
 block, restarted empty under an ``IsolatedFromAbove`` op.  An operand
 found in the set is defined earlier in its own block or in an enclosing
-one, so it passes dominance and visibility in one lookup.  Only a miss
-runs the full rules (:func:`_check_visibility` walks the enclosing
-blocks), and those rules alone decide, so a miss fails with the same
-message on the same op as the rule would, and the uses they accept
-stay accepted: a value of an enclosing block defined after the region's
-op, an op's own result inside its region, and any value defined above
-the op ``verify`` was called on.
+one, so it passes dominance and visibility in one lookup.  An op with
+an operand outside the set, or a broken use record, replays the rules
+in their order (:func:`_check_operands`), where only a miss runs the
+dominance test and the walk up the enclosing blocks
+(:func:`_check_visibility`).  Those rules alone decide, so a fault
+fails with the same message on the same op as the rules would, and the
+uses they accept stay accepted: a value of an enclosing block defined
+after the region's op, an op's own result inside its region, and any
+value defined above the op ``verify`` was called on.
 """
 
 from __future__ import annotations
