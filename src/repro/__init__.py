@@ -35,8 +35,9 @@ timing, artifact-build counters).
 
 Cross-process, the compile service (:mod:`repro.service`) fronts a
 content-addressed :class:`~repro.service.ArtifactStore` with a process
-pool — identical requests hit cache (or coalesce into one in-flight
-build) instead of recompiling::
+pool.  A :class:`~repro.service.CompileRequest`'s ``digest`` is its
+program's address, so identical requests hit cache (or coalesce into
+one in-flight build) instead of recompiling::
 
     from repro import ArtifactStore, CompileRequest, CompileService
 
@@ -47,12 +48,7 @@ build) instead of recompiling::
 from repro.analysis import Diagnostic, DiagnosticEngine
 from repro.ir.pass_manager import Instrumentation, PassManager, PipelineStage
 from repro.pipeline import CompiledProgram, compile_fortran, compile_workload
-from repro.service import (
-    ArtifactKey,
-    ArtifactStore,
-    CompileRequest,
-    CompileService,
-)
+from repro.service import ArtifactStore, CompileRequest, CompileService
 from repro.session import (
     FrontendArtifact,
     HostDeviceArtifact,
@@ -66,7 +62,6 @@ from repro.session import (
 __version__ = "1.3.0"
 
 __all__ = [
-    "ArtifactKey",
     "ArtifactStore",
     "CompileRequest",
     "CompileService",

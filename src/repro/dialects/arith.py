@@ -93,13 +93,12 @@ class _BinaryOp(Operation):
         return self.operands[1]
 
     def verify_(self) -> None:
-        lhs, rhs = self.operands[0].type, self.operands[1].type
-        # types compare structurally, but most share one canonical object
-        if lhs is not rhs and lhs != rhs:
-            raise IRError(f"{self.name}: operand types differ")
-        result = self.results[0].type
-        if result is not lhs and result != lhs:
-            raise IRError(f"{self.name}: result type differs from operands")
+        # the type agreement is TYPE001 (repro.ir.verifier.typed_check_op)
+        if len(self._operands) != 2 or len(self.results) != 1:
+            raise IRError(
+                f"{self.name}: expected two operands and one result, got "
+                f"{len(self._operands)} and {len(self.results)}"
+            )
 
 
 class AddI(_BinaryOp):

@@ -30,8 +30,10 @@ Two orthogonal extensions ride on the compile service
   cartesian order of the input sequences), so serial and parallel sweeps
   produce identical tables regardless of worker completion order;
 * ``result_store=DseResultStore(path)`` persists every evaluated point
-  to disk as it completes, so a killed sweep restarted with the same
-  store re-evaluates only the missing points and still produces a
+  to disk as it completes, under the digest of the point's
+  :class:`~repro.service.CompileRequest` (the address the compile
+  service stores its program at), so a killed sweep restarted with the
+  same store re-evaluates only the missing points and still produces a
   bit-identical table.
 """
 
@@ -46,6 +48,7 @@ from typing import Callable, Sequence
 from repro.fpga.board import U280Board
 from repro.reliability.errors import DataIntegrityError
 from repro.runtime.executor import ExecutionResult
+from repro.service import CompileRequest, CompileService
 from repro.session import (
     CompiledProgram,
     KernelOverrides,
@@ -133,11 +136,12 @@ class DseResultStore:
     """Resumable on-disk store of evaluated DSE points.
 
     Each completed point is persisted (atomically) as
-    ``<root>/<digest>.json`` keyed by the point's *program* artifact
-    digest — the same content address the compile service uses — the
-    moment its evaluation finishes.  A sweep restarted with the same
-    store loads those records instead of re-evaluating, so an
-    interrupted sweep completes bit-identically to an uninterrupted one.
+    ``<root>/<digest>.json`` keyed by the point's
+    :attr:`~repro.service.CompileRequest.digest` — the same content
+    address the compile service uses — the moment its evaluation
+    finishes.  A sweep restarted with the same store loads those records
+    instead of re-evaluating, so an interrupted sweep completes
+    bit-identically to an uninterrupted one.
 
     The digest covers (source, target, overrides) but not the
     ``evaluate`` callback: use one store directory per (workload,
@@ -192,16 +196,6 @@ class DseResultStore:
 
     def __contains__(self, digest: str) -> bool:
         return self._path(digest).exists()
-
-
-def _point_digest(
-    source: str, target: TargetConfig, overrides: KernelOverrides
-) -> str:
-    from repro.service.store import ArtifactKey
-
-    return ArtifactKey(
-        source=source, target=target, overrides=overrides
-    ).digest
 
 
 def _point_record(
@@ -298,7 +292,7 @@ def explore(
             simdlen=factor, reduction_copies=copies, compute_units=units
         )
         if result_store is not None:
-            digest = _point_digest(source, target, overrides)
+            digest = CompileRequest(source, target, overrides).digest
             digests[(copies, factor, units)] = digest
             record = result_store.get(digest)
             if record is not None:
@@ -365,8 +359,6 @@ def _run_points_parallel(
 ) -> None:
     """Build every pending point's program through the compile service
     (in parallel across its pool) into ``programs``."""
-    from repro.service import CompileRequest, CompileService
-
     owned = None
     if service is None:
         owned = service = CompileService(
@@ -429,30 +421,3 @@ def explore_workload(
         **kwargs,
     )
 
-
-def explore_gallery(
-    names: Sequence[str] | None = None,
-    *,
-    simdlen_factors: Sequence[int] = (1, 4),
-    **kwargs,
-) -> dict[str, DseResult]:
-    """Run the DSE sweep over every (or the named) gallery workloads.
-
-    Returns ``{workload name: DseResult}`` — the BENCH trajectory's
-    "does DSE still find a feasible point for every workload" probe.
-    Memory stays flat across the gallery: points drop their programs
-    unless ``keep_programs=True`` is forwarded.
-    """
-    from repro.workloads import all_workloads, get_workload
-
-    workloads = (
-        [get_workload(name) for name in names]
-        if names is not None
-        else list(all_workloads())
-    )
-    return {
-        workload.name: explore_workload(
-            workload, simdlen_factors=simdlen_factors, **kwargs
-        )
-        for workload in workloads
-    }

@@ -207,7 +207,7 @@ class FirToCorePass(ModulePass):
 
     def apply(self, module: Operation) -> None:
         patterns = [cls() for cls in FIR_TO_CORE_PATTERNS]
-        GreedyPatternRewriter(patterns, max_iterations=256).rewrite(module)
+        GreedyPatternRewriter(patterns).rewrite(module)
         remaining = [
             op.name
             for op in module.walk()

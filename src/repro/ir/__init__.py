@@ -45,9 +45,7 @@ from repro.ir.pass_manager import (
     PassTrace,
     PipelineParseError,
     PipelineStage,
-    get_pass,
     get_pass_class,
-    parse_pipeline,
     register_pass,
     registered_passes,
 )
@@ -84,9 +82,8 @@ __all__ = [
     "Interpreter", "InterpreterError", "Returned", "Yielded", "impl",
     "ParseError", "Parser", "parse_module",
     "Instrumentation", "ModulePass", "PassManager", "PassOption",
-    "PassTrace", "PipelineParseError", "PipelineStage", "get_pass",
-    "get_pass_class", "parse_pipeline", "register_pass",
-    "registered_passes",
+    "PassTrace", "PipelineParseError", "PipelineStage",
+    "get_pass_class", "register_pass", "registered_passes",
     "Printer", "print_op",
     "GreedyPatternRewriter", "PatternRewriter", "RewritePattern",
     "DYNAMIC", "FloatType", "FunctionType", "IndexType", "IntegerType",

@@ -368,11 +368,14 @@ class Operation:
     # -- pickling --------------------------------------------------------------
 
     def __getstate__(self):
-        """Exclude :attr:`analysis_cache` from pickling.
+        """Exclude the caches from pickling.
 
-        The cache holds compiled vector plans (NumPy closures) that are
-        neither picklable nor meaningful in another process; a loaded
-        module starts with a cold cache and re-derives identical plans.
+        :attr:`analysis_cache` holds compiled vector plans (NumPy
+        closures) that are neither picklable nor meaningful in another
+        process; a loaded module starts with a cold cache and re-derives
+        identical plans.  The :attr:`operands` tuple pickles as ``None``
+        and is refilled on first read, so the bytes do not depend on
+        which code read it before the pickle.
         """
         state = super().__getstate__()
         if (
@@ -381,6 +384,7 @@ class Operation:
             and isinstance(state[1], dict)
         ):
             state[1].pop("analysis_cache", None)
+            state[1]["_operands_tuple"] = None
         return state
 
     # -- cloning ---------------------------------------------------------------

@@ -39,21 +39,14 @@ class PipelineParseError(ValueError):
 
 @dataclass(frozen=True)
 class PassOption:
-    """One declared knob of a pass: name, value type and default.
-
-    ``attr`` names the constructor keyword / instance attribute backing
-    the option when it differs from the public option name.
-    """
+    """One declared knob of a pass: name, value type and default.  The
+    name is also the pass's constructor keyword and the instance
+    attribute that holds the value."""
 
     name: str
     type: type = str
     default: object = None
     help: str = ""
-    attr: str | None = None
-
-    @property
-    def attr_name(self) -> str:
-        return self.attr or self.name
 
     def convert(self, value: object, pass_name: str) -> object:
         """Coerce a (possibly textual) value to the option's type."""
@@ -110,16 +103,12 @@ class ModulePass:
                     f"pass '{cls.name}' has no option {key!r}; "
                     f"valid options: {valid}"
                 )
-            opt = declared[key]
-            kwargs[opt.attr_name] = opt.convert(value, cls.name)
+            kwargs[key] = declared[key].convert(value, cls.name)
         return cls(**kwargs)
 
     def option_values(self) -> dict[str, object]:
-        """Current value of every declared option (override when the
-        backing attribute is not a plain scalar)."""
-        return {
-            opt.name: getattr(self, opt.attr_name) for opt in self.options
-        }
+        """Current value of every declared option."""
+        return {opt.name: getattr(self, opt.name) for opt in self.options}
 
     def spec(self) -> str:
         """Textual form, rendering only non-default option values."""
@@ -355,17 +344,6 @@ def get_pass_class(name: str) -> type[ModulePass]:
             f"unknown pass {name!r}; registered: {sorted(_PASS_REGISTRY)}"
         )
     return _PASS_REGISTRY[name]
-
-
-def get_pass(name: str, **options) -> ModulePass:
-    """Instantiate a registered pass (with declarative option values)."""
-    return get_pass_class(name).from_options(**options)
-
-
-def parse_pipeline(spec: str) -> PassManager:
-    """Build a pass manager from a textual spec (see
-    :meth:`PassManager.parse`, which this forwards to)."""
-    return PassManager.parse(spec)
 
 
 def registered_passes() -> list[str]:

@@ -2,10 +2,13 @@
 
 :class:`RewritePattern` subclasses implement ``match_and_rewrite`` and are
 applied to a fixed point by :class:`GreedyPatternRewriter`.  The driver is
-worklist-based: patterns are indexed by their ``op_name`` filter, each
-rewrite enqueues only the ops it may have affected (new ops, users of
-replacement values, defs of erased operands), and the module is walked
-exactly once at the start — not once per fixed-point iteration.
+worklist-based: patterns are indexed by their ``op_name`` filter, and the
+module is walked exactly once at the start — not once per fixed-point
+iteration.  After a rewrite the driver queues only the ops it may have
+affected: each inserted op with the ops nested in it (a moved region
+brings its ops along), and alone the users of replacement values, the
+defs of erased operands and the matched op when it is still attached.
+Divergence is bounded by :data:`MAX_REWRITES_PER_OP`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from repro.ir.core import (
     invalidate_analysis,
 )
 
+#: The divergence bound: a rewrite run may make this many rewrites per
+#: op of the seeded module (plus a little slack for tiny modules) before
+#: the driver raises.  The gallery's compiles make at most ~0.6 per op.
+MAX_REWRITES_PER_OP = 64
+
 
 class PatternRewriter:
     """Mutation API handed to patterns; records whether anything changed
@@ -37,7 +45,10 @@ class PatternRewriter:
     def __init__(self, current_op: Operation):
         self.current_op = current_op
         self.changed = False
-        #: ops (possibly) affected by this rewrite, for re-enqueueing
+        #: ops inserted by this rewrite: the driver re-enqueues each with
+        #: the ops nested in it
+        self.inserted_ops: list[Operation] = []
+        #: other ops (possibly) affected by this rewrite, re-enqueued alone
         self.affected_ops: list[Operation] = []
         # built on the first insertion: most pattern tries match nothing
         self._builder: Builder | None = None
@@ -63,7 +74,7 @@ class PatternRewriter:
         builder = self._matched_builder()
         for op in ops:
             builder.insert(op)
-        self.affected_ops.extend(ops)
+        self.inserted_ops.extend(ops)
         self.changed = bool(ops) or self.changed
 
     def insert_op_after_matched(self, *ops: Operation) -> None:
@@ -77,7 +88,7 @@ class PatternRewriter:
             self._stamp_loc(op)
             anchor = op
             index += 1
-        self.affected_ops.extend(ops)
+        self.inserted_ops.extend(ops)
         self.changed = True
 
     # -- replacement --------------------------------------------------------------
@@ -159,20 +170,13 @@ class GreedyPatternRewriter:
     """Applies a set of patterns until no more changes occur.
 
     Worklist driver: the root is walked once to seed the queue; afterwards
-    only ops touched by a rewrite are revisited.  ``max_iterations`` keeps
-    its historical meaning as a convergence bound — the driver allows
-    roughly ``max_iterations`` full-module's worth of rewrites before
-    declaring divergence.
+    only ops touched by a rewrite are revisited.  A run that makes more
+    than :data:`MAX_REWRITES_PER_OP` rewrites per seeded op raises
+    :class:`~repro.ir.core.IRError`.
     """
 
-    def __init__(
-        self,
-        patterns: Iterable[RewritePattern],
-        *,
-        max_iterations: int = 64,
-    ):
+    def __init__(self, patterns: Iterable[RewritePattern]):
         self.patterns = list(patterns)
-        self.max_iterations = max_iterations
         #: op_name -> applicable patterns (filtered + generic, in original
         #: relative order), built lazily
         self._by_name: dict[str, list[RewritePattern]] = {}
@@ -193,19 +197,15 @@ class GreedyPatternRewriter:
         queued: set[int] = set()
 
         def enqueue(op: Operation) -> None:
-            for nested in op.walk():
-                if id(nested) not in queued:
-                    queued.add(id(nested))
-                    worklist.append(nested)
-
-        for op in root.walk():
-            if op is root:
-                continue
             if id(op) not in queued:
                 queued.add(id(op))
                 worklist.append(op)
 
-        budget = self.max_iterations * (len(queued) + 8)
+        for op in root.walk():
+            if op is not root:
+                enqueue(op)
+
+        budget = MAX_REWRITES_PER_OP * (len(queued) + 8)
         rewrites = 0
         changed_any = False
         while worklist:
@@ -222,8 +222,12 @@ class GreedyPatternRewriter:
                     if rewrites > budget:
                         raise IRError(
                             "greedy rewriter did not converge in "
-                            f"{self.max_iterations} iterations"
+                            f"{budget} rewrites"
                         )
+                    for inserted in rewriter.inserted_ops:
+                        if inserted.parent is not None:
+                            for nested in inserted.walk():
+                                enqueue(nested)
                     for affected in rewriter.affected_ops:
                         if affected.parent is not None:
                             enqueue(affected)

@@ -2,12 +2,12 @@
 
 Public surface:
 
-* :class:`~repro.service.store.ArtifactStore` /
-  :class:`~repro.service.store.ArtifactKey` — two-tier (memory LRU over
-  disk) content-addressed storage of pickled compiled programs with
-  integrity-checked loads;
-* :class:`~repro.service.service.CompileService` /
-  :class:`~repro.service.service.CompileRequest` — the request front
+* :class:`~repro.service.service.CompileRequest` — one program to
+  build; its ``digest`` is the program's content address;
+* :class:`~repro.service.store.ArtifactStore` — two-tier (memory LRU
+  over disk) storage of pickled compiled programs keyed by that digest,
+  with integrity-checked loads;
+* :class:`~repro.service.service.CompileService` — the request front
   door: cache lookup, request coalescing, bounded admission into a
   process pool of workers that build programs;
 * :class:`~repro.service.service.ServiceMetrics` /
@@ -26,7 +26,6 @@ from repro.service.service import (
 )
 from repro.service.store import (
     STORE_VERSION,
-    ArtifactKey,
     ArtifactStore,
     StoredArtifact,
     StoreStats,
@@ -34,7 +33,6 @@ from repro.service.store import (
 )
 
 __all__ = [
-    "ArtifactKey",
     "ArtifactStore",
     "CompileRequest",
     "CompileService",

@@ -12,9 +12,9 @@ programs::
 
 Request lifecycle:
 
-1. the request's :class:`~repro.service.store.ArtifactKey` digest is
-   computed — identical (source, target, overrides) requests get
-   identical addresses;
+1. the request's :attr:`CompileRequest.digest` is its address —
+   identical (source, target, overrides) requests get identical
+   addresses;
 2. if a build for that digest is already **in flight**, the request
    *coalesces*: it attaches as a waiter and the one build's result fans
    out to every waiter (N concurrent identical requests = 1 build);
@@ -37,11 +37,13 @@ counters; :mod:`repro.reporting` renders both.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 from repro.reliability.errors import (
@@ -49,7 +51,12 @@ from repro.reliability.errors import (
     DataIntegrityError,
     ServiceError,
 )
-from repro.service.store import ArtifactKey, ArtifactStore, StoredArtifact
+from repro.service.store import (
+    STORE_VERSION,
+    ArtifactStore,
+    StoredArtifact,
+    canonical_source,
+)
 from repro.session import KernelOverrides, Session, TargetConfig
 
 
@@ -61,10 +68,22 @@ class CompileRequest:
     target: TargetConfig = field(default_factory=TargetConfig)
     overrides: KernelOverrides = field(default_factory=KernelOverrides)
 
-    def key(self) -> ArtifactKey:
-        return ArtifactKey(
-            source=self.source, target=self.target, overrides=self.overrides
+    @cached_property
+    def digest(self) -> str:
+        """The program's stable content address (SHA-256 hex), its key
+        in the :class:`~repro.service.store.ArtifactStore`."""
+        source_digest = hashlib.sha256(
+            canonical_source(self.source).encode()
+        ).hexdigest()
+        text = "|".join(
+            (
+                f"artifact/v{STORE_VERSION}",
+                source_digest,
+                self.target.digest(),
+                self.overrides.digest(),
+            )
         )
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass
@@ -176,17 +195,6 @@ def build_stage_payload(
     return payload, metrics
 
 
-class _PendingBuild:
-    """One in-flight build: the primary waiter plus coalesced joiners."""
-
-    __slots__ = ("key", "waiters")
-
-    def __init__(self, key: ArtifactKey):
-        self.key = key
-        #: (future, submit time, outcome label) per waiter
-        self.waiters: list[tuple[Future, float, str]] = []
-
-
 class CompileService:
     """Content-addressed compile service over a process pool of workers.
 
@@ -213,7 +221,9 @@ class CompileService:
             else None
         )
         self._lock = threading.Lock()
-        self._inflight: dict[str, _PendingBuild] = {}
+        #: digest -> (future, submit time, outcome label) per waiter of
+        #: its one in-flight build
+        self._inflight: dict[str, list[tuple[Future, float, str]]] = {}
         self.stats = ServiceStats()
         self._closed = False
 
@@ -250,22 +260,21 @@ class CompileService:
         (never via the future) when the bounded build queue is full.
         """
         t0 = perf_counter()
-        key = request.key()
-        digest = key.digest
+        digest = request.digest
         future: Future = Future()
 
         with self._lock:
             if self._closed:
                 raise ServiceError("compile service is closed")
             self.stats.requests += 1
-            pending = self._inflight.get(digest)
-            if pending is not None:
+            waiters = self._inflight.get(digest)
+            if waiters is not None:
                 # Coalesce: ride the in-flight build, no new work.
                 self.stats.coalesced += 1
-                pending.waiters.append((future, t0, "coalesced"))
+                waiters.append((future, t0, "coalesced"))
                 return future
 
-        stored = self._lookup(key)
+        stored = self._lookup(digest)
         if stored is not None:
             outcome = f"{stored.tier}_hit"
             with self._lock:
@@ -279,10 +288,10 @@ class CompileService:
         with self._lock:
             # Re-check under the lock: another thread may have started
             # (or even finished) the same build while we probed the store.
-            pending = self._inflight.get(digest)
-            if pending is not None:
+            waiters = self._inflight.get(digest)
+            if waiters is not None:
                 self.stats.coalesced += 1
-                pending.waiters.append((future, t0, "coalesced"))
+                waiters.append((future, t0, "coalesced"))
                 return future
             if len(self._inflight) >= self.queue_depth:
                 self.stats.rejected += 1
@@ -292,23 +301,21 @@ class CompileService:
                     context=f"digest={digest[:12]}",
                 )
             self.stats.misses += 1
-            pending = _PendingBuild(key)
-            pending.waiters.append((future, t0, "built"))
-            self._inflight[digest] = pending
+            self._inflight[digest] = [(future, t0, "built")]
 
         self._start_build(request, digest)
         return future
 
     # -- internals ---------------------------------------------------------
 
-    def _lookup(self, key: ArtifactKey) -> StoredArtifact | None:
+    def _lookup(self, digest: str) -> StoredArtifact | None:
         """Store probe; a corrupt disk entry is evicted for rebuild."""
         try:
-            return self.store.get(key)
+            return self.store.get(digest)
         except DataIntegrityError:
             with self._lock:
                 self.stats.integrity_rebuilds += 1
-            self.store.delete(key)
+            self.store.delete(digest)
             return None
 
     def _start_build(self, request: CompileRequest, digest: str) -> None:
@@ -328,21 +335,21 @@ class CompileService:
 
     def _on_built(self, digest: str, pool_future: Future) -> None:
         with self._lock:
-            pending = self._inflight.pop(digest, None)
-        if pending is None:  # pragma: no cover - defensive
+            waiters = self._inflight.pop(digest, None)
+        if waiters is None:  # pragma: no cover - defensive
             return
         error = pool_future.exception()
         if error is not None:
             with self._lock:
                 self.stats.build_failures += 1
-            for future, _, _ in pending.waiters:
+            for future, _, _ in waiters:
                 future.set_exception(error)
             return
         payload, build_metrics = pool_future.result()
-        stored = self.store.put(pending.key, payload, build_metrics)
+        stored = self.store.put(digest, payload, build_metrics)
         with self._lock:
             self.stats.builds += 1
-        for future, t0, outcome in pending.waiters:
+        for future, t0, outcome in waiters:
             self._resolve(future, stored, outcome, t0)
 
     def _resolve(

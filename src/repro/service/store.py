@@ -1,8 +1,9 @@
 """Content-addressed artifact store for compiled programs.
 
 Every :class:`~repro.session.CompiledProgram` the compile service builds
-is addressed by an :class:`ArtifactKey`: a stable SHA-256 digest of
-(canonical source text, :class:`~repro.session.TargetConfig`,
+is stored as pickled bytes under its request's digest
+(:attr:`~repro.service.service.CompileRequest.digest`): a stable SHA-256
+of (canonical source text, :class:`~repro.session.TargetConfig`,
 :class:`~repro.session.KernelOverrides`).  Identical requests from any
 process therefore resolve to the same address, which is what lets the
 compile service (:mod:`repro.service.service`) serve a cache hit instead
@@ -17,7 +18,7 @@ Two tiers:
 
 **Integrity is checked on load**: a disk payload whose SHA-256 does not
 match its metadata record — or a metadata record addressing a different
-key — raises a typed
+digest — raises a typed
 :class:`~repro.reliability.errors.DataIntegrityError`.  The store never
 deserializes a corrupt payload, so a flipped bit on disk costs a rebuild,
 never a silently wrong artifact.
@@ -31,14 +32,14 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.reliability.errors import DataIntegrityError
-from repro.session import KernelOverrides, TargetConfig
 
-#: Bump together with the on-disk layout, the key serialization or the
-#: pickle form of the artifacts: a new version addresses old entries away.
+#: Bump together with the on-disk layout, the address text or a change to
+#: the pickle form that makes an old payload load differently: a new
+#: version addresses old entries away.
 STORE_VERSION = 4
 
 
@@ -55,31 +56,6 @@ def canonical_source(text: str) -> str:
     while lines and not lines[-1]:
         lines.pop()
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class ArtifactKey:
-    """Content address of one compiled program."""
-
-    source: str
-    target: TargetConfig = field(default_factory=TargetConfig)
-    overrides: KernelOverrides = field(default_factory=KernelOverrides)
-
-    @property
-    def digest(self) -> str:
-        """The stable content address (SHA-256 hex)."""
-        source_digest = hashlib.sha256(
-            canonical_source(self.source).encode()
-        ).hexdigest()
-        text = "|".join(
-            (
-                f"artifact/v{STORE_VERSION}",
-                source_digest,
-                self.target.digest(),
-                self.overrides.digest(),
-            )
-        )
-        return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass
@@ -157,14 +133,13 @@ class ArtifactStore:
 
     # -- lookup ------------------------------------------------------------
 
-    def get(self, key: "ArtifactKey | str") -> StoredArtifact | None:
-        """The stored artifact for ``key``, or ``None`` on a miss.
+    def get(self, digest: str) -> StoredArtifact | None:
+        """The stored artifact at ``digest``, or ``None`` on a miss.
 
         Raises :class:`DataIntegrityError` when the on-disk entry fails
         its checksum — the caller decides whether to rebuild (the
         compile service does, after evicting the corrupt entry).
         """
-        digest = key if isinstance(key, str) else key.digest
         with self._lock:
             entry = self._memory.get(digest)
             if entry is not None:
@@ -216,21 +191,10 @@ class ArtifactStore:
     # -- insertion ---------------------------------------------------------
 
     def put(
-        self,
-        key: "ArtifactKey | str",
-        artifact_or_payload,
-        metrics: dict | None = None,
+        self, digest: str, payload: bytes, metrics: dict | None = None
     ) -> StoredArtifact:
-        """Store an artifact (object, pickled here — or pre-pickled
-        ``bytes`` from a worker) with its modelled ``metrics`` record."""
-        digest = key if isinstance(key, str) else key.digest
-        payload = (
-            artifact_or_payload
-            if isinstance(artifact_or_payload, bytes)
-            else pickle.dumps(
-                artifact_or_payload, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        )
+        """Store a pickled artifact at ``digest`` with its modelled
+        ``metrics`` record."""
         metadata = {
             "store_version": STORE_VERSION,
             "key_digest": digest,
@@ -272,10 +236,9 @@ class ArtifactStore:
 
     # -- management --------------------------------------------------------
 
-    def delete(self, key: "ArtifactKey | str") -> bool:
+    def delete(self, digest: str) -> bool:
         """Drop an entry from both tiers (used by the service to evict a
         corrupt disk record before rebuilding)."""
-        digest = key if isinstance(key, str) else key.digest
         with self._lock:
             removed = self._memory.pop(digest, None) is not None
         if self.root is not None:
@@ -293,8 +256,7 @@ class ArtifactStore:
         with self._lock:
             self._memory.clear()
 
-    def __contains__(self, key: "ArtifactKey | str") -> bool:
-        digest = key if isinstance(key, str) else key.digest
+    def __contains__(self, digest: str) -> bool:
         with self._lock:
             if digest in self._memory:
                 return True

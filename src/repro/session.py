@@ -205,10 +205,10 @@ def host_device_pipeline(
     instrumentation: Instrumentation | None = None,
 ) -> PassManager:
     """Stages 2-4 of Figure 2: data mapping, target regions, extraction,
-    with a fresh memory-space policy of mode ``policy``."""
+    assigning memory spaces under the policy mode ``policy``."""
     pm = PassManager(instrumentation=instrumentation)
     pm.add(
-        LowerOmpMappedDataPass(check_memory_space_mode(policy)),
+        LowerOmpMappedDataPass(policy),
         LowerOmpTargetRegionPass(),
         ExtractDeviceModulePass(),
     )

@@ -151,7 +151,7 @@ class CanonicalizePass(ModulePass):
             FoldIndexCastOfConstant(),
             DedupConstants(),
         ]
-        GreedyPatternRewriter(patterns, max_iterations=128).rewrite(module)
+        GreedyPatternRewriter(patterns).rewrite(module)
         DcePass().apply(module)
 
 

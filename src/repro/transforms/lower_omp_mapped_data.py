@@ -61,7 +61,8 @@ def check_memory_space_mode(mode) -> str:
 
 @dataclass
 class MemorySpacePolicy:
-    """Assigns device memory spaces (HBM banks / DDR) to identifiers.
+    """Assigns device memory spaces (HBM banks / DDR) to the identifiers
+    of one module; the pass builds a fresh one per run.
 
     ``single`` puts everything in HBM bank 1 (the paper's Listing 2
     layout); ``round_robin`` spreads identifiers across the 16 HBM banks
@@ -230,19 +231,13 @@ class LowerOmpMappedDataPass(ModulePass):
         PassOption("num_banks", int, 16, "HBM bank count for round_robin"),
     )
 
-    def __init__(
-        self,
-        policy: MemorySpacePolicy | str | None = None,
-        num_banks: int = 16,
-    ):
-        if isinstance(policy, str):
-            policy = MemorySpacePolicy(mode=policy, num_banks=num_banks)
-        self.policy = policy or MemorySpacePolicy(num_banks=num_banks)
-
-    def option_values(self) -> dict[str, object]:
-        return {"policy": self.policy.mode, "num_banks": self.policy.num_banks}
+    def __init__(self, policy: str = "single", num_banks: int = 16):
+        self.policy = check_memory_space_mode(policy)
+        self.num_banks = num_banks
 
     def apply(self, module: Operation) -> None:
+        # A fresh assignment per module: banks restart with every run.
+        spaces = MemorySpacePolicy(self.policy, self.num_banks)
         # Iterate until no data ops remain (target_data regions may nest).
         changed = True
         while changed:
@@ -251,19 +246,19 @@ class LowerOmpMappedDataPass(ModulePass):
                 if op.parent is None:
                     continue
                 if op.name == "omp.target_data":
-                    self._lower_target_data(op)
+                    self._lower_target_data(op, spaces)
                     changed = True
                 elif op.name == "omp.target_enter_data":
-                    self._lower_edge(op, enter=True)
+                    self._lower_edge(op, spaces, enter=True)
                     changed = True
                 elif op.name == "omp.target_exit_data":
-                    self._lower_edge(op, enter=False)
+                    self._lower_edge(op, spaces, enter=False)
                     changed = True
                 elif op.name == "omp.target_update":
-                    self._lower_update(op)
+                    self._lower_update(op, spaces)
                     changed = True
                 elif op.name == "omp.target" and self._has_map_operands(op):
-                    self._lower_target_maps(op)
+                    self._lower_target_maps(op, spaces)
                     changed = True
         self._cleanup_map_infos(module)
 
@@ -276,20 +271,23 @@ class LowerOmpMappedDataPass(ModulePass):
             for o in op.operands
         )
 
+    @staticmethod
     def _lowerings(
-        self, builder: Builder, op: Operation
+        builder: Builder, op: Operation, spaces: MemorySpacePolicy
     ) -> list[_MapLowering]:
         lowerings = []
         for operand in op.operands:
             info = _map_info_of(operand)
             lowerings.append(
-                _MapLowering(builder, info, self.policy.space_for(info.var_name))
+                _MapLowering(builder, info, spaces.space_for(info.var_name))
             )
         return lowerings
 
-    def _lower_target_data(self, op: Operation) -> None:
+    def _lower_target_data(
+        self, op: Operation, spaces: MemorySpacePolicy
+    ) -> None:
         builder = Builder.before(op)
-        lowerings = self._lowerings(builder, op)
+        lowerings = self._lowerings(builder, op, spaces)
         for lowering in lowerings:
             lowering.emit_acquire()
         # Inline the region body before the releases.
@@ -305,30 +303,32 @@ class LowerOmpMappedDataPass(ModulePass):
             lowering.emit_release()
         op.erase(safe=False)
 
-    def _lower_edge(self, op: Operation, enter: bool) -> None:
+    def _lower_edge(
+        self, op: Operation, spaces: MemorySpacePolicy, enter: bool
+    ) -> None:
         builder = Builder.before(op)
-        for lowering in self._lowerings(builder, op):
+        for lowering in self._lowerings(builder, op, spaces):
             if enter:
                 lowering.emit_acquire()
             else:
                 lowering.emit_release()
         op.erase(safe=False)
 
-    def _lower_update(self, op: Operation) -> None:
+    def _lower_update(
+        self, op: Operation, spaces: MemorySpacePolicy
+    ) -> None:
         builder = Builder.before(op)
-        for operand in op.operands:
-            info = _map_info_of(operand)
-            lowering = _MapLowering(
-                builder, info, self.policy.space_for(info.var_name)
-            )
-            direction = "to" if info.copies_to_device else "from"
+        for lowering in self._lowerings(builder, op, spaces):
+            direction = "to" if lowering.info.copies_to_device else "from"
             lowering.emit_update(direction)
         op.erase(safe=False)
 
-    def _lower_target_maps(self, op: Operation) -> None:
+    def _lower_target_maps(
+        self, op: Operation, spaces: MemorySpacePolicy
+    ) -> None:
         """Rewrite an ``omp.target``'s operands to device memrefs."""
         builder = Builder.before(op)
-        lowerings = self._lowerings(builder, op)
+        lowerings = self._lowerings(builder, op, spaces)
         device_values = [lowering.emit_acquire() for lowering in lowerings]
         for i, value in enumerate(device_values):
             op.set_operand(i, value)

@@ -31,8 +31,31 @@ class TestArithValidation:
         a = block.add_op(arith.Constant.index(1)).results[0]
         b = block.add_op(arith.Constant.int(1, 32)).results[0]
         op = arith.AddI(a, b)
-        with pytest.raises(IRError, match="types differ"):
-            op.verify_()
+        with pytest.raises(IRError, match=r"arith\.addi: \[TYPE001\]"):
+            verify(op)
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            '%r = "arith.mulf"(%a) : (f32) -> (f32)',
+            '%r = "arith.mulf"() : () -> (f32)',
+            '"arith.addi"(%i, %i) : (i32, i32) -> ()',
+            '%r = "arith.mulf"(%a, %a, %a) : (f32, f32, f32) -> (f32)',
+        ],
+        ids=["one-operand", "no-operand", "no-result", "three-operands"],
+    )
+    def test_binary_arity_fails_verify(self, form):
+        """A binary op takes two operands and gives one result; another
+        shape used to raise a bare IndexError, or to verify."""
+        module = _parse_func(
+            '      %a = "arith.constant"() <{value = 1.0 : f32}> : () -> (f32)\n'
+            '      %i = "arith.constant"() <{value = 1 : i32}> : () -> (i32)\n'
+            f"      {form}\n"
+        )
+        with pytest.raises(
+            IRError, match=r"^arith\.\w+: expected two operands and one"
+        ):
+            verify(module)
 
     def test_bad_cmp_predicate(self):
         a, b = _c(1), _c(2)

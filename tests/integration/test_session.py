@@ -319,7 +319,9 @@ class TestTargetConfig:
         pm = PassManager.parse(
             "lower-omp-mapped-data{policy=round_robin,num_banks=4}"
         )
-        assert pm.passes[0].policy.num_banks == 4
+        assert (pm.passes[0].policy, pm.passes[0].num_banks) == (
+            "round_robin", 4,
+        )
 
     def test_unknown_policy_rejected(self):
         """A misspelled mode used to build a round-robin bank layout."""

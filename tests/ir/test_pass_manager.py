@@ -10,8 +10,7 @@ from repro.ir import (
     ModulePass,
     PassManager,
     PipelineParseError,
-    get_pass,
-    parse_pipeline,
+    get_pass_class,
     registered_passes,
 )
 from repro.ir.types import FunctionType
@@ -128,18 +127,20 @@ class TestRegistry:
             assert expected in names
 
     def test_get_pass_instantiates(self):
-        p = get_pass("canonicalize")
+        p = get_pass_class("canonicalize").from_options()
         assert p.name == "canonicalize"
 
     def test_get_pass_with_options(self):
-        p = get_pass("lower-omp-to-hls", reduction_copies="4", simdlen=2)
+        p = get_pass_class("lower-omp-to-hls").from_options(
+            reduction_copies="4", simdlen=2
+        )
         assert p.reduction_copies == 4
         assert p.simdlen == 2
 
     def test_get_unknown_raises(self):
         with pytest.raises(PipelineParseError, match="no-such-pass"):
-            get_pass("no-such-pass")
+            get_pass_class("no-such-pass")
 
     def test_parse_pipeline(self):
-        pm = parse_pipeline("canonicalize, cse,dce")
+        pm = PassManager.parse("canonicalize, cse,dce")
         assert pm.pass_names == ["canonicalize", "cse", "dce"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dialects import arith, builtin, func
+from repro.dialects import arith, builtin, func, scf
 from repro.ir import (
     Builder,
     GreedyPatternRewriter,
@@ -14,6 +14,7 @@ from repro.ir import (
 )
 from repro.ir.attributes import IntegerAttr
 from repro.ir.core import LOC_ATTR
+from repro.ir.rewriting import MAX_REWRITES_PER_OP
 from repro.ir.types import FunctionType
 
 
@@ -78,10 +79,16 @@ class TestGreedyDriver:
         assert not [op for op in module.walk() if op.name == "arith.muli"]
 
     def test_non_convergence_detected(self):
+        """A pattern that never converges is stopped by the constant
+        bound: the first rewrite past MAX_REWRITES_PER_OP per seeded op
+        (plus slack) raises."""
+
         class Flipper(RewritePattern):
             op_name = "arith.addi"
+            rewrites = 0
 
             def match_and_rewrite(self, op, rewriter):
+                self.rewrites += 1
                 rewriter.replace_matched_op(
                     arith.AddI(op.operands[1], op.operands[0])
                 )
@@ -91,8 +98,52 @@ class TestGreedyDriver:
         y = b.insert(arith.Constant.int(2, 32)).results[0]
         b.insert(arith.AddI(x, y))
         b.insert(func.ReturnOp())
+        seeded = sum(1 for op in module.walk() if op is not module)
+        flipper = Flipper()
         with pytest.raises(IRError, match="converge"):
-            GreedyPatternRewriter([Flipper()], max_iterations=4).rewrite(module)
+            GreedyPatternRewriter([flipper]).rewrite(module)
+        assert flipper.rewrites == MAX_REWRITES_PER_OP * (seeded + 8) + 1
+
+
+class _Marker(Operation):
+    name = "test.marker"
+
+
+class TestRequeue:
+    """After a rewrite the driver queues an affected op that the rewrite
+    did not insert on its own, not with the ops nested in it."""
+
+    def test_a_redirected_loop_requeues_only_the_loop(self):
+        module, b = _module()
+        lb = b.insert(arith.Constant.index(0)).results[0]
+        ub = b.insert(arith.Constant.index(4)).results[0]
+        wider = b.insert(arith.Constant.index(8)).results[0]
+        step = b.insert(arith.Constant.index(1)).results[0]
+        loop = b.insert(scf.For(lb, ub, step))
+        body = Builder.at_end(loop.body)
+        body.insert(arith.AddI(loop.induction_var, loop.induction_var))
+        body.insert(scf.Yield())
+        b.insert(_Marker())
+        b.insert(func.ReturnOp())
+
+        class Redirect(RewritePattern):
+            op_name = "test.marker"
+
+            def match_and_rewrite(self, op, rewriter):
+                rewriter.replace_all_uses_with(ub, wider)
+                rewriter.erase_matched_op()
+
+        offered = []
+
+        class Record(RewritePattern):
+            def match_and_rewrite(self, op, rewriter):
+                offered.append(op)
+
+        GreedyPatternRewriter([Redirect(), Record()]).rewrite(module)
+        assert loop.ub is wider
+        assert offered.count(loop) == 2  # seeded, then redirected
+        for op in loop.body.ops:
+            assert offered.count(op) == 1, op.name
 
 
 class TestPatternRewriterApi:

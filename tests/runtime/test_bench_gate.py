@@ -17,8 +17,10 @@ be a reported failure.
 with itself.
 
 perfbench binds its span wrappers to ``src/`` names from outside the
-package; ``TestPerfbenchBindings`` installs them in a fresh interpreter
-and traces one compile, so renaming a bound name fails here too.
+package, and its workloads drive the compile service's API;
+``TestPerfbenchBindings`` installs the wrappers in a fresh interpreter
+and traces one compile, and runs dse-sweep's first operations, so
+renaming a name perfbench uses fails here too.
 """
 
 import importlib.util
@@ -301,22 +303,50 @@ print(json.dumps({
 }))
 """
 
+#: builds dse-sweep as the benchmark does, runs and checks its first
+#: three operations, and prints each one's service outcome
+_RUN_DSE_SWEEP = """
+import json
+import ops
+
+workload = ops.DseSweep(1, ops.load_expected())
+try:
+    stream = workload.stream()
+    outcomes = []
+    for _ in range(3):
+        point = next(stream)
+        args = workload.prepare(point)
+        result = workload.run(point, args)
+        error = workload.check(point, args, result)
+        assert error is None, (point, error)
+        outcomes.append(workload.response(result).metrics.outcome)
+finally:
+    workload.close()
+print(json.dumps(outcomes))
+"""
+
+
+def _run_with_perfbench(script: str):
+    """Run ``script`` in a fresh interpreter that imports perfbench's
+    modules, and return the JSON its last stdout line holds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        str(REPO / part) for part in ("src", "perfbench")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 class TestPerfbenchBindings:
     def test_span_wrappers_install_and_trace_a_compile(self):
         """Every name perfbench wraps (session stages, the service build
         function, store methods, vectorizer entries, one layer per
         registered pass) still exists and keeps its call shape."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            str(REPO / part) for part in ("src", "perfbench")
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", _TRACE_ONE_COMPILE],
-            cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        traced = json.loads(proc.stdout.splitlines()[-1])
+        traced = _run_with_perfbench(_TRACE_ONE_COMPILE)
         assert {
             "frontend.parse", "verifier", "pass.lower-omp-mapped-data",
             "backend.host_codegen", "backend.vitis", "session.frontend",
@@ -329,3 +359,10 @@ class TestPerfbenchBindings:
             "session.frontend_compiles": 2, "session.device_builds": 2,
         }
         assert traced["payload_bytes"] > 0
+
+    def test_dse_sweep_runs_through_the_service_api(self):
+        """dse-sweep builds its requests, service and store through the
+        API perfbench imports: two builds and a store hit run and pass
+        their oracle."""
+        outcomes = _run_with_perfbench(_RUN_DSE_SWEEP)
+        assert outcomes == ["built", "built", "memory_hit"]

@@ -3,6 +3,7 @@ errors survive the process-pool boundary."""
 
 from __future__ import annotations
 
+import io
 import pickle
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.ir.core import Operation
 from repro.reliability import FrontendError, ReproError, wrap_error
 from repro.session import KernelOverrides, Session
 from repro.workloads import all_workloads, get_workload
@@ -148,6 +150,68 @@ def test_program_reruns_bit_identically_in_fresh_process(tmp_path):
     assert remote["steps"] == result.interpreter_steps
     assert remote["device_time_ms"] == result.device_time_ms
     assert remote["kernel_cycles"] == result.kernel_cycles
+
+
+def _dumps(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _pickled_ops(obj) -> list[Operation]:
+    """Every op in ``obj``'s pickled object graph."""
+    ops = []
+
+    class Collect(pickle.Pickler):
+        def reducer_override(self, value):
+            if isinstance(value, Operation):
+                ops.append(value)
+            return NotImplemented
+
+    Collect(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return ops
+
+
+def test_program_bytes_do_not_depend_on_operand_reads():
+    """An op's operand tuple is a cache filled on first read; a stored
+    program's bytes used to change once code had read it."""
+    program = Session(SAXPY_MINI).program()
+    before = _dumps(program)
+    for op in _pickled_ops(program):
+        op.operands
+    assert _dumps(program) == before
+
+
+def test_payload_with_filled_operand_caches_loads_the_same_program():
+    """Store-version-4 payloads written while the operand cache pickled
+    with its op hold filled tuples.  They load to the same program (so
+    the store version stays 4): each loaded cache holds the op's own
+    operands, and the copy pickles as a copy loaded from today's payload
+    does and reruns as the original does."""
+    program = Session(SAXPY_MINI).program()
+    for op in _pickled_ops(program):
+        op.operands
+
+    def filled_cache_getstate(self):
+        state = object.__getstate__(self)
+        state[1].pop("analysis_cache", None)
+        return state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Operation, "__getstate__", filled_cache_getstate)
+        payload = _dumps(program)
+    assert payload != _dumps(program)
+    loaded = pickle.loads(payload)
+    for op in _pickled_ops(loaded):
+        cached = op._operands_tuple
+        assert len(cached) == len(op._operands)
+        assert all(a is b for a, b in zip(cached, op._operands))
+    assert _dumps(loaded) == _dumps(pickle.loads(_dumps(program)))
+    y1, expected, r1 = run_offload_saxpy(program)
+    y2, _, r2 = run_offload_saxpy(loaded)
+    np.testing.assert_array_equal(y1, expected)
+    assert y1.tobytes() == y2.tobytes()
+    assert (r1.interpreter_steps, r1.device_time_ms, r1.kernel_cycles) == (
+        r2.interpreter_steps, r2.device_time_ms, r2.kernel_cycles
+    )
 
 
 # -- wrapped errors across process boundaries --------------------------------

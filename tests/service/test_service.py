@@ -75,7 +75,7 @@ def test_build_failure_propagates_wrapped_error(inline_service):
         inline_service.compile(CompileRequest("this is not fortran ("))
     assert inline_service.stats.build_failures == 1
     # the failure is not cached: the store holds nothing for the key
-    assert CompileRequest("this is not fortran (").key() not in (
+    assert CompileRequest("this is not fortran (").digest not in (
         inline_service.store
     )
 
@@ -93,14 +93,14 @@ def test_closed_service_rejects_submissions(tmp_path):
 def test_corrupt_disk_entry_is_rebuilt_not_served(inline_service):
     request = CompileRequest(SAXPY_MINI)
     inline_service.compile(request)
-    digest = request.key().digest
+    digest = request.digest
     payload_path, _ = inline_service.store._paths(digest)
     data = bytearray(payload_path.read_bytes())
     data[len(data) // 2] ^= 0xFF
     payload_path.write_bytes(bytes(data))
     inline_service.store.clear_memory()
     with pytest.raises(DataIntegrityError):
-        inline_service.store.get(request.key())
+        inline_service.store.get(digest)
     response = inline_service.compile(request)
     assert response.metrics.outcome == "built"
     assert inline_service.stats.integrity_rebuilds == 1

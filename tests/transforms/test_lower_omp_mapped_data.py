@@ -6,9 +6,10 @@ import pytest
 from repro.frontend import compile_to_core
 from repro.ir import PassManager, print_op
 from repro.transforms import LowerOmpMappedDataPass, MemorySpacePolicy
+from repro.workloads import get_workload
 
 
-def lower(source: str, policy: MemorySpacePolicy | None = None):
+def lower(source: str, policy: str = "single"):
     module = compile_to_core(source).module
     pm = PassManager(verify_each=True)
     pm.add(LowerOmpMappedDataPass(policy))
@@ -93,7 +94,7 @@ class TestStructure:
 
 class TestMemorySpacePolicy:
     def test_single_policy_uses_bank_one(self, saxpy_mini_source):
-        module = lower(saxpy_mini_source, MemorySpacePolicy("single"))
+        module = lower(saxpy_mini_source, "single")
         spaces = {
             op.attributes["memory_space"].value
             for op in module.walk()
@@ -102,7 +103,7 @@ class TestMemorySpacePolicy:
         assert spaces == {1}
 
     def test_round_robin_spreads_banks(self, saxpy_mini_source):
-        module = lower(saxpy_mini_source, MemorySpacePolicy("round_robin"))
+        module = lower(saxpy_mini_source, "round_robin")
         spaces = {
             op.attributes["memory_space"].value
             for op in module.walk()
@@ -130,6 +131,31 @@ class TestMemorySpacePolicy:
         every mode but "single" assigned banks round-robin."""
         with pytest.raises(ValueError, match="'single' and 'round_robin'"):
             build()
+
+    @pytest.mark.parametrize(
+        "policy", [MemorySpacePolicy("round_robin"), None, 1],
+        ids=["policy-object", "none", "int"],
+    )
+    def test_pass_takes_a_mode_string_only(self, policy):
+        with pytest.raises(TypeError, match="mode string"):
+            LowerOmpMappedDataPass(policy)
+
+    def test_reused_pipeline_restarts_bank_assignment(self):
+        """A pass instance carries no bank state from one module into the
+        next: a reused round-robin pipeline gives dot the IR a fresh one
+        gives it (dot's banks used to continue from saxpy's)."""
+        spec = "lower-omp-mapped-data{policy=round_robin}"
+
+        def core(name):
+            return compile_to_core(get_workload(name).source).module
+
+        reused = PassManager.parse(spec)
+        reused.run(core("saxpy"))
+        dot = core("dot")
+        reused.run(dot)
+        fresh = core("dot")
+        PassManager.parse(spec).run(fresh)
+        assert print_op(dot) == print_op(fresh)
 
 
 class TestCounterSemanticsEndToEnd:
