@@ -18,6 +18,7 @@ from repro.ir.types import (
     i1,
     index,
 )
+from repro.reliability.errors import DivisionByZeroError
 
 
 class Constant(Operation):
@@ -321,6 +322,14 @@ def _run_constant(interp: Interpreter, op: Operation, env: dict):
     return None
 
 
+def _divisor(value, op_name: str):
+    """``value``, unless it is zero: an integer division or remainder
+    raises the typed error every engine tier raises for it."""
+    if value == 0:
+        raise DivisionByZeroError(f"{op_name}: integer division by zero")
+    return value
+
+
 #: Scalar combiner per binop — the single source of truth shared by the
 #: interpreter impls and the compiled-form emitters, so the two dispatch
 #: tiers cannot drift apart.
@@ -328,8 +337,8 @@ _BINOP_FNS: dict[str, Callable] = {
     "arith.addi": operator.add,
     "arith.subi": operator.sub,
     "arith.muli": operator.mul,
-    "arith.divsi": lambda a, b: int(math.trunc(a / b)),
-    "arith.remsi": lambda a, b: int(math.fmod(a, b)),
+    "arith.divsi": lambda a, b: int(math.trunc(a / _divisor(b, "arith.divsi"))),
+    "arith.remsi": lambda a, b: int(math.fmod(a, _divisor(b, "arith.remsi"))),
     "arith.andi": operator.and_,
     "arith.ori": operator.or_,
     "arith.xori": operator.xor,

@@ -317,11 +317,20 @@ class CompiledFunction:
 
     def call(self, interp, args) -> tuple:
         frame = self.template.copy()
-        if self.needs_env:
-            frame[0] = FrameEnv(frame, self.slots)
         for slot, value in zip(self.arg_slots, args):
             frame[slot] = value
-        result = self.runner(interp, frame)
+        if self.needs_env:
+            frame[0] = FrameEnv(frame, self.slots)
+            try:
+                result = self.runner(interp, frame)
+            finally:
+                # the env and the frame refer to each other: break the
+                # cycle, so the call's values (kernel arguments and
+                # buffers included) are freed on return, not when the
+                # cyclic GC next runs
+                frame[0] = None
+        else:
+            result = self.runner(interp, frame)
         if interp.steps > interp.max_steps:
             # parity with the scalar engine, which checks before every op:
             # bulk-counted segments and vectorized loops settle up here

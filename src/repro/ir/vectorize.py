@@ -82,6 +82,33 @@ exact), apply deferred stores with :func:`_apply_stores` and fold with
 :func:`_ordered_fold`.  A loop no plan fits logs its reason on
 ``repro.ir.vectorize`` at DEBUG and runs scalar.
 
+**Ranges and views.**  The body program does not see its induction
+variables as full-space index vectors.  :func:`_run_nest` lays the space
+out as a broadcast array with one axis per level (chunked along axis 0
+above ``_MAX_NEST_ELEMS``) and passes each level's IV as a
+:class:`_Range`, a lazy ``(start, step, count)`` on its own axis.  An
+add, subtract or multiply with an IV-independent integer keeps a range
+lazy.  A load or store whose subscripts are all integers or in-bounds
+ranges on distinct axes reads or writes a basic-slicing view, laid out
+in the space's axis order.  Every other consumer materialises a small
+open-mesh int64 array and takes the index-array path; so does a
+subscript that leaves its dimension, since the scalar walk wraps a
+negative one and raises on a large one where a slice would clip.
+Values broadcast against each other, so a stencil reads each buffer
+through views instead of gathering a space-sized copy per load.
+Reductions and deferred scatters read their values flattened to the
+row-major space, as before.  :func:`_run_segmented` keeps per-row
+vectors and passes one range for an inner level whose rows run back to
+back (CSR rows).  Only ops with an operand that may hold a range check
+types at run time; the rest keep plain NumPy closures.
+
+**The copy rule.**  A gathered value was a copy taken at the load; a
+view aliases its buffer.  A loaded view is copied when a store runs
+after the load and before the value's last use, or when the runner reads
+the value after the body (a fold's operands, a deferred store's value, a
+segmented row value) and a store follows the load.  So a view never sees
+a write the scalar walk would not show it.
+
 Float32 ordering note: per-element semantics are identical to the scalar
 interpreter — NumPy applies the same operation per lane, and no
 reassociation occurs.  For ordered reductions (add, mul) the fast path
@@ -113,6 +140,7 @@ from repro.ir.core import (
     analysis_cache,
     semantic_attributes,
 )
+from repro.reliability.errors import DivisionByZeroError
 from repro.transforms.loop_analysis import (
     _defined_inside,
     _exact_offset,
@@ -183,13 +211,6 @@ _MIN_TRIPS = 64
 #: rank-n nests above this many total iterations are evaluated one
 #: outermost slice at a time to bound the whole-space temporaries
 _MAX_NEST_ELEMS = 1 << 22
-
-
-def _trunc_divide(a, b):
-    """``arith.divsi`` with the scalar engine's exact semantics:
-    ``int(math.trunc(a / b))`` — truncating division *via float64*,
-    including its precision behaviour."""
-    return np.trunc(np.divide(a, b)).astype(np.int64)
 
 
 def _body_is_vectorizable(body: Block) -> bool:
@@ -1003,9 +1024,18 @@ def _nest_vector_plan(loop: Operation):
             scatter=scatter,
             span=span,
         )
-        role = reduction or scatter
-        skip = role.skip if role is not None else frozenset()
-        return mode, plan, _compile_vector_body(program_ops, skip, ivs), None
+        if scatter is not None:
+            # every deferred store reads its operands after the body,
+            # and the stores applied before it may have written
+            skip = scatter.skip
+            exported = [v for op in scatter.stores for v in op.operands]
+        elif reduction is not None:
+            skip = reduction.skip
+            exported = [*reduction.indices, reduction.expr]
+        else:
+            skip = exported = frozenset()
+        program = _compile_vector_body(program_ops, skip, ivs, exported)
+        return mode, plan, program, None
 
     # -- depth 1: the in-place elementwise test comes first --------------------
     if rank == 1 and _loop_is_vectorizable(loop):
@@ -1483,10 +1513,18 @@ def _segmented_nest_plan(loop: Operation):
         acc_shared=acc_shared,
         init_value=init_store.operands[0] if init_store is not None else None,
         readback=readback,
-        row_program=_compile_vector_body(row_ops, row_skip, row_ivs),
+        # the row and tile values are read until the epilogue's stores
+        # and the fold write-back have run
+        row_program=_compile_vector_body(
+            row_ops, row_skip, row_ivs, None, writes_after=True
+        ),
         tile_program=(
             _compile_vector_body(
-                tile_ops, frozenset(), [tile_for.regions[0].block.args[0]]
+                tile_ops,
+                frozenset(),
+                [tile_for.regions[0].block.args[0]],
+                None,
+                writes_after=True,
             )
             if tile_for is not None
             else None
@@ -1495,8 +1533,11 @@ def _segmented_nest_plan(loop: Operation):
             list(inner_body.ops),
             reduction.skip,
             [*row_ivs, inner_body.args[0]],
+            [reduction.expr],
         ),
-        epilogue_program=_compile_vector_body(epilogue, epi_skip, row_ivs),
+        epilogue_program=_compile_vector_body(
+            epilogue, epi_skip, row_ivs, None, writes_after=True
+        ),
         stores=stores,
     )
     return "nest_segmented", plan, plan.row_program, None
@@ -1533,6 +1574,20 @@ def _concat_ranges(lbs, trips, step: int) -> np.ndarray:
         + (np.arange(total, dtype=np.int64) - np.repeat(starts, trips))
         * step
     )
+
+
+def _back_to_back(lbs, trips, step: int) -> _Range | None:
+    """One range over the IVs of consecutive loop executions (see
+    :func:`_concat_ranges`) when each non-empty one starts where the one
+    before it stopped — CSR rows over one offset array — else None."""
+    rows = trips > 0
+    lbs = lbs[rows]
+    trips = trips[rows]
+    if len(lbs) > 1 and not np.array_equal(
+        lbs[1:], lbs[:-1] + trips[:-1] * step
+    ):
+        return None
+    return _Range(int(lbs[0]), step, int(trips.sum()), 0, 1)
 
 
 def _inner_ranges(value, bounds, count: int):
@@ -1644,15 +1699,16 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
 
     if total:
         reduction = plan.reduction
-        if len(trips) == 1:
+        depth = len(trips)
+        if depth == 1:
             lb, _, step = bounds[0]
-            spaces = [[np.arange(lb, lb + total * step, step, dtype=np.int64)]]
+            spaces = [[_Range(lb, step, total, 0, 1)]]
         else:
-            dim_values = [
-                np.arange(lb, lb + t * step, step, dtype=np.int64)
-                for (lb, _, step), t in zip(bounds, trips)
+            levels = [
+                _Range(lb, step, t, axis, depth)
+                for axis, ((lb, _, step), t) in enumerate(zip(bounds, trips))
             ]
-            outer = [dim_values[0]]
+            spaces = [levels]
             if total > _MAX_NEST_ELEMS:
                 # Bound peak memory: evaluate chunks of outermost-dim
                 # slices (the whole-space temporaries scale with the
@@ -1671,23 +1727,28 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
                     )
                     return False
                 per_chunk = max(1, _MAX_NEST_ELEMS // (total // trips[0]))
-                outer = [
-                    dim_values[0][start : start + per_chunk]
+                lb, _, step = bounds[0]
+                spaces = (
+                    [
+                        _Range(
+                            lb + start * step, step,
+                            min(per_chunk, trips[0] - start), 0, depth,
+                        ),
+                        *levels[1:],
+                    ]
                     for start in range(0, trips[0], per_chunk)
-                ]
-            spaces = (
-                _flatten_space([chunk, *dim_values[1:]]) for chunk in outer
-            )
-        for vecs in spaces:
-            frame = program.run(interp, env, vecs)
+                )
+        for ivs in spaces:
+            frame = program.run(interp, env, ivs)
+            shape = tuple(iv.count for iv in ivs)
             if plan.scatter is not None:
                 value = program.lookup(frame, interp, env)
-                if not _apply_stores(plan.scatter, value, len(vecs[0])):
+                if not _apply_stores(plan.scatter, value, shape):
                     return False  # failed proof: nothing was mutated
             elif reduction is not None:
                 value = program.lookup(frame, interp, env)
                 array = value(reduction.acc)
-                cells = [value(i) for i in reduction.indices]
+                cells = [_dense(value(i)) for i in reduction.indices]
                 if len(trips) == 1 and any(map(_is_vector, cells)):
                     # depth 1 with a varying cell: cells may collide
                     width = None
@@ -1697,10 +1758,13 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
                     # one representative per row
                     width = trips[-1]
                     key = tuple([
-                        c[::width] if _is_vector(c) else int(c) for c in cells
+                        np.broadcast_to(c, shape)[..., 0].reshape(-1)
+                        if _is_vector(c) else int(c)
+                        for c in cells
                     ])
                 vec = _as_vector(
-                    value(reduction.expr), len(vecs[0]), array.dtype
+                    _flat(value(reduction.expr), shape), math.prod(shape),
+                    array.dtype,
                 )
                 if not _ordered_fold(reduction.op_name, array, key, vec, width):
                     return False  # single pass (see above): nothing stored
@@ -1807,9 +1871,15 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
         if ctotal:
             if tile_trips is None:
                 counts = seg
+                used = plan.inner_program.iv_used
+                inner = _back_to_back(lb_vec[r0:r1], seg, inner_step)
                 ivs = [
-                    *(np.repeat(v[r0:r1], seg) for v in row_vecs),
-                    _concat_ranges(lb_vec[r0:r1], seg, inner_step),
+                    *(
+                        np.repeat(v[r0:r1], seg) if use else None
+                        for v, use in zip(row_vecs, used)
+                    ),
+                    inner if inner is not None
+                    else _concat_ranges(lb_vec[r0:r1], seg, inner_step),
                 ]
             else:
                 # Equal rows span a (rows, width) grid: row values are
@@ -1832,9 +1902,15 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
             frame_i = plan.inner_program.run(interp, env, ivs, resolve)
             slot = plan.inner_program.slots.get(reduction.expr)
             expr = frame_i[slot] if slot is not None else resolve(reduction.expr)
-            if counts is None:
-                expr = np.broadcast_to(expr, (r1 - r0, len(row_space)))
-            expr_vec = _as_vector(expr, ctotal, dtype)
+            expr_vec = _as_vector(
+                _flat(
+                    expr,
+                    (ctotal,) if counts is not None
+                    else (r1 - r0, len(row_space)),
+                ),
+                ctotal,
+                dtype,
+            )
             t0 = int(seg[0])
             if bool(np.all(seg == t0)):
                 key, width = (slice(None),), t0  # equal rows
@@ -1858,7 +1934,7 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
         slot = plan.epilogue_program.slots.get(v)
         return frame_e[slot] if slot is not None else resolve_epi(v)
 
-    _apply_stores(plan.stores, epi_value, n_rows)
+    _apply_stores(plan.stores, epi_value, (n_rows,))
     if plan.acc_shared:
         # the scalar walk leaves the last row's fold in the shared cell
         acc_arr[cell] = folded_all[-1]
@@ -1895,14 +1971,15 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
     return True
 
 
-def _apply_stores(deferred: _NestScatter, value, total: int) -> bool:
-    """Prove every deferred store injective over the ``total``-point
-    flat space, then apply them all in op order.  ``value`` resolves an
+def _apply_stores(deferred: _NestScatter, value, shape) -> bool:
+    """Prove every deferred store injective over the flattened space of
+    ``shape``, then apply them all in op order.  ``value`` resolves an
     SSA value of the evaluated space.  False (nothing mutated) means the
     scalar walk must rerun."""
+    total = math.prod(shape)
     resolved = []
     for store, dims_to_prove in zip(deferred.stores, deferred.proof_dims):
-        indices = [value(i) for i in store.operands[2:]]
+        indices = [_flat(value(i), shape) for i in store.operands[2:]]
         if dims_to_prove and _prove_injective_tuple(
             [indices[d] for d in dims_to_prove], total
         ) is None:
@@ -1919,8 +1996,8 @@ def _apply_stores(deferred: _NestScatter, value, total: int) -> bool:
         key = tuple(
             np.asarray(i) if np.ndim(i) else int(i) for i in indices
         )
-        value(store.operands[1])[key if len(key) > 1 else key[0]] = value(
-            store.operands[0]
+        value(store.operands[1])[key if len(key) > 1 else key[0]] = _flat(
+            value(store.operands[0]), shape
         )
     return True
 
@@ -2138,30 +2215,196 @@ def loop_vector_mode(loop: Operation) -> tuple[str | None, Any]:
 # cost is just the NumPy work plus one closure call per body op.
 
 
+_INTS = (int, np.integer)
+
+#: casts that keep the reference interpreter's value: the result aliases
+#: its operand's slot
+_ALIASES = ("arith.index_cast", "arith.extsi", "arith.trunci")
+
+
+class _Range:
+    """One level's induction variable, kept lazy: the values ``start +
+    p * step`` for ``p`` in ``range(count)``, laid along ``axis`` of an
+    ``ndim``-axis broadcast iteration space.  An add, subtract or
+    multiply by an IV-independent integer gives another range; a load or
+    store subscripted by in-bounds ranges on distinct axes slices a view;
+    any other consumer reads :meth:`array`."""
+
+    __slots__ = ("start", "step", "count", "axis", "ndim")
+
+    def __init__(self, start: int, step: int, count: int, axis: int, ndim: int):
+        self.start = start
+        self.step = step
+        self.count = count
+        self.axis = axis
+        self.ndim = ndim
+
+    def affine(self, scale: int, offset: int) -> _Range:
+        """The range of ``value * scale + offset``."""
+        return _Range(
+            self.start * scale + offset, self.step * scale, self.count,
+            self.axis, self.ndim,
+        )
+
+    def array(self) -> np.ndarray:
+        """The int64 values as an open-mesh array: ``count`` long on
+        ``axis``, length 1 on every other axis."""
+        if self.step:
+            stop = self.start + self.count * self.step
+            vec = np.arange(self.start, stop, self.step, dtype=np.int64)
+        else:
+            vec = np.full(self.count, self.start, dtype=np.int64)
+        if self.ndim > 1:
+            vec = vec.reshape(_axis_shape(self.count, self.axis, self.ndim))
+        return vec
+
+    def index(self, extent: int) -> slice | None:
+        """The basic slice reading this range from a dimension of
+        ``extent`` cells, or None when the range is constant or leaves
+        ``[0, extent)``: a negative subscript wraps and a large one
+        raises, which only the index-array path reproduces."""
+        step = self.step
+        start = self.start
+        last = start + (self.count - 1) * step
+        if not step or not (0 <= start < extent and 0 <= last < extent):
+            return None
+        stop = last + (1 if step > 0 else -1)
+        return slice(start, stop if stop >= 0 else None, step)
+
+
+def _axis_shape(count: int, axis: int, ndim: int) -> tuple[int, ...]:
+    return (1,) * axis + (count,) + (1,) * (ndim - axis - 1)
+
+
+def _dense(value):
+    """``value`` with a range materialised (see :meth:`_Range.array`)."""
+    return value.array() if type(value) is _Range else value
+
+
+def _flat(value, shape: tuple[int, ...]):
+    """A program value over the row-major flattened space of ``shape``,
+    as the reductions, deferred stores and segmented folds read it; a
+    scalar stays a scalar."""
+    value = _dense(value)
+    if isinstance(value, np.ndarray) and value.ndim:
+        if value.shape != shape:
+            value = np.broadcast_to(value, shape)
+        return value.reshape(-1)
+    return value
+
+
+def _view(array: np.ndarray, subs):
+    """``array[subs]`` as a view laid out on the iteration space's axes
+    — its ranges' axes in increasing order, length 1 on the axes no
+    subscript varies along — when every subscript is an integer or an
+    in-bounds range on its own axis; else None."""
+    key = []
+    axes = []
+    ndim = 0
+    for extent, sub in zip(array.shape, subs):
+        if type(sub) is _Range:
+            cut = sub.index(extent)
+            if cut is None or sub.axis in axes:
+                return None
+            key.append(cut)
+            axes.append(sub.axis)
+            ndim = sub.ndim
+        elif isinstance(sub, _INTS):
+            key.append(sub)
+        else:
+            return None
+    if not axes:
+        return None
+    view = array[tuple(key)]
+    if axes != sorted(axes):
+        view = view.transpose(np.argsort(axes))
+        axes.sort()
+    if len(axes) < ndim:
+        expand: list = [None] * ndim
+        for axis in axes:
+            expand[axis] = slice(None)
+        view = view[tuple(expand)]
+    return view
+
+
+def _gather_key(subs):
+    return tuple([_dense(s) for s in subs])
+
+
+def _scatter(array: np.ndarray, subs, value) -> None:
+    """Store ``value`` into ``array[subs]`` over the iteration space:
+    through a view when :func:`_view` finds one whose shape takes the
+    value, else by index arrays broadcast to the value's shape, so a
+    cell written more than once keeps its last write in row-major
+    order."""
+    value = _dense(value)
+    dst = _view(array, subs)
+    if dst is not None:
+        vshape = np.shape(value)
+        if not vshape or (
+            len(vshape) == dst.ndim
+            and all(v == 1 or v == d for v, d in zip(vshape, dst.shape))
+        ):
+            dst[...] = value
+            return
+    key = _gather_key(subs)
+    vshape = np.shape(value)
+    if vshape:
+        shape = np.broadcast_shapes(vshape, *(np.shape(k) for k in key))
+        key = tuple([np.broadcast_to(k, shape) for k in key])
+    array[key if len(key) > 1 else key[0]] = value
+
+
+def _check_divisor(divisor, op_name: str) -> None:
+    if isinstance(divisor, np.ndarray):
+        zero = not divisor.all()
+    else:
+        zero = divisor == 0
+    if zero:
+        raise DivisionByZeroError(f"{op_name}: integer division by zero")
+
+
+def _trunc_divide(a, b):
+    """``arith.divsi`` with the scalar engine's exact semantics:
+    ``int(math.trunc(a / b))`` — truncating division *via float64*,
+    including its precision behaviour — and its typed zero-divisor
+    error."""
+    _check_divisor(b, "arith.divsi")
+    return np.trunc(np.divide(a, b)).astype(np.int64)
+
+
+def _trunc_remainder(a, b):
+    """``arith.remsi``: the trunc-style remainder of ``math.fmod``."""
+    _check_divisor(b, "arith.remsi")
+    return np.fmod(a, b)
+
+
 class _VectorProgram:
     """Compiled whole-iteration-space evaluator for one loop body.
 
     Frame slot 0 holds the instruction tuple itself, so a run needs only
     one template copy plus the outer-value fetches.  ``iv_slots`` holds
     one slot per induction variable (rank-n ``omp.loop_nest`` bodies have
-    several).
+    several); ``iv_used`` says which of them the body reads.
     """
 
-    __slots__ = ("template", "slots", "iv_slots", "outer")
+    __slots__ = ("template", "slots", "iv_slots", "iv_used", "outer")
 
-    def __init__(self, template, slots, iv_slots, outer):
+    def __init__(self, template, slots, iv_slots, iv_used, outer):
         self.template = template
         self.slots = slots
         self.iv_slots = iv_slots
+        self.iv_used = iv_used
         #: loop-invariant values fetched from the interpreter env per run
         self.outer = outer
 
     def run(self, interp, env, ivs, resolve=None) -> list:
-        """Evaluate the body over ``ivs``, one index vector per iv slot.
-        Outer values come from the interpreter environment, or through
-        ``resolve`` when given — the segmented runner feeds per-row phase
-        values that way (prologue results repeated per segment, the
-        folded accumulator preset for the epilogue readback)."""
+        """Evaluate the body over ``ivs``, one :class:`_Range` or index
+        array per iv slot.  Outer values come from the interpreter
+        environment, or through ``resolve`` when given — the segmented
+        runner feeds per-row phase values that way (prologue results
+        repeated per segment, the folded accumulator preset for the
+        epilogue readback)."""
         frame = self.template.copy()
         for slot, vec in zip(self.iv_slots, ivs):
             frame[slot] = vec
@@ -2194,6 +2437,10 @@ class _VectorCompiler:
         self.template: list = [None]
         self.outer: list[tuple[int, SSAValue]] = []
         self.instrs: list = []
+        #: values that may hold a :class:`_Range` when the program runs
+        self.ranges: set[SSAValue] = set()
+        #: the slot of each range slot's materialised twin
+        self.dense_slots: dict[int, int] = {}
 
     def dst(self, value: SSAValue) -> int:
         slot = self.slots.get(value)
@@ -2209,18 +2456,94 @@ class _VectorCompiler:
             self.outer.append((slot, value))
         return slot
 
+    def dense(self, value: SSAValue) -> int:
+        """The slot of ``value`` for a consumer that reads arrays: a range
+        is materialised once, into a twin slot, before its first such
+        consumer."""
+        if value not in self.ranges:
+            return self.src(value)
+        source = self.slots[value]
+        slot = self.dense_slots.get(source)
+        if slot is None:
+            slot = self.dense_slots[source] = len(self.template)
+            self.template.append(None)
+
+            def instr(frame, _s=source, _d=slot):
+                frame[_d] = _dense(frame[_s])
+            self.instrs.append(instr)
+        return slot
+
+    def literal(self, value: SSAValue):
+        """The integer constant ``value`` holds, or None."""
+        slot = self.slots.get(value)
+        if slot is None or value in self.ranges:
+            return None
+        item = self.template[slot]
+        return item if type(item) is int else None
+
+
+def _copies(ops, skip, exported, writes_after: bool) -> set[int]:
+    """The ids of the loads whose views must be copied, so that a view
+    never sees a write the scalar walk would not show the value: a store
+    runs after the load and before the value's last use, or the runner
+    reads the value after the body (``exported``; None means any value)
+    and some store follows the load — a deferred one included, or a
+    later program's (``writes_after``)."""
+    alias: dict[SSAValue, SSAValue] = {}
+    last_use: dict[SSAValue, int] = {}
+    loads: list[tuple[int, Operation]] = []
+    run_stores: list[int] = []
+    all_stores: list[int] = []
+    for pos, op in enumerate(op for op in ops if op.name not in _SKIPPED):
+        if op.name == "memref.store":
+            all_stores.append(pos)
+        if id(op) in skip:
+            continue
+        for operand in op.operands:
+            last_use[alias.get(operand, operand)] = pos
+        if op.name in _ALIASES:
+            alias[op.results[0]] = alias.get(op.operands[0], op.operands[0])
+        elif op.name == "memref.load" and len(op.operands) > 1:
+            loads.append((pos, op))
+        elif op.name == "memref.store":
+            run_stores.append(pos)
+    if exported is not None:
+        exported = {alias.get(v, v) for v in exported}
+    copies = set()
+    for at, load in loads:
+        value = load.results[0]
+        end = last_use.get(value, at)
+        if any(at < q < end for q in run_stores) or (
+            (exported is None or value in exported)
+            and (writes_after or any(q > at for q in all_stores))
+        ):
+            copies.add(id(load))
+    return copies
+
 
 def _compile_vector_body(
-    ops, skip: frozenset[int], ivs
+    ops, skip: frozenset[int], ivs, exported=frozenset(), writes_after=False
 ) -> _VectorProgram:
     """Translate the (already validated) op sequence into a vector
     program.  ``ivs`` holds one induction-variable value per nest
-    dimension (rank-n nests gather them from several blocks)."""
+    dimension (rank-n nests gather them from several blocks).
+    ``exported`` names the values the runner reads after the body (None:
+    any of them) and ``writes_after`` says whether it writes memory
+    while it still reads them (see :func:`_copies`).
+
+    Only an op with an operand that may hold a :class:`_Range` checks
+    its operands' types when it runs: an add, subtract or multiply keeps
+    a range lazy, a load or store slices views, and every other op reads
+    the range's materialised twin (:meth:`_VectorCompiler.dense`).  The
+    rest keep plain NumPy closures."""
     from repro.ir.attributes import FloatAttr, IntegerAttr, StringAttr
     from repro.ir.types import FloatType
 
     ctx = _VectorCompiler()
     iv_slots = tuple(ctx.dst(iv) for iv in ivs)
+    ctx.ranges.update(ivs)
+    copies = _copies(ops, skip, exported, writes_after)
+    ranges = ctx.ranges
 
     for op in ops:
         name = op.name
@@ -2235,6 +2558,23 @@ def _compile_vector_body(
                     np.float32(attr.value) if attr.width == 32 else attr.value
                 )
             continue
+        if name in _ALIASES:
+            # width-preserving in the reference interpreter: alias the slot
+            ctx.slots[op.results[0]] = ctx.src(op.operands[0])
+            if op.operands[0] in ranges:
+                ranges.add(op.results[0])
+            continue
+        if name == "memref.load":
+            _emit_load(ctx, op, id(op) in copies)
+            continue
+        if name == "memref.store":
+            _emit_store(ctx, op)
+            continue
+        if name in ("arith.addi", "arith.subi", "arith.muli") and any(
+            v in ranges for v in op.operands
+        ):
+            _emit_affine(ctx, op)
+            continue
         if name in _BINOPS or name in ("arith.divsi", "arith.remsi",
                                        "arith.cmpi", "arith.cmpf"):
             if name in _BINOPS:
@@ -2242,12 +2582,12 @@ def _compile_vector_body(
             elif name == "arith.divsi":
                 fn = _trunc_divide
             elif name == "arith.remsi":
-                fn = np.fmod  # trunc-style remainder, like math.fmod
+                fn = _trunc_remainder
             else:
                 predicate = op.attributes["predicate"]
                 assert isinstance(predicate, StringAttr)
                 fn = _CMPS[predicate.value]
-            a, b = ctx.src(op.operands[0]), ctx.src(op.operands[1])
+            a, b = ctx.dense(op.operands[0]), ctx.dense(op.operands[1])
             r = ctx.dst(op.results[0])
 
             def instr(frame, _fn=fn, _a=a, _b=b, _r=r):
@@ -2255,16 +2595,12 @@ def _compile_vector_body(
             ctx.instrs.append(instr)
             continue
         if name == "arith.select":
-            c, t, f = (ctx.src(o) for o in op.operands)
+            c, t, f = (ctx.dense(o) for o in op.operands)
             r = ctx.dst(op.results[0])
 
             def instr(frame, _c=c, _t=t, _f=f, _r=r):
                 frame[_r] = np.where(frame[_c], frame[_t], frame[_f])
             ctx.instrs.append(instr)
-            continue
-        if name in ("arith.index_cast", "arith.extsi", "arith.trunci"):
-            # width-preserving in the reference interpreter: alias the slot
-            ctx.slots[op.results[0]] = ctx.src(op.operands[0])
             continue
         if name in ("arith.sitofp", "arith.fptosi", "arith.extf",
                     "arith.truncf"):
@@ -2281,7 +2617,7 @@ def _compile_vector_body(
                 dtype = np.float64
             else:
                 dtype = np.float32
-            s = ctx.src(op.operands[0])
+            s = ctx.dense(op.operands[0])
             r = ctx.dst(op.results[0])
 
             def instr(frame, _s=s, _r=r, _dtype=dtype):
@@ -2290,41 +2626,161 @@ def _compile_vector_body(
             continue
         if name in _MATH:
             fn = _MATH[name]
-            s = ctx.src(op.operands[0])
+            s = ctx.dense(op.operands[0])
             r = ctx.dst(op.results[0])
 
             def instr(frame, _fn=fn, _s=s, _r=r):
                 frame[_r] = _fn(frame[_s])
             ctx.instrs.append(instr)
             continue
-        if name == "memref.load":
-            m = ctx.src(op.operands[0])
-            idx = tuple(ctx.src(i) for i in op.operands[1:])
-            r = ctx.dst(op.results[0])
-            if not idx:
-                def instr(frame, _m=m, _r=r):
-                    frame[_r] = frame[_m][()]
-            elif len(idx) == 1:
-                def instr(frame, _m=m, _i=idx[0], _r=r):
-                    frame[_r] = frame[_m][frame[_i]]
-            else:
-                def instr(frame, _m=m, _idx=idx, _r=r):
-                    frame[_r] = frame[_m][tuple(frame[i] for i in _idx)]
-            ctx.instrs.append(instr)
-            continue
-        if name == "memref.store":
-            v = ctx.src(op.operands[0])
-            m = ctx.src(op.operands[1])
-            idx = tuple(ctx.src(i) for i in op.operands[2:])
-            if len(idx) == 1:
-                def instr(frame, _v=v, _m=m, _i=idx[0]):
-                    frame[_m][frame[_i]] = frame[_v]
-            else:
-                def instr(frame, _v=v, _m=m, _idx=idx):
-                    frame[_m][tuple(frame[i] for i in _idx)] = frame[_v]
-            ctx.instrs.append(instr)
-            continue
         raise AssertionError(f"vectorizer admitted unsupported op {name}")
 
     ctx.template[0] = tuple(ctx.instrs)
-    return _VectorProgram(ctx.template, ctx.slots, iv_slots, tuple(ctx.outer))
+    read = {
+        v
+        for op in ops
+        if op.name not in _SKIPPED and id(op) not in skip
+        for v in op.operands
+    }
+    if exported is not None:
+        read.update(exported)
+    used = {ctx.slots.get(v) for v in read}
+    return _VectorProgram(
+        ctx.template,
+        ctx.slots,
+        iv_slots,
+        tuple(exported is None or slot in used for slot in iv_slots),
+        tuple(ctx.outer),
+    )
+
+
+def _emit_affine(ctx: _VectorCompiler, op: Operation) -> None:
+    """An ``addi``/``subi``/``muli`` with a range operand: a range and an
+    integer give a range; anything else runs the NumPy op on arrays."""
+    name = op.name
+    lhs, rhs = op.operands
+    fn = _BINOPS[name]
+    r = ctx.dst(op.results[0])
+    ctx.ranges.add(op.results[0])
+    # a literal operand: the range only shifts or scales
+    lit_l, lit_r = ctx.literal(lhs), ctx.literal(rhs)
+    if lit_l is not None or lit_r is not None:
+        if lit_r is not None:
+            x, c = ctx.src(lhs), lit_r
+            scale, offset = {
+                "arith.addi": (1, c), "arith.subi": (1, -c), "arith.muli": (c, 0),
+            }[name]
+        else:
+            x, c = ctx.src(rhs), lit_l
+            scale, offset = {
+                "arith.addi": (1, c), "arith.subi": (-1, c), "arith.muli": (c, 0),
+            }[name]
+
+        def instr(frame, _x=x, _r=r, _s=scale, _o=offset, _fn=fn, _c=c,
+                  _swap=lit_l is not None):
+            v = frame[_x]
+            if type(v) is _Range:
+                frame[_r] = v.affine(_s, _o)
+            else:
+                frame[_r] = _fn(_c, v) if _swap else _fn(v, _c)
+        ctx.instrs.append(instr)
+        return
+    a, b = ctx.src(lhs), ctx.src(rhs)
+    sub = name == "arith.subi"
+    mul = name == "arith.muli"
+
+    def instr(frame, _a=a, _b=b, _r=r, _fn=fn):
+        x = frame[_a]
+        y = frame[_b]
+        if type(x) is _Range:
+            if type(y) is not _Range and isinstance(y, _INTS):
+                y = int(y)
+                frame[_r] = x.affine(y, 0) if mul else x.affine(
+                    1, -y if sub else y
+                )
+                return
+            x = x.array()
+        if type(y) is _Range:
+            if isinstance(x, _INTS):
+                x = int(x)
+                frame[_r] = y.affine(x, 0) if mul else y.affine(
+                    -1 if sub else 1, x
+                )
+                return
+            y = y.array()
+        frame[_r] = _fn(x, y)
+    ctx.instrs.append(instr)
+
+
+def _emit_load(ctx: _VectorCompiler, op: Operation, copy: bool) -> None:
+    m = ctx.src(op.operands[0])
+    subs = op.operands[1:]
+    idx = tuple(ctx.src(i) for i in subs)
+    r = ctx.dst(op.results[0])
+    if not idx:
+        def instr(frame, _m=m, _r=r):
+            frame[_r] = frame[_m][()]
+    elif not any(v in ctx.ranges for v in subs):
+        if len(idx) == 1:
+            def instr(frame, _m=m, _i=idx[0], _r=r):
+                frame[_r] = frame[_m][frame[_i]]
+        else:
+            def instr(frame, _m=m, _idx=idx, _r=r):
+                frame[_r] = frame[_m][tuple(frame[i] for i in _idx)]
+    elif len(idx) == 1:
+        # a rank-1 subscript slices directly
+        def instr(frame, _m=m, _i=idx[0], _r=r, _copy=copy):
+            array = frame[_m]
+            sub = frame[_i]
+            if type(sub) is not _Range:
+                frame[_r] = array[sub]
+                return
+            cut = sub.index(len(array))
+            if cut is None:
+                frame[_r] = array[sub.array()]
+                return
+            view = array[cut]
+            if sub.ndim > 1:
+                view = view.reshape(_axis_shape(sub.count, sub.axis, sub.ndim))
+            frame[_r] = view.copy() if _copy else view
+    else:
+        def instr(frame, _m=m, _idx=idx, _r=r, _copy=copy):
+            array = frame[_m]
+            subs = [frame[i] for i in _idx]
+            view = _view(array, subs)
+            if view is None:
+                frame[_r] = array[_gather_key(subs)]
+            else:
+                frame[_r] = view.copy() if _copy else view
+    ctx.instrs.append(instr)
+
+
+def _emit_store(ctx: _VectorCompiler, op: Operation) -> None:
+    v = ctx.src(op.operands[0])
+    m = ctx.src(op.operands[1])
+    subs = op.operands[2:]
+    idx = tuple(ctx.src(i) for i in subs)
+    if not any(s in ctx.ranges for s in op.operands[:1] + subs):
+        if len(idx) == 1:
+            def instr(frame, _v=v, _m=m, _i=idx[0]):
+                frame[_m][frame[_i]] = frame[_v]
+        else:
+            def instr(frame, _v=v, _m=m, _idx=idx):
+                frame[_m][tuple(frame[i] for i in _idx)] = frame[_v]
+    elif len(idx) == 1:
+        # a rank-1 subscript slices directly; over a one-axis space its
+        # view takes any value
+        def instr(frame, _v=v, _m=m, _i=idx[0]):
+            array = frame[_m]
+            sub = frame[_i]
+            value = frame[_v]
+            if type(sub) is _Range and sub.ndim == 1 and type(value) is not _Range:
+                cut = sub.index(len(array))
+                if cut is not None:
+                    array[cut] = value
+                    return
+            _scatter(array, (sub,), value)
+    else:
+        def instr(frame, _v=v, _m=m, _idx=idx):
+            _scatter(frame[_m], [frame[i] for i in _idx], frame[_v])
+    ctx.instrs.append(instr)

@@ -12,6 +12,7 @@ from repro.reliability.errors import (
     DeviceAllocationError,
     DeviceBuildError,
     DeviceRuntimeError,
+    DivisionByZeroError,
     DmaError,
     EngineError,
     FrontendError,
@@ -43,6 +44,7 @@ __all__ = [
     "DeviceAllocationError",
     "DeviceBuildError",
     "DeviceRuntimeError",
+    "DivisionByZeroError",
     "DmaError",
     "EngineError",
     "FrontendError",

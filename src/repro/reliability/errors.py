@@ -14,6 +14,7 @@ kernel* was involved when known (``kernel``) and a short source/op
       |     +-- DmaError               (DMA start/wait failure)
       |     +-- DataIntegrityError     (bit-flip detected on readback)
       |     +-- WatchdogTimeout        (kernel step budget exhausted)
+      +-- DivisionByZeroError (integer divide or remainder by zero)
       +-- EngineError         (execution-tier internal failure)
 
 ``LoweringError`` and ``DeviceBuildError`` also subclass
@@ -115,6 +116,15 @@ class DataIntegrityError(DeviceRuntimeError):
 
 class WatchdogTimeout(DeviceRuntimeError):
     """A kernel exceeded its watchdog step budget (simulated hang)."""
+
+
+class DivisionByZeroError(ReproError, ZeroDivisionError):
+    """An integer ``arith.divsi`` or ``arith.remsi`` met a zero divisor.
+
+    Every engine tier raises it, so a zero divisor fails the same way
+    whichever tier runs the op."""
+
+    default_stage = "execution"
 
 
 class EngineError(ReproError):

@@ -56,6 +56,19 @@ class KernelRun:
     per_cu_cycles: tuple[float, ...] = ()
 
 
+def _observer(agg: dict[Operation, dict[int, int]]):
+    """The loop observer of one kernel run: it records ``count``
+    executions of ``op`` with ``trips`` iterations each (the whole-space
+    fast paths batch identical inner-loop executions) in ``agg``, the
+    run's ``{loop op: {trips: count}}`` multiset."""
+
+    def observe(op: Operation, trips: int, count: int) -> None:
+        per_loop = agg.setdefault(op, {})
+        per_loop[trips] = per_loop.get(trips, 0) + count
+
+    return observe
+
+
 class KernelRunner:
     """Runs bitstream kernels functionally while accounting cycles."""
 
@@ -71,19 +84,10 @@ class KernelRunner:
         #: default per-run step budget (None = unbounded); the watchdog
         #: of every kernel simulation this runner performs
         self.watchdog_steps = watchdog_steps
-        # Cycle accounting hooks the interpreter's loop observer (fired
-        # once per scf.for execution with the observed trip count) rather
-        # than overriding the scf.for impl, so device loops still run on
-        # the compiled/vectorized fast paths.
         self._interp = Interpreter(
             bitstream.device_module, compiled=compiled, vectorize=vectorize
         )
-        self._interp.loop_observer = self._observe_loop
         self._compute_units = bitstream.compute_units
-        # The running kernel's {loop op: {trips: count}} observation
-        # multiset; None between runs (runs never nest: a retry starts
-        # after the failed attempt has unwound).
-        self._agg: dict[Operation, dict[int, int]] | None = None
 
     @property
     def interpreter_steps(self) -> int:
@@ -121,8 +125,15 @@ class KernelRunner:
         if budget is not None:
             budget_limit = interp.steps + budget
             interp.max_steps = min(saved_max, budget_limit)
+        # Cycle accounting hooks the interpreter's loop observer (fired
+        # once per scf.for execution with the observed trip count) rather
+        # than overriding the scf.for impl, so device loops still run on
+        # the compiled/vectorized fast paths.  The observer lives for one
+        # run and refers to its multiset only: a standing bound method
+        # would tie the runner and its interpreter in a reference cycle,
+        # which keeps a dropped executor's buffers until the cyclic GC.
         agg: dict[Operation, dict[int, int]] = {}
-        self._agg = agg
+        interp.loop_observer = _observer(agg)
         try:
             interp.call(kernel_name, *args)
         except InterpreterError as error:
@@ -135,7 +146,7 @@ class KernelRunner:
             raise
         finally:
             interp.max_steps = saved_max
-            self._agg = None
+            interp.loop_observer = None
         cycles, per_cu = self._makespan(design, agg)
         seconds = self.bitstream.board.cycles_to_seconds(cycles)
         return KernelRun(
@@ -145,15 +156,6 @@ class KernelRunner:
         )
 
     # -- cycle accounting -------------------------------------------------------------
-
-    def _observe_loop(self, op: Operation, trips: int, count: int) -> None:
-        """Record ``count`` executions of ``op`` with ``trips`` iterations
-        each (the whole-space fast paths batch identical inner-loop
-        executions) in the running kernel's multiset."""
-        agg = self._agg
-        if agg is not None:
-            per_loop = agg.setdefault(op, {})
-            per_loop[trips] = per_loop.get(trips, 0) + count
 
     def _makespan(
         self, design: KernelSchedule, agg: dict[Operation, dict[int, int]]
