@@ -105,9 +105,10 @@ types at run time; the rest keep plain NumPy closures.
 **The copy rule.**  A gathered value was a copy taken at the load; a
 view aliases its buffer.  A loaded view is copied when a store runs
 after the load and before the value's last use, or when the runner reads
-the value after the body (a fold's operands, a deferred store's value, a
-segmented row value) and a store follows the load.  So a view never sees
-a write the scalar walk would not show it.
+the value after the body (a fold's operands, a deferred store's value)
+and a store follows the load.  So a view never sees a write the scalar
+walk would not show it.  The segmented row, tile and epilogue programs
+run over materialised row vectors, so they never hold views.
 
 Float32 ordering note: per-element semantics are identical to the scalar
 interpreter — NumPy applies the same operation per lane, and no
@@ -1513,18 +1514,13 @@ def _segmented_nest_plan(loop: Operation):
         acc_shared=acc_shared,
         init_value=init_store.operands[0] if init_store is not None else None,
         readback=readback,
-        # the row and tile values are read until the epilogue's stores
-        # and the fold write-back have run
-        row_program=_compile_vector_body(
-            row_ops, row_skip, row_ivs, None, writes_after=True
-        ),
+        # the row, tile and epilogue programs run over materialised row
+        # and tile vectors, so their loads gather copies: only the inner
+        # program, whose inner IV may be a range, has views to guard
+        row_program=_compile_vector_body(row_ops, row_skip, row_ivs),
         tile_program=(
             _compile_vector_body(
-                tile_ops,
-                frozenset(),
-                [tile_for.regions[0].block.args[0]],
-                None,
-                writes_after=True,
+                tile_ops, frozenset(), [tile_for.regions[0].block.args[0]]
             )
             if tile_for is not None
             else None
@@ -1535,9 +1531,7 @@ def _segmented_nest_plan(loop: Operation):
             [*row_ivs, inner_body.args[0]],
             [reduction.expr],
         ),
-        epilogue_program=_compile_vector_body(
-            epilogue, epi_skip, row_ivs, None, writes_after=True
-        ),
+        epilogue_program=_compile_vector_body(epilogue, epi_skip, row_ivs),
         stores=stores,
     )
     return "nest_segmented", plan, plan.row_program, None
@@ -2482,13 +2476,12 @@ class _VectorCompiler:
         return item if type(item) is int else None
 
 
-def _copies(ops, skip, exported, writes_after: bool) -> set[int]:
+def _copies(ops, skip, exported) -> set[int]:
     """The ids of the loads whose views must be copied, so that a view
     never sees a write the scalar walk would not show the value: a store
     runs after the load and before the value's last use, or the runner
-    reads the value after the body (``exported``; None means any value)
-    and some store follows the load — a deferred one included, or a
-    later program's (``writes_after``)."""
+    reads the value after the body (``exported``) and some store, a
+    deferred one included, follows the load."""
     alias: dict[SSAValue, SSAValue] = {}
     last_use: dict[SSAValue, int] = {}
     loads: list[tuple[int, Operation]] = []
@@ -2507,29 +2500,26 @@ def _copies(ops, skip, exported, writes_after: bool) -> set[int]:
             loads.append((pos, op))
         elif op.name == "memref.store":
             run_stores.append(pos)
-    if exported is not None:
-        exported = {alias.get(v, v) for v in exported}
+    exported = {alias.get(v, v) for v in exported}
     copies = set()
     for at, load in loads:
         value = load.results[0]
         end = last_use.get(value, at)
         if any(at < q < end for q in run_stores) or (
-            (exported is None or value in exported)
-            and (writes_after or any(q > at for q in all_stores))
+            value in exported and any(q > at for q in all_stores)
         ):
             copies.add(id(load))
     return copies
 
 
 def _compile_vector_body(
-    ops, skip: frozenset[int], ivs, exported=frozenset(), writes_after=False
+    ops, skip: frozenset[int], ivs, exported=()
 ) -> _VectorProgram:
     """Translate the (already validated) op sequence into a vector
     program.  ``ivs`` holds one induction-variable value per nest
     dimension (rank-n nests gather them from several blocks).
-    ``exported`` names the values the runner reads after the body (None:
-    any of them) and ``writes_after`` says whether it writes memory
-    while it still reads them (see :func:`_copies`).
+    ``exported`` names the values the runner reads after the body (see
+    :func:`_copies`).
 
     Only an op with an operand that may hold a :class:`_Range` checks
     its operands' types when it runs: an add, subtract or multiply keeps
@@ -2542,7 +2532,7 @@ def _compile_vector_body(
     ctx = _VectorCompiler()
     iv_slots = tuple(ctx.dst(iv) for iv in ivs)
     ctx.ranges.update(ivs)
-    copies = _copies(ops, skip, exported, writes_after)
+    copies = _copies(ops, skip, exported)
     ranges = ctx.ranges
 
     for op in ops:
@@ -2636,22 +2626,29 @@ def _compile_vector_body(
         raise AssertionError(f"vectorizer admitted unsupported op {name}")
 
     ctx.template[0] = tuple(ctx.instrs)
-    read = {
-        v
+    used = {ctx.slots.get(v) for v in exported} | {
+        ctx.slots.get(v)
         for op in ops
         if op.name not in _SKIPPED and id(op) not in skip
         for v in op.operands
     }
-    if exported is not None:
-        read.update(exported)
-    used = {ctx.slots.get(v) for v in read}
     return _VectorProgram(
         ctx.template,
         ctx.slots,
         iv_slots,
-        tuple(exported is None or slot in used for slot in iv_slots),
+        tuple(slot in used for slot in iv_slots),
         tuple(ctx.outer),
     )
+
+
+def _affine_terms(name: str, c: int, range_first: bool) -> tuple[int, int]:
+    """``(scale, offset)`` of the range that ``name`` makes of a range
+    and the integer ``c`` (``range_first``: the range is the lhs)."""
+    if name == "arith.muli":
+        return c, 0
+    if name == "arith.addi":
+        return 1, c
+    return (1, -c) if range_first else (-1, c)
 
 
 def _emit_affine(ctx: _VectorCompiler, op: Operation) -> None:
@@ -2662,22 +2659,15 @@ def _emit_affine(ctx: _VectorCompiler, op: Operation) -> None:
     fn = _BINOPS[name]
     r = ctx.dst(op.results[0])
     ctx.ranges.add(op.results[0])
-    # a literal operand: the range only shifts or scales
     lit_l, lit_r = ctx.literal(lhs), ctx.literal(rhs)
     if lit_l is not None or lit_r is not None:
-        if lit_r is not None:
-            x, c = ctx.src(lhs), lit_r
-            scale, offset = {
-                "arith.addi": (1, c), "arith.subi": (1, -c), "arith.muli": (c, 0),
-            }[name]
-        else:
-            x, c = ctx.src(rhs), lit_l
-            scale, offset = {
-                "arith.addi": (1, c), "arith.subi": (-1, c), "arith.muli": (c, 0),
-            }[name]
+        # a literal operand only shifts or scales the range
+        swap = lit_r is None
+        x, c = (ctx.src(rhs), lit_l) if swap else (ctx.src(lhs), lit_r)
+        scale, offset = _affine_terms(name, c, not swap)
 
         def instr(frame, _x=x, _r=r, _s=scale, _o=offset, _fn=fn, _c=c,
-                  _swap=lit_l is not None):
+                  _swap=swap):
             v = frame[_x]
             if type(v) is _Range:
                 frame[_r] = v.affine(_s, _o)
@@ -2686,29 +2676,16 @@ def _emit_affine(ctx: _VectorCompiler, op: Operation) -> None:
         ctx.instrs.append(instr)
         return
     a, b = ctx.src(lhs), ctx.src(rhs)
-    sub = name == "arith.subi"
-    mul = name == "arith.muli"
 
-    def instr(frame, _a=a, _b=b, _r=r, _fn=fn):
+    def instr(frame, _a=a, _b=b, _r=r, _fn=fn, _name=name):
         x = frame[_a]
         y = frame[_b]
-        if type(x) is _Range:
-            if type(y) is not _Range and isinstance(y, _INTS):
-                y = int(y)
-                frame[_r] = x.affine(y, 0) if mul else x.affine(
-                    1, -y if sub else y
-                )
-                return
-            x = x.array()
-        if type(y) is _Range:
-            if isinstance(x, _INTS):
-                x = int(x)
-                frame[_r] = y.affine(x, 0) if mul else y.affine(
-                    -1 if sub else 1, x
-                )
-                return
-            y = y.array()
-        frame[_r] = _fn(x, y)
+        if type(x) is _Range and type(y) is not _Range and isinstance(y, _INTS):
+            frame[_r] = x.affine(*_affine_terms(_name, int(y), True))
+        elif type(y) is _Range and type(x) is not _Range and isinstance(x, _INTS):
+            frame[_r] = y.affine(*_affine_terms(_name, int(x), False))
+        else:
+            frame[_r] = _fn(_dense(x), _dense(y))
     ctx.instrs.append(instr)
 
 

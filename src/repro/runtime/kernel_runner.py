@@ -130,8 +130,8 @@ class KernelRunner:
         # than overriding the scf.for impl, so device loops still run on
         # the compiled/vectorized fast paths.  The observer lives for one
         # run and refers to its multiset only: a standing bound method
-        # would tie the runner and its interpreter in a reference cycle,
-        # which keeps a dropped executor's buffers until the cyclic GC.
+        # would tie the runner and its interpreter in a reference cycle
+        # that only the cyclic GC frees.
         agg: dict[Operation, dict[int, int]] = {}
         interp.loop_observer = _observer(agg)
         try:

@@ -48,8 +48,8 @@ def _source(name, args, decls, body, clause=""):
 
 _REAL_IO = "  real, intent(inout) :: x(n)\n  real, intent(inout) :: y(n)"
 
-#: name -> (source, argument builder, vectorizer modes at the parent
-#: commit, which the views must not change)
+#: name -> (source, the vectorizer modes of its loops, which are the
+#: modes they had with gathered index vectors: views must not move them)
 KERNELS = {
     # the scalar t lives in memory: a rank-0 store keeps the loop scalar
     "copy_then_clear": (
@@ -107,13 +107,14 @@ def _args(name: str, n: int):
 
 
 def _outcome(program, entry: str, args, tier):
-    """``(outputs, steps)`` of one run, or ``(error type, message)``."""
+    """``(outputs, steps, cycles)`` of one run, or ``(IndexError,
+    message)`` for an out-of-range subscript."""
     compiled, vectorize = tier
     try:
         result = program.executor(compiled=compiled, vectorize=vectorize).run(
             entry, *args
         )
-    except Exception as error:  # noqa: BLE001 - compared across tiers
+    except IndexError as error:
         return type(error), str(error)
     outputs = [np.asarray(a).tobytes() for a in args[:-1]]
     return outputs, result.interpreter_steps, result.kernel_cycles

@@ -12,6 +12,7 @@ gates, not timings.
 
 import gc
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -48,11 +49,33 @@ def _traced_run(name: str, n: int) -> tuple[int, int]:
     return peak, held
 
 
+def test_dropped_executor_sits_in_no_cycle():
+    """With the collector off, dropping an executor after a run frees it,
+    its kernel runner and the runner's interpreter at once.  A standing
+    bound loop observer tied the runner and its interpreter in a cycle
+    that only a collection freed."""
+    workload = get_workload("saxpy")
+    program = workload.compile()
+    instance = workload.instance(workload.smoke_size, 1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        executor = program.executor()
+        executor.run(workload.entry, *instance.args)
+        runner = executor._runner
+        refs = [weakref.ref(o) for o in (executor, runner, runner._interp)]
+        del executor, runner
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("name, n", [("heat3d", 64), ("saxpy", 1_000_000)])
 def test_dropped_executor_holds_nothing(name, n):
-    """With the cycles in place, the executor kept its device buffers
-    until a collection: 2.0 MiB for heat3d n=64, 7.6 MiB for saxpy
-    n=1M."""
+    """While a compiled call's frame and its env referred to each other,
+    the run's buffers stayed until a collection: 2.0 MiB for heat3d
+    n=64, 7.6 MiB for saxpy n=1M."""
     _, held = _traced_run(name, n)
     assert held < MiB // 4, f"{name}: {held / MiB:.2f} MiB held"
 
