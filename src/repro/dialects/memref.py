@@ -24,6 +24,7 @@ from repro.ir.types import (
     i32,
     index,
 )
+from repro.reliability.errors import SubscriptError
 
 
 def element_dtype(ty: TypeAttribute) -> np.dtype:
@@ -240,7 +241,12 @@ def _run_dealloc(interp: Interpreter, op: Operation, env: dict):
 def _run_load(interp: Interpreter, op: Operation, env: dict):
     values = interp.operand_values(op, env)
     array, indices = values[0], values[1:]
-    element = array[tuple(int(i) for i in indices)] if indices else array[()]
+    try:
+        element = (
+            array[tuple(int(i) for i in indices)] if indices else array[()]
+        )
+    except IndexError as error:
+        raise SubscriptError(f"memref.load: {error}") from error
     if isinstance(element, np.floating):
         element = float(element) if array.dtype != np.float32 else element
     interp.set_results(op, env, [element])
@@ -252,7 +258,10 @@ def _run_store(interp: Interpreter, op: Operation, env: dict):
     values = interp.operand_values(op, env)
     value, array, indices = values[0], values[1], values[2:]
     if indices:
-        array[tuple(int(i) for i in indices)] = value
+        try:
+            array[tuple(int(i) for i in indices)] = value
+        except IndexError as error:
+            raise SubscriptError(f"memref.store: {error}") from error
     else:
         array[()] = value
     return None
@@ -332,7 +341,10 @@ def _emit_load(op: Operation, ctx: FnCompiler):
 
         def run(interp, frame):
             array = frame[mem_i]
-            element = array[int(frame[i0])]
+            try:
+                element = array[int(frame[i0])]
+            except IndexError as error:
+                raise SubscriptError(f"memref.load: {error}") from error
             if isinstance(element, np.floating):
                 if array.dtype != f32_dtype:
                     element = float(element)
@@ -341,7 +353,10 @@ def _emit_load(op: Operation, ctx: FnCompiler):
 
     def run(interp, frame):
         array = frame[mem_i]
-        element = array[tuple(int(frame[i]) for i in idx)]
+        try:
+            element = array[tuple(int(frame[i]) for i in idx)]
+        except IndexError as error:
+            raise SubscriptError(f"memref.load: {error}") from error
         if isinstance(element, np.floating):
             if array.dtype != f32_dtype:
                 element = float(element)
@@ -364,11 +379,17 @@ def _emit_store(op: Operation, ctx: FnCompiler):
         (i0,) = idx
 
         def run(interp, frame):
-            frame[mem_i][int(frame[i0])] = frame[val_i]
+            try:
+                frame[mem_i][int(frame[i0])] = frame[val_i]
+            except IndexError as error:
+                raise SubscriptError(f"memref.store: {error}") from error
         return run
 
     def run(interp, frame):
-        frame[mem_i][tuple(int(frame[i]) for i in idx)] = frame[val_i]
+        try:
+            frame[mem_i][tuple(int(frame[i]) for i in idx)] = frame[val_i]
+        except IndexError as error:
+            raise SubscriptError(f"memref.store: {error}") from error
     return run
 
 

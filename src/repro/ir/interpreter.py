@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.ir.compile import get_compiled_function
-from repro.ir.core import Block, IRError, Operation, SSAValue
+from repro.ir.core import Block, IRError, Operation, SSAValue, analysis_cache
 
 
 class InterpreterError(IRError):
@@ -63,6 +63,25 @@ def impl(op_name: str) -> Callable[[OpImpl], OpImpl]:
         return fn
 
     return register
+
+
+def function_table(module: Operation) -> dict[str, Operation]:
+    """The ``{sym_name: func.func}`` table of ``module``, built by one
+    walk and kept in the module's analysis cache, so every interpreter of
+    one program (a fresh executor builds two per run) shares it."""
+    cache = analysis_cache(module)
+    entry = cache.get(id(module))
+    if entry is None or entry[0] is not module:
+        from repro.ir.attributes import StringAttr
+
+        table = {}
+        for op in module.walk():
+            if op.name == "func.func":
+                sym = op.attributes.get("sym_name")
+                if isinstance(sym, StringAttr):
+                    table[sym.value] = op
+        entry = cache[id(module)] = (module, table)
+    return entry[1]
 
 
 class Interpreter:
@@ -104,14 +123,7 @@ class Interpreter:
 
     def functions(self) -> dict[str, Operation]:
         if self._functions is None:
-            from repro.ir.attributes import StringAttr
-
-            self._functions = {}
-            for op in self.module.walk():
-                if op.name == "func.func":
-                    sym = op.attributes.get("sym_name")
-                    if isinstance(sym, StringAttr):
-                        self._functions[sym.value] = op
+            self._functions = function_table(self.module)
         return self._functions
 
     def get_function(self, name: str) -> Operation:

@@ -69,10 +69,10 @@ row_ptr(i+1)-1`` with the offsets runtime-proved monotone — or a tiled
 pair ``do kk = 1, n, 64; do k = kk, min(kk + 63, n)`` whose deeper
 bounds are pure ops of the tile IV: the row-invariant tile loop is
 evaluated over its IV vector, and every row runs the tiles' k ranges
-back to back.  The flat space is built with prefix sums over the
-per-row trip counts (equal-width rows broadcast a row-by-width grid
-instead), and each row folds from its prologue's init in iteration
-order.
+back to back.  A varying inner level is built with prefix sums over the
+per-row trip counts; a tiled one, which every row runs in full, is the
+last axis of a ``(row levels..., k)`` broadcast space.  Each row folds
+from its prologue's init in iteration order.
 
 Every rectangular plan runs through :func:`_run_nest`, the imperfect one
 through :func:`_run_segmented`.  Both charge interpreter steps and fire
@@ -96,11 +96,35 @@ subscript that leaves its dimension, since the scalar walk wraps a
 negative one and raises on a large one where a slice would clip.
 Values broadcast against each other, so a stencil reads each buffer
 through views instead of gathering a space-sized copy per load.
-Reductions and deferred scatters read their values flattened to the
-row-major space, as before.  :func:`_run_segmented` keeps per-row
-vectors and passes one range for an inner level whose rows run back to
-back (CSR rows).  Only ops with an operand that may hold a range check
-types at run time; the rest keep plain NumPy closures.
+Deferred scatters read their values flattened to the row-major space,
+and so do folds, except the column folds below, which read the value in
+its own layout.  :func:`_run_segmented` runs its row programs over
+per-row vectors.  For a varying inner level it passes one range when
+the rows run back to back (CSR rows).  For a tiled one it lays every
+row level and the k level on their own axes, as :func:`_run_nest` does,
+with k one range when the tiles run back to back (gemm's).  A row value
+that only casts a row IV is that IV in the inner program, so gemm's
+``a(i, k)`` and ``b(k, j)`` read views.  Only ops with an operand that
+may hold a range check types at run time; the rest keep plain NumPy
+closures.
+
+**Periodic cells and gathers.**  An ``arith.remsi`` of a range with no
+negative value by a positive integer literal tiles one period, ``c /
+gcd(step, c)`` values, instead of materialising the range and dividing
+it: dot's round-robin cell ``mod(i - 1, N)``.  A range that reaches
+below zero divides as before, since the truncating remainder keeps its
+sign there.  A rank-1 load subscripted by an index array reads through
+``ndarray.take`` (spmv's ``x(col_idx(jj))``).  An out-of-range
+subscript raises :class:`~repro.reliability.SubscriptError` on every
+path, as on the other tiers.
+
+**Fold orientation.**  Equal-width rows of an add or multiply fold form
+a ``(rows, width)`` matrix.  When rows outnumber the width,
+:func:`_fold_columns` adds one column at a time into all the rows'
+accumulators, over blocks of about 4096 rows that stay in cache (spmv's
+16384 × 72, batched_gemm's 16384 × 64).  Otherwise the rows fold with
+one row-wise ``ufunc.accumulate``, which is faster for a few long rows
+(64 × 4096).  Each cell still combines its values in iteration order.
 
 **The copy rule.**  A gathered value was a copy taken at the load; a
 view aliases its buffer.  A loaded view is copied when a store runs
@@ -113,15 +137,16 @@ run over materialised row vectors, so they never hold views.
 Float32 ordering note: per-element semantics are identical to the scalar
 interpreter — NumPy applies the same operation per lane, and no
 reassociation occurs.  For ordered reductions (add, mul) the fast path
-uses ``ufunc.accumulate``/``ufunc.at``, which combine strictly in
-iteration order per accumulator cell, so float32 results are bit-identical
-to the scalar walk (pairwise-summation tricks like ``np.sum`` are *not*
-used).  min/max are combined with ``np.minimum``/``np.maximum``, which
-are order-insensitive for finite values; inputs containing NaN bail to
-the scalar path (Python ``min``/``max`` ignore a NaN rhs where NumPy
-propagates it), leaving only the sign of zero on min/max ties as a
-potential bit difference.  Integer reductions accumulate in int64 (the
-scalar engine is unbounded).
+uses ``ufunc.accumulate``/``ufunc.at`` or a column-by-column fold, which
+combine strictly in iteration order per accumulator cell, so float32
+results are bit-identical to the scalar walk (pairwise-summation tricks
+like ``np.sum`` are *not* used).  min/max are combined with
+``np.minimum``/``np.maximum``, which are order-insensitive for finite
+values; inputs containing NaN bail to the scalar path (Python
+``min``/``max`` ignore a NaN rhs where NumPy propagates it), leaving
+only the sign of zero on min/max ties as a potential bit difference.
+Integer reductions accumulate in int64 (the scalar engine is
+unbounded).
 """
 
 from __future__ import annotations
@@ -141,7 +166,7 @@ from repro.ir.core import (
     analysis_cache,
     semantic_attributes,
 )
-from repro.reliability.errors import DivisionByZeroError
+from repro.reliability.errors import DivisionByZeroError, SubscriptError
 from repro.transforms.loop_analysis import (
     _defined_inside,
     _exact_offset,
@@ -1485,6 +1510,18 @@ def _segmented_nest_plan(loop: Operation):
     row_skip = (
         frozenset({id(init_store)}) if init_store is not None else frozenset()
     )
+    # the row, tile and epilogue programs run over materialised row and
+    # tile vectors, so their loads gather copies: only the inner program,
+    # whose IVs may be ranges, has views to guard
+    row_program = _compile_vector_body(row_ops, row_skip, row_ivs)
+    # a row value that only casts a row IV (gemm's i32 ``i`` and ``j``)
+    # is that IV in the inner program, so it stays a range there
+    iv_of_slot = dict(zip(row_program.iv_slots, row_ivs))
+    aliases = {
+        v: iv_of_slot[slot]
+        for v, slot in row_program.slots.items()
+        if slot in iv_of_slot and v not in row_ivs
+    }
     stores = _NestScatter(
         stores=tuple(epi_stores.values()),
         proof_dims=((),) * len(epi_stores),
@@ -1514,10 +1551,7 @@ def _segmented_nest_plan(loop: Operation):
         acc_shared=acc_shared,
         init_value=init_store.operands[0] if init_store is not None else None,
         readback=readback,
-        # the row, tile and epilogue programs run over materialised row
-        # and tile vectors, so their loads gather copies: only the inner
-        # program, whose inner IV may be a range, has views to guard
-        row_program=_compile_vector_body(row_ops, row_skip, row_ivs),
+        row_program=row_program,
         tile_program=(
             _compile_vector_body(
                 tile_ops, frozenset(), [tile_for.regions[0].block.args[0]]
@@ -1530,6 +1564,7 @@ def _segmented_nest_plan(loop: Operation):
             reduction.skip,
             [*row_ivs, inner_body.args[0]],
             [reduction.expr],
+            aliases,
         ),
         epilogue_program=_compile_vector_body(epilogue, epi_skip, row_ivs),
         stores=stores,
@@ -1570,10 +1605,13 @@ def _concat_ranges(lbs, trips, step: int) -> np.ndarray:
     )
 
 
-def _back_to_back(lbs, trips, step: int) -> _Range | None:
+def _back_to_back(
+    lbs, trips, step: int, axis: int = 0, ndim: int = 1
+) -> _Range | None:
     """One range over the IVs of consecutive loop executions (see
-    :func:`_concat_ranges`) when each non-empty one starts where the one
-    before it stopped — CSR rows over one offset array — else None."""
+    :func:`_concat_ranges`), on ``axis`` of an ``ndim``-axis space, when
+    each non-empty one starts where the one before it stopped — CSR rows
+    over one offset array, or gemm's k tiles — else None."""
     rows = trips > 0
     lbs = lbs[rows]
     trips = trips[rows]
@@ -1581,7 +1619,96 @@ def _back_to_back(lbs, trips, step: int) -> _Range | None:
         lbs[1:], lbs[:-1] + trips[:-1] * step
     ):
         return None
-    return _Range(int(lbs[0]), step, int(trips.sum()), 0, 1)
+    return _Range(int(lbs[0]), step, int(trips.sum()), axis, ndim)
+
+
+def _outer_chunks(levels: list, total: int):
+    """``(first, ivs)`` for runs of whole slices of the outermost level of
+    a broadcast space of ``total`` elements, each run at most
+    ``_MAX_NEST_ELEMS`` elements where one slice fits.  ``levels[0]`` is
+    a :class:`_Range`; ``first`` is the run's first index along it."""
+    outer = levels[0]
+    per_chunk = max(1, _MAX_NEST_ELEMS // (total // outer.count))
+    for first in range(0, outer.count, per_chunk):
+        yield first, [
+            _Range(
+                outer.start + first * outer.step, outer.step,
+                min(per_chunk, outer.count - first), 0, outer.ndim,
+            ),
+            *levels[1:],
+        ]
+
+
+def _ragged_chunks(row_vecs, used, lbs, trips, step: int):
+    """``(r0, r1, ivs, counts, shape)`` per chunk of whole rows ``r0:r1``
+    of an inner level whose trip count varies per row: each row IV
+    ``row_vecs`` repeated once per inner iteration (where ``used``) and
+    the inner IVs as one range when the rows run back to back, else
+    concatenated.  Above ``_MAX_NEST_ELEMS``, a chunk holds whole rows,
+    so segments never straddle a chunk boundary and every fold stays
+    per-row; rows with no iterations yield nothing."""
+    n_rows = len(trips)
+    cum = np.cumsum(trips)
+    total = int(cum[-1])
+    r0 = 0
+    while r0 < n_rows:
+        if total <= _MAX_NEST_ELEMS:
+            r1 = n_rows
+        else:
+            base = int(cum[r0 - 1]) if r0 else 0
+            r1 = int(
+                np.searchsorted(cum, base + _MAX_NEST_ELEMS, side="right")
+            )
+            r1 = min(max(r1, r0 + 1), n_rows)
+        seg = trips[r0:r1]
+        ctotal = int(seg.sum())
+        if ctotal:
+            inner = _back_to_back(lbs[r0:r1], seg, step)
+            ivs = [
+                *(
+                    np.repeat(v[r0:r1], seg) if use else None
+                    for v, use in zip(row_vecs, used)
+                ),
+                inner if inner is not None
+                else _concat_ranges(lbs[r0:r1], seg, step),
+            ]
+            yield r0, r1, ivs, seg, (ctotal,)
+        r0 = r1
+
+
+def _tiled_chunks(bounds, trips, k_lbs, k_trips, step: int):
+    """``(r0, r1, ivs, None, shape)`` per chunk of the space ``(row
+    levels..., inner)`` of a tiled inner level, which every row runs in
+    full: each row level a :class:`_Range` on its own axis, as in
+    :func:`_run_nest`, and the tiles' inner IVs on the last axis — one
+    range when the tiles run back to back (gemm's k), so the inner loads
+    read views, else their concatenated values.  Rows ``r0:r1`` are the
+    chunk's rows in row-major order; above ``_MAX_NEST_ELEMS`` a chunk
+    is a run of whole slices of the outermost row level."""
+    depth = len(trips) + 1
+    width = int(k_trips.sum())
+    inner = _back_to_back(k_lbs, k_trips, step, depth - 1, depth)
+    if inner is None:
+        inner = _concat_ranges(k_lbs, k_trips, step).reshape(
+            _axis_shape(width, depth - 1, depth)
+        )
+    space = [
+        *(
+            _Range(lb, level_step, t, axis, depth)
+            for axis, ((lb, _, level_step), t) in enumerate(zip(bounds, trips))
+        ),
+        inner,
+    ]
+    total = math.prod(trips) * width
+    per_slice = math.prod(trips[1:])  # rows per outermost index
+    chunks = (
+        [(0, space)] if total <= _MAX_NEST_ELEMS
+        else _outer_chunks(space, total)
+    )
+    for first, ivs in chunks:
+        rows = tuple(iv.count for iv in ivs[:-1])
+        r0 = first * per_slice
+        yield r0, r0 + math.prod(rows), ivs, None, (*rows, width)
 
 
 def _inner_ranges(value, bounds, count: int):
@@ -1720,18 +1847,7 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
                         "pass); rerunning the loop on the scalar tier",
                     )
                     return False
-                per_chunk = max(1, _MAX_NEST_ELEMS // (total // trips[0]))
-                lb, _, step = bounds[0]
-                spaces = (
-                    [
-                        _Range(
-                            lb + start * step, step,
-                            min(per_chunk, trips[0] - start), 0, depth,
-                        ),
-                        *levels[1:],
-                    ]
-                    for start in range(0, trips[0], per_chunk)
-                )
+                spaces = (ivs for _, ivs in _outer_chunks(levels, total))
         for ivs in spaces:
             frame = program.run(interp, env, ivs)
             shape = tuple(iv.count for iv in ivs)
@@ -1756,11 +1872,15 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
                         if _is_vector(c) else int(c)
                         for c in cells
                     ])
-                vec = _as_vector(
-                    _flat(value(reduction.expr), shape), math.prod(shape),
-                    array.dtype,
-                )
-                if not _ordered_fold(reduction.op_name, array, key, vec, width):
+                try:
+                    folded = _ordered_fold(
+                        reduction.op_name, array, key, value(reduction.expr),
+                        shape, width,
+                    )
+                except IndexError as error:
+                    # the scalar walk meets the cell at its load first
+                    raise SubscriptError(f"memref.load: {error}") from error
+                if not folded:
                     return False  # single pass (see above): nothing stored
 
     _charge_levels(interp, plan, trips, stitches)
@@ -1805,6 +1925,10 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
                     which,
                 )
                 return False
+        chunks = _ragged_chunks(
+            row_vecs, plan.inner_program.iv_used, lb_vec, trips_vec,
+            inner_step,
+        )
     else:
         # The tile loop is row-invariant: evaluate its body once over the
         # tile IVs; every row runs the tiles' inner ranges back to back.
@@ -1814,7 +1938,8 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
         if t_step <= 0:
             return False
         tile_count = trip_count(t_lb, t_ub, t_step)
-        tile_trips = row_space = np.zeros(0, dtype=np.int64)
+        tile_trips = np.zeros(0, dtype=np.int64)
+        chunks = ()
         if tile_count:
             tiles = np.arange(
                 t_lb, t_lb + tile_count * t_step, t_step, dtype=np.int64
@@ -1828,8 +1953,12 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
             if ranges is None:
                 return False
             k_lb, _, tile_trips, inner_step = ranges
-            row_space = _concat_ranges(k_lb, tile_trips, inner_step)
-        trips_vec = np.full(n_rows, len(row_space), dtype=np.int64)
+            if tile_trips.any():
+                chunks = _tiled_chunks(
+                    bounds, trips, k_lb, tile_trips, inner_step
+                )
+        row_width = int(tile_trips.sum())
+        trips_vec = np.full(n_rows, row_width, dtype=np.int64)
     total = int(trips_vec.sum())
     if n_rows + total < _MIN_TRIPS:
         return False  # scalar wins on constant factors
@@ -1844,77 +1973,36 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
     if plan.init_value is not None:
         init = row_value(plan.init_value)
     else:
-        init = acc_arr[cell]
+        init = _gather(acc_arr, cell)
     # per-row folds start from the init values; empty rows keep them
     folded_all = np.array(_as_vector(init, n_rows, dtype), dtype=dtype)
-    cum = np.cumsum(trips_vec)
-    r0 = 0
-    while r0 < n_rows:
-        if total <= _MAX_NEST_ELEMS:
-            r1 = n_rows
-        else:
-            # Bound peak memory: whole rows per chunk, so segments never
-            # straddle a chunk boundary and every fold stays per-row.
-            base = int(cum[r0 - 1]) if r0 else 0
-            r1 = int(
-                np.searchsorted(cum, base + _MAX_NEST_ELEMS, side="right")
-            )
-            r1 = min(max(r1, r0 + 1), n_rows)
+    for r0, r1, ivs, counts, shape in chunks:
+        # the row program's per-row values, laid out like the row IVs
+        def resolve(v: SSAValue, _r0=r0, _r1=r1, _counts=counts,
+                    _rows=shape[:-1] + (1,)):
+            slot = plan.row_program.slots.get(v)
+            if slot is not None:
+                val = frame_a[slot]
+                if np.ndim(val) == 0:
+                    return val
+                if _counts is None:
+                    return val[_r0:_r1].reshape(_rows)
+                return np.repeat(val[_r0:_r1], _counts)
+            return interp.get(env, v)
+
+        frame_i = plan.inner_program.run(interp, env, ivs, resolve)
+        slot = plan.inner_program.slots.get(reduction.expr)
+        expr = frame_i[slot] if slot is not None else resolve(reduction.expr)
         seg = trips_vec[r0:r1]
-        ctotal = int(seg.sum())
-        if ctotal:
-            if tile_trips is None:
-                counts = seg
-                used = plan.inner_program.iv_used
-                inner = _back_to_back(lb_vec[r0:r1], seg, inner_step)
-                ivs = [
-                    *(
-                        np.repeat(v[r0:r1], seg) if use else None
-                        for v, use in zip(row_vecs, used)
-                    ),
-                    inner if inner is not None
-                    else _concat_ranges(lb_vec[r0:r1], seg, inner_step),
-                ]
-            else:
-                # Equal rows span a (rows, width) grid: row values are
-                # columns and the inner IVs one row, so broadcasting
-                # evaluates the space without materialising repeats.
-                counts = None
-                ivs = [*(v[r0:r1, None] for v in row_vecs), row_space[None]]
-
-            def resolve(v: SSAValue, _r0=r0, _r1=r1, _counts=counts):
-                slot = plan.row_program.slots.get(v)
-                if slot is not None:
-                    val = frame_a[slot]
-                    if np.ndim(val) == 0:
-                        return val
-                    if _counts is None:
-                        return val[_r0:_r1, None]
-                    return np.repeat(val[_r0:_r1], _counts)
-                return interp.get(env, v)
-
-            frame_i = plan.inner_program.run(interp, env, ivs, resolve)
-            slot = plan.inner_program.slots.get(reduction.expr)
-            expr = frame_i[slot] if slot is not None else resolve(reduction.expr)
-            expr_vec = _as_vector(
-                _flat(
-                    expr,
-                    (ctotal,) if counts is not None
-                    else (r1 - r0, len(row_space)),
-                ),
-                ctotal,
-                dtype,
-            )
-            t0 = int(seg[0])
-            if bool(np.all(seg == t0)):
-                key, width = (slice(None),), t0  # equal rows
-            else:
-                key, width = (np.repeat(np.arange(r1 - r0), seg),), None
-            if not _ordered_fold(
-                reduction.op_name, folded_all[r0:r1], key, expr_vec, width
-            ):
-                return False  # nothing mutated yet: all writes are deferred
-        r0 = r1
+        t0 = int(seg[0])
+        if bool(np.all(seg == t0)):
+            key, width = (slice(None),), t0  # equal rows
+        else:
+            key, width = (np.repeat(np.arange(r1 - r0), seg),), None
+        if not _ordered_fold(
+            reduction.op_name, folded_all[r0:r1], key, expr, shape, width
+        ):
+            return False  # nothing mutated yet: all writes are deferred
 
     # -- every proof passed: run the epilogue and write the folds back ---------
     def resolve_epi(v: SSAValue):
@@ -1931,17 +2019,17 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
     _apply_stores(plan.stores, epi_value, (n_rows,))
     if plan.acc_shared:
         # the scalar walk leaves the last row's fold in the shared cell
-        acc_arr[cell] = folded_all[-1]
+        _put(acc_arr, cell, folded_all[-1])
     elif plan.init_value is not None:
-        acc_arr[cell] = folded_all  # init store ran even for empty rows
+        _put(acc_arr, cell, folded_all)  # init store ran for empty rows too
     else:
         nz = trips_vec > 0
         if bool(nz.all()):
-            acc_arr[cell] = folded_all
+            _put(acc_arr, cell, folded_all)
         else:
             # zero-trip rows never touched their cell in the scalar walk
             cell_nz = tuple(c[nz] if np.ndim(c) else c for c in cell)
-            acc_arr[cell_nz] = folded_all[nz]
+            _put(acc_arr, cell_nz, folded_all[nz])
 
     _charge_levels(interp, plan.rows, trips, ())
     observer = interp.loop_observer
@@ -1950,7 +2038,7 @@ def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
         executions = trips_vec
     else:
         interp.steps += n_rows * (
-            tile_count * plan.tile_ops + len(row_space) * plan.inner_ops
+            tile_count * plan.tile_ops + row_width * plan.inner_ops
         )
         executions = tile_trips
         if observer is not None:
@@ -1990,8 +2078,10 @@ def _apply_stores(deferred: _NestScatter, value, shape) -> bool:
         key = tuple(
             np.asarray(i) if np.ndim(i) else int(i) for i in indices
         )
-        value(store.operands[1])[key if len(key) > 1 else key[0]] = _flat(
-            value(store.operands[0]), shape
+        _put(
+            value(store.operands[1]),
+            key if len(key) > 1 else key[0],
+            _flat(value(store.operands[0]), shape),
         )
     return True
 
@@ -2044,21 +2134,36 @@ def _sorted_repeats(first, *rest) -> bool:
 
 
 def _ordered_fold(
-    op_name: str, target: np.ndarray, key, vec: np.ndarray, width
+    op_name: str, target: np.ndarray, key, value, shape, width
 ) -> bool:
-    """Combine ``vec`` into the cells ``target[key]`` strictly in
-    iteration order, with the scalar engine's rounding.
+    """Combine the program ``value`` over the space ``shape``, read
+    flattened row-major as ``vec``, into the cells ``target[key]``
+    strictly in iteration order, with the scalar engine's rounding.
 
     With a ``width``, cell ``r`` of ``key`` takes ``vec[r*width :
     (r+1)*width]``: a scalar ``key`` is one chain, and equal-length rows
-    fold together with one ``ufunc.accumulate``.  Without one, ``key``
-    holds a full subscript per element of ``vec`` and colliding cells
-    (ragged rows, repeated indices) fold with in-order ``ufunc.at``.
+    fold together, along the shorter axis of their ``(rows, width)``
+    matrix: an add or multiply column by column (:func:`_fold_columns`,
+    which reads ``value`` in its own layout, so it is never flattened)
+    when rows outnumber the width, else with one row-wise
+    ``ufunc.accumulate``.  Without one, ``key`` holds a full subscript
+    per element of ``vec`` and colliding cells (ragged rows, repeated
+    indices) fold with in-order ``ufunc.at``.
     Returns False with nothing mutated when a NaN meets a min/max
     combiner, because Python ``min``/``max`` ignore a NaN rhs where
     ``np.minimum``/``np.maximum`` propagate it."""
     ufunc = _REDUCERS[op_name]
     minmax = ufunc is np.minimum or ufunc is np.maximum
+    total = math.prod(shape)
+    if width is not None and not minmax and total // width > width:
+        values = np.broadcast_to(_dense(value), shape)
+        if values.dtype != target.dtype:
+            values = values.astype(target.dtype)
+        if values.shape[-1] != width:
+            values = values.reshape(-1, width)
+        target[key] = _fold_columns(ufunc, target[key], values)
+        return True
+    vec = _as_vector(_flat(value, shape), total, target.dtype)
     if minmax and vec.dtype.kind == "f" and (
         bool(np.isnan(vec).any()) or bool(np.isnan(target).any())
     ):
@@ -2092,6 +2197,30 @@ def _ordered_fold(
         folded = ufunc.accumulate(seq, axis=1)[:, -1]
     target[key] = folded
     return True
+
+
+#: rows per block of :func:`_fold_columns`: a block's columns stay in
+#: cache while the fold passes over them
+_FOLD_BLOCK_ROWS = 4096
+
+
+def _fold_columns(ufunc, init: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Fold ``values``, shaped ``(*rows, width)``, into ``init``, its
+    rows flattened row-major: one column at a time over blocks of about
+    ``_FOLD_BLOCK_ROWS`` rows, split along the first axis.  Each row
+    still combines its values in iteration order with the same rounding
+    as a row-wise ``ufunc.accumulate``, without copying the values beside
+    their inits, flattening them, or striding through short rows one
+    inner loop each."""
+    folded = np.array(init)
+    acc_rows = folded.reshape(values.shape[:-1])
+    step = max(1, _FOLD_BLOCK_ROWS // math.prod(values.shape[1:-1]))
+    for start in range(0, len(acc_rows), step):
+        acc = acc_rows[start : start + step]
+        block = values[start : start + step]
+        for k in range(values.shape[-1]):
+            ufunc(acc, block[..., k], out=acc)
+    return folded
 
 
 def _is_vector(value) -> bool:
@@ -2252,6 +2381,22 @@ class _Range:
             vec = vec.reshape(_axis_shape(self.count, self.axis, self.ndim))
         return vec
 
+    def remainder(self, c: int) -> np.ndarray | None:
+        """``arith.remsi`` of these values by the integer ``c > 0`` when
+        none is negative: one period of ``c // gcd(step, c)`` values,
+        tiled, instead of the whole range materialised and divided.  None
+        when a value is negative, since the truncating remainder keeps
+        its sign there and :func:`_trunc_remainder` computes it."""
+        if min(self.start, self.start + (self.count - 1) * self.step) < 0:
+            return None
+        period = c // math.gcd(self.step, c)
+        lanes = np.arange(min(period, self.count), dtype=np.int64)
+        cycle = (self.start + lanes * self.step) % c
+        vec = np.tile(cycle, -(-self.count // period))[: self.count]
+        if self.ndim > 1:
+            vec = vec.reshape(_axis_shape(self.count, self.axis, self.ndim))
+        return vec
+
     def index(self, extent: int) -> slice | None:
         """The basic slice reading this range from a dimension of
         ``extent`` cells, or None when the range is constant or leaves
@@ -2325,6 +2470,26 @@ def _gather_key(subs):
     return tuple([_dense(s) for s in subs])
 
 
+def _gather(array: np.ndarray, key):
+    """``array[key]`` for a load.  A rank-1 load's index array reads
+    through ``ndarray.take``, which gives fancy indexing's values,
+    negative wrap and error message at about half its cost on int32
+    subscripts.  A subscript that leaves the buffer raises
+    :class:`SubscriptError`, as on every other tier."""
+    try:
+        return array.take(key) if type(key) is np.ndarray else array[key]
+    except IndexError as error:
+        raise SubscriptError(f"memref.load: {error}") from error
+
+
+def _put(array: np.ndarray, key, value) -> None:
+    """``array[key] = value`` for a store (see :func:`_gather`)."""
+    try:
+        array[key] = value
+    except IndexError as error:
+        raise SubscriptError(f"memref.store: {error}") from error
+
+
 def _scatter(array: np.ndarray, subs, value) -> None:
     """Store ``value`` into ``array[subs]`` over the iteration space:
     through a view when :func:`_view` finds one whose shape takes the
@@ -2346,7 +2511,7 @@ def _scatter(array: np.ndarray, subs, value) -> None:
     if vshape:
         shape = np.broadcast_shapes(vshape, *(np.shape(k) for k in key))
         key = tuple([np.broadcast_to(k, shape) for k in key])
-    array[key if len(key) > 1 else key[0]] = value
+    _put(array, key if len(key) > 1 else key[0], value)
 
 
 def _check_divisor(divisor, op_name: str) -> None:
@@ -2513,13 +2678,14 @@ def _copies(ops, skip, exported) -> set[int]:
 
 
 def _compile_vector_body(
-    ops, skip: frozenset[int], ivs, exported=()
+    ops, skip: frozenset[int], ivs, exported=(), aliases=None
 ) -> _VectorProgram:
     """Translate the (already validated) op sequence into a vector
     program.  ``ivs`` holds one induction-variable value per nest
     dimension (rank-n nests gather them from several blocks).
     ``exported`` names the values the runner reads after the body (see
-    :func:`_copies`).
+    :func:`_copies`); ``aliases`` maps outer values to the IVs they
+    equal, which the program reads in their place.
 
     Only an op with an operand that may hold a :class:`_Range` checks
     its operands' types when it runs: an add, subtract or multiply keeps
@@ -2532,6 +2698,9 @@ def _compile_vector_body(
     ctx = _VectorCompiler()
     iv_slots = tuple(ctx.dst(iv) for iv in ivs)
     ctx.ranges.update(ivs)
+    for value, iv in (aliases or {}).items():
+        ctx.slots[value] = ctx.slots[iv]
+        ctx.ranges.add(value)
     copies = _copies(ops, skip, exported)
     ranges = ctx.ranges
 
@@ -2565,6 +2734,11 @@ def _compile_vector_body(
         ):
             _emit_affine(ctx, op)
             continue
+        if name == "arith.remsi" and op.operands[0] in ranges:
+            divisor = ctx.literal(op.operands[1])
+            if divisor is not None and divisor > 0:
+                _emit_periodic(ctx, op, divisor)
+                continue
         if name in _BINOPS or name in ("arith.divsi", "arith.remsi",
                                        "arith.cmpi", "arith.cmpf"):
             if name in _BINOPS:
@@ -2689,6 +2863,24 @@ def _emit_affine(ctx: _VectorCompiler, op: Operation) -> None:
     ctx.instrs.append(instr)
 
 
+def _emit_periodic(ctx: _VectorCompiler, op: Operation, c: int) -> None:
+    """An ``arith.remsi`` of a value that may be a range by the integer
+    literal ``c > 0``: a range with no negative value tiles its period
+    (:meth:`_Range.remainder`); anything else divides as before."""
+    x = ctx.src(op.operands[0])
+    r = ctx.dst(op.results[0])
+
+    def instr(frame, _x=x, _r=r, _c=c):
+        v = frame[_x]
+        if type(v) is _Range:
+            tiled = v.remainder(_c)
+            if tiled is not None:
+                frame[_r] = tiled
+                return
+        frame[_r] = _trunc_remainder(_dense(v), _c)
+    ctx.instrs.append(instr)
+
+
 def _emit_load(ctx: _VectorCompiler, op: Operation, copy: bool) -> None:
     m = ctx.src(op.operands[0])
     subs = op.operands[1:]
@@ -2700,21 +2892,21 @@ def _emit_load(ctx: _VectorCompiler, op: Operation, copy: bool) -> None:
     elif not any(v in ctx.ranges for v in subs):
         if len(idx) == 1:
             def instr(frame, _m=m, _i=idx[0], _r=r):
-                frame[_r] = frame[_m][frame[_i]]
+                frame[_r] = _gather(frame[_m], frame[_i])
         else:
             def instr(frame, _m=m, _idx=idx, _r=r):
-                frame[_r] = frame[_m][tuple(frame[i] for i in _idx)]
+                frame[_r] = _gather(frame[_m], tuple(frame[i] for i in _idx))
     elif len(idx) == 1:
         # a rank-1 subscript slices directly
         def instr(frame, _m=m, _i=idx[0], _r=r, _copy=copy):
             array = frame[_m]
             sub = frame[_i]
             if type(sub) is not _Range:
-                frame[_r] = array[sub]
+                frame[_r] = _gather(array, sub)
                 return
             cut = sub.index(len(array))
             if cut is None:
-                frame[_r] = array[sub.array()]
+                frame[_r] = _gather(array, sub.array())
                 return
             view = array[cut]
             if sub.ndim > 1:
@@ -2726,7 +2918,7 @@ def _emit_load(ctx: _VectorCompiler, op: Operation, copy: bool) -> None:
             subs = [frame[i] for i in _idx]
             view = _view(array, subs)
             if view is None:
-                frame[_r] = array[_gather_key(subs)]
+                frame[_r] = _gather(array, _gather_key(subs))
             else:
                 frame[_r] = view.copy() if _copy else view
     ctx.instrs.append(instr)
@@ -2740,10 +2932,10 @@ def _emit_store(ctx: _VectorCompiler, op: Operation) -> None:
     if not any(s in ctx.ranges for s in op.operands[:1] + subs):
         if len(idx) == 1:
             def instr(frame, _v=v, _m=m, _i=idx[0]):
-                frame[_m][frame[_i]] = frame[_v]
+                _put(frame[_m], frame[_i], frame[_v])
         else:
             def instr(frame, _v=v, _m=m, _idx=idx):
-                frame[_m][tuple(frame[i] for i in _idx)] = frame[_v]
+                _put(frame[_m], tuple(frame[i] for i in _idx), frame[_v])
     elif len(idx) == 1:
         # a rank-1 subscript slices directly; over a one-axis space its
         # view takes any value

@@ -19,6 +19,7 @@ from repro.reliability.errors import (
     LoweringError,
     ReproError,
     ServiceError,
+    SubscriptError,
     WatchdogTimeout,
     wrap_error,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "FrontendError",
     "LoweringError",
     "ReproError",
+    "SubscriptError",
     "WatchdogTimeout",
     "wrap_error",
     "KINDS",

@@ -15,6 +15,7 @@ kernel* was involved when known (``kernel``) and a short source/op
       |     +-- DataIntegrityError     (bit-flip detected on readback)
       |     +-- WatchdogTimeout        (kernel step budget exhausted)
       +-- DivisionByZeroError (integer divide or remainder by zero)
+      +-- SubscriptError      (a load or store subscript out of range)
       +-- EngineError         (execution-tier internal failure)
 
 ``LoweringError`` and ``DeviceBuildError`` also subclass
@@ -123,6 +124,18 @@ class DivisionByZeroError(ReproError, ZeroDivisionError):
 
     Every engine tier raises it, so a zero divisor fails the same way
     whichever tier runs the op."""
+
+    default_stage = "execution"
+
+
+class SubscriptError(ReproError, IndexError):
+    """A ``memref.load`` or ``memref.store`` subscript lies outside its
+    buffer (a negative one wraps, as in NumPy, until it passes the
+    buffer's start).
+
+    Every engine tier raises it, with the op's name before NumPy's
+    message, so an out-of-range subscript fails the same way whichever
+    tier runs the op."""
 
     default_stage = "execution"
 

@@ -251,6 +251,41 @@ class TestFunctions:
         with pytest.raises(InterpreterError, match="no function"):
             Interpreter(module).call("ghost")
 
+    def test_fresh_executors_share_the_function_table(self, monkeypatch):
+        """A run builds a host interpreter and a kernel runner's
+        interpreter, each needing its module's ``{sym_name: func.func}``
+        table.  The table lives in the module's analysis cache, so a
+        second executor of one program walks neither module again; the
+        cache is dropped with the module's other analyses."""
+        from repro.ir.core import Operation, invalidate_analysis
+        from repro.ir.interpreter import function_table
+        from repro.workloads import get_workload
+
+        workload = get_workload("saxpy")
+        program = workload.compile()
+
+        def run():
+            instance = workload.instance(workload.smoke_size, 1)
+            program.executor().run(workload.entry, *instance.args)
+
+        run()
+        walked = []
+        real_walk = Operation.walk
+
+        def walk(self, *args, **kwargs):
+            if self.parent_op is None:
+                walked.append(self.name)
+            return real_walk(self, *args, **kwargs)
+
+        monkeypatch.setattr(Operation, "walk", walk)
+        run()
+        assert walked == []
+        table = function_table(program.device_module)
+        assert function_table(program.device_module) is table
+        invalidate_analysis(program.device_module)
+        assert function_table(program.device_module) is not table
+        assert walked == ["builtin.module"]
+
     def test_wrong_arity(self, vadd_module):
         with pytest.raises(InterpreterError, match="arguments"):
             Interpreter(vadd_module).call("vadd", np.zeros(16, np.float32))

@@ -20,7 +20,7 @@ from repro.ir import Builder, Interpreter
 from repro.ir.types import FunctionType, MemRefType, f32
 from repro.ir.vectorize import loop_vector_mode
 from repro.pipeline import compile_fortran
-from repro.reliability import DivisionByZeroError, ReproError
+from repro.reliability import DivisionByZeroError, ReproError, SubscriptError
 
 #: (compiled, vectorize) — scalar ground truth first
 TIERS = ((False, False), (False, True), (True, False), (True, True))
@@ -107,7 +107,7 @@ def _args(name: str, n: int):
 
 
 def _outcome(program, entry: str, args, tier):
-    """``(outputs, steps, cycles)`` of one run, or ``(IndexError,
+    """``(outputs, steps, cycles)`` of one run, or ``(error type,
     message)`` for an out-of-range subscript."""
     compiled, vectorize = tier
     try:
@@ -136,7 +136,7 @@ def test_kernel_agrees_on_every_tier(name):
     ]
     assert all(o == outcomes[0] for o in outcomes[1:]), name
     if name == "past_end":
-        assert outcomes[0][0] is IndexError
+        assert outcomes[0][0] is SubscriptError
     else:
         assert isinstance(outcomes[0][0], list)
 

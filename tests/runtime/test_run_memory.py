@@ -5,9 +5,10 @@ must free them at once rather than when the cyclic garbage collector
 next runs: no reference cycle may hold a run's frame or its kernel
 runner.  And the whole-space tier evaluates a stencil over strided views
 of its buffers, not over gathered copies indexed by full-space int64
-vectors, which bounds the peak of one run.  ``tracemalloc`` counts the
-bytes Python and NumPy allocate exactly, so these are deterministic
-gates, not timings.
+vectors, and folds, gathers and periodic cells without copying their
+operands first, which bounds the peak of one run.  ``tracemalloc``
+counts the bytes Python and NumPy allocate exactly, so these are
+deterministic gates, not timings.
 """
 
 import gc
@@ -82,9 +83,24 @@ def test_dropped_executor_holds_nothing(name, n):
 
 @pytest.mark.parametrize(
     "name, n, bound_mib",
-    # index vectors and gathered copies peaked at 48.4 and 33.8 MiB;
-    # views read 9.3 and 6.0 MiB
-    [("heat3d", 64, 16), ("jacobi2d", 512, 12)],
+    [
+        # index vectors and gathered copies peaked at 48.4 and 33.8 MiB;
+        # views read 9.3 and 6.0 MiB
+        ("heat3d", 64, 16),
+        ("jacobi2d", 512, 12),
+        # the round-robin cell materialised as a range and divided into
+        # a second int64 vector: 26.7 MiB; one tiled period, 19.1 MiB
+        ("dot", 1_000_000, 22),
+        # a (rows, width + 1) copy of the products for a row-wise
+        # accumulate: 33.1 MiB; folding by columns, 28.5 MiB
+        ("spmv", 16384, 31),
+        # (4096, 64) gathered operands and their index arrays: 5.4 MiB;
+        # views of a (64, 64, 64) space, 1.3 MiB
+        ("gemm", 64, 3),
+        # a flattened copy of the product and the accumulate copy:
+        # 16.8 MiB; columns folded in the product's own layout, 4.7 MiB
+        ("batched_gemm", 64, 8),
+    ],
 )
 def test_run_peak_is_bounded(name, n, bound_mib):
     peak, _ = _traced_run(name, n)
