@@ -503,24 +503,27 @@ def _run_loop_nest(interp: Interpreter, op: Operation, env: dict):
     lbs = list(values[:rank])
     ubs = list(values[rank : 2 * rank])
     steps = list(values[2 * rank :])
+    for step in steps:
+        if step <= 0:
+            from repro.transforms.loop_analysis import step_error
+
+            raise step_error(op.name, step)
     if "inclusive" in op.attributes:
-        ubs = [
-            ub + (1 if step > 0 else -1) for ub, step in zip(ubs, steps)
-        ]
+        ubs = [ub + 1 for ub in ubs]
     body = op.regions[0].block
     if rank == 1:
         lb, ub, step = lbs[0], ubs[0], steps[0]
-        if step > 0 and interp.vectorize:
+        if interp.vectorize:
             from repro.ir.vectorize import try_rank1_loop
 
             if try_rank1_loop(interp, op, env, lb, ub, step):
                 return None
         iv = lb
-        while (step > 0 and iv < ub) or (step < 0 and iv > ub):
+        while iv < ub:
             interp.run_block(body, env, [iv])
             iv += step
         return None
-    if all(step > 0 for step in steps) and interp.vectorize:
+    if interp.vectorize:
         from repro.ir.vectorize import try_vectorized_loop_nest
 
         if try_vectorized_loop_nest(interp, op, env, lbs, ubs, steps):
@@ -529,7 +532,7 @@ def _run_loop_nest(interp: Interpreter, op: Operation, env: dict):
     def run_dim(dim: int, ivs: list) -> None:
         lb, ub, step = lbs[dim], ubs[dim], steps[dim]
         iv = lb
-        while (step > 0 and iv < ub) or (step < 0 and iv > ub):
+        while iv < ub:
             if dim + 1 == rank:
                 interp.run_block(body, env, [*ivs, iv])
             else:

@@ -14,7 +14,7 @@ from repro.ir.core import Block, Dialect, IRError, Operation, Region, SSAValue
 from repro.ir.interpreter import Interpreter, Yielded, impl
 from repro.ir.traits import IsTerminator
 from repro.ir.types import index
-from repro.transforms.loop_analysis import trip_count
+from repro.transforms.loop_analysis import step_error, trip_count
 
 
 class Yield(Operation):
@@ -136,6 +136,8 @@ def _run_yield(interp: Interpreter, op: Operation, env: dict):
 @impl("scf.for")
 def _run_for(interp: Interpreter, op: Operation, env: dict):
     lb, ub, step = interp.operand_values(op, env)
+    if step <= 0:
+        raise step_error(op.name, step)
     observer = interp.loop_observer
     if observer is not None:
         observer(op, trip_count(lb, ub, step), 1)
@@ -227,6 +229,8 @@ def _emit_for(op: Operation, ctx: FnCompiler):
     def run(interp, frame):
         interp.steps += 1
         lb, ub, step = frame[lb_i], frame[ub_i], frame[st_i]
+        if step <= 0:
+            raise step_error("scf.for", step)
         obs = interp.loop_observer
         if obs is not None:
             obs(op, trip_count(lb, ub, step), 1)

@@ -73,21 +73,22 @@ class U280Board:
     dma_small_threshold_bytes: int = 16 * 1024
 
     def memory_spaces(self) -> list[MemorySpec]:
-        spaces = [MemorySpec("host", 220 * 2**30, 25e9)]
-        spaces += [
-            MemorySpec(f"HBM[{i}]", self.hbm_bank_bytes, 14.4e9)
-            for i in range(self.num_hbm_banks)
+        return [
+            self.validate_memory_space(space)
+            for space in range(self.num_hbm_banks + 2)
         ]
-        spaces.append(MemorySpec("DDR", 32 * 2**30, 19.2e9))
-        return spaces
 
     def validate_memory_space(self, space: int) -> MemorySpec:
-        spaces = self.memory_spaces()
-        if not 0 <= space < len(spaces):
-            raise ValueError(
-                f"memory space {space} out of range 0..{len(spaces) - 1}"
-            )
-        return spaces[space]
+        """The spec of memory space ``space``, built alone (a fresh
+        device buffer asks for one)."""
+        ddr = self.num_hbm_banks + 1
+        if not 0 <= space <= ddr:
+            raise ValueError(f"memory space {space} out of range 0..{ddr}")
+        if space == 0:
+            return MemorySpec("host", 220 * 2**30, 25e9)
+        if space == ddr:
+            return MemorySpec("DDR", 32 * 2**30, 19.2e9)
+        return MemorySpec(f"HBM[{space - 1}]", self.hbm_bank_bytes, 14.4e9)
 
     # -- timing model -----------------------------------------------------------------
 

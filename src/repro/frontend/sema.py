@@ -226,6 +226,14 @@ class Analyzer:
             stmt.stop = self._resolve_expr(stmt.stop, info)
             if stmt.step is not None:
                 stmt.step = self._resolve_expr(stmt.step, info)
+                step = _fold_const(stmt.step, info.symbols)
+                if isinstance(step, int) and step <= 0:
+                    # loops lower to an exclusive-bound scf.for, which
+                    # counts up only
+                    raise SemanticError(
+                        f"do loop step must be positive, got {step}",
+                        stmt.line,
+                    )
             self._walk_stmts(stmt.body, info)
         elif isinstance(stmt, IfBlock):
             stmt.conditions = [

@@ -16,9 +16,13 @@ emits a chain of specialized Python closures:
 * ops without a compiled form (``omp.*``, ``fir.*``, HLS streams) run
   their interpreter impl — the frame is wrapped in a dict-compatible
   proxy for those handlers;
-* a compiled function depends only on its IR, so it is cached on the
-  module's root op (:func:`~repro.ir.core.analysis_cache`, beside the
-  vectorizer's loop plans) and dies with the module: the ~2k kernel
+* a block body becomes one straight-line runner, generated once per
+  closure count: it adds the block's bulk step count, then calls each
+  closure in turn, with no loop over them;
+* a compiled function depends only on its IR, so the interpreter keeps
+  it beside the module's function table in the root op's analysis
+  cache (:func:`~repro.ir.interpreter.function_table`, beside the
+  vectorizer's loop plans), and it dies with the module: the ~2k kernel
   launches of one SGESL run — and every run after the first — reuse
   one compiled artifact.
 
@@ -37,11 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.ir.core import (
-    Operation,
-    SSAValue,
-    analysis_cache,
-)
+from repro.ir.core import Operation, SSAValue
 from repro.ir.traits import IsTerminator
 
 #: Closure executing one compiled op: ``(interp, frame) -> None``.
@@ -139,55 +139,34 @@ class FrameEnv:
 # ---------------------------------------------------------------------------
 
 
+#: ``count -> make(k, c0, ..., c{count-1})``: the block-runner factory
+#: for each closure count, generated on first use
+_RUNNER_FACTORIES: dict[int, Callable[..., OpClosure]] = {}
+
+
+def _runner_factory(count: int) -> Callable[..., OpClosure]:
+    """The factory of straight-line runners that bulk-count ``k`` steps
+    and then call ``count`` closures in order, with no loop over them."""
+    factory = _RUNNER_FACTORIES.get(count)
+    if factory is None:
+        closures = [f"c{i}" for i in range(count)]
+        source = "\n".join([
+            f"def make({', '.join(['k', *closures])}):",
+            "    def run(interp, frame):",
+            "        interp.steps += k",
+            *(f"        {c}(interp, frame)" for c in closures),
+            "    return run",
+        ])
+        namespace: dict[str, Any] = {}
+        exec(compile(source, f"<block runner {count}>", "exec"), namespace)
+        factory = _RUNNER_FACTORIES[count] = namespace["make"]
+    return factory
+
+
 def _chain(closures: list[OpClosure], bulk_steps: int) -> OpClosure:
     """Compose op closures into one block-body runner that bulk-counts the
     simple ops' interpreter steps."""
-    k = bulk_steps
-    if not closures:
-        def run0(interp, frame):
-            interp.steps += k
-        return run0
-    if len(closures) == 1:
-        (c0,) = closures
-
-        def run1(interp, frame):
-            interp.steps += k
-            c0(interp, frame)
-        return run1
-    if len(closures) == 2:
-        c0, c1 = closures
-
-        def run2(interp, frame):
-            interp.steps += k
-            c0(interp, frame)
-            c1(interp, frame)
-        return run2
-    if len(closures) == 3:
-        c0, c1, c2 = closures
-
-        def run3(interp, frame):
-            interp.steps += k
-            c0(interp, frame)
-            c1(interp, frame)
-            c2(interp, frame)
-        return run3
-    if len(closures) == 4:
-        c0, c1, c2, c3 = closures
-
-        def run4(interp, frame):
-            interp.steps += k
-            c0(interp, frame)
-            c1(interp, frame)
-            c2(interp, frame)
-            c3(interp, frame)
-        return run4
-    seq = tuple(closures)
-
-    def run_many(interp, frame):
-        interp.steps += k
-        for closure in seq:
-            closure(interp, frame)
-    return run_many
+    return _runner_factory(len(closures))(bulk_steps, *closures)
 
 
 class FnCompiler:
@@ -301,16 +280,21 @@ class FnCompiler:
 
 
 class CompiledFunction:
-    """One compiled ``func.func``: frame template plus entry runner."""
+    """One compiled ``func.func``: frame template, block runner and the
+    slots ``func.return`` reads."""
 
     __slots__ = (
-        "name", "arg_slots", "runner", "template", "slots", "needs_env",
+        "name", "arg_slots", "runner", "ret_slots", "template", "slots",
+        "needs_env",
     )
 
-    def __init__(self, name, arg_slots, runner, template, slots, needs_env):
+    def __init__(
+        self, name, arg_slots, runner, ret_slots, template, slots, needs_env
+    ):
         self.name = name
         self.arg_slots = arg_slots
         self.runner = runner
+        self.ret_slots = ret_slots
         self.template = template
         self.slots = slots
         self.needs_env = needs_env
@@ -322,7 +306,7 @@ class CompiledFunction:
         if self.needs_env:
             frame[0] = FrameEnv(frame, self.slots)
             try:
-                result = self.runner(interp, frame)
+                self.runner(interp, frame)
             finally:
                 # the env and the frame refer to each other: break the
                 # cycle, so the call's values (kernel arguments and
@@ -330,14 +314,15 @@ class CompiledFunction:
                 # cyclic GC next runs
                 frame[0] = None
         else:
-            result = self.runner(interp, frame)
+            self.runner(interp, frame)
         if interp.steps > interp.max_steps:
             # parity with the scalar engine, which checks before every op:
             # bulk-counted segments and vectorized loops settle up here
             from repro.ir.interpreter import InterpreterError
 
             raise InterpreterError("interpreter step limit exceeded")
-        return result
+        ret_slots = self.ret_slots
+        return tuple([frame[s] for s in ret_slots]) if ret_slots else ()
 
 
 def compile_function(func_op: Operation) -> CompiledFunction | None:
@@ -367,42 +352,7 @@ def compile_function(func_op: Operation) -> CompiledFunction | None:
             block_run = ctx.compile_body(body.ops)
     except CannotCompile:
         return None
-
-    if ret_slots:
-        slots = tuple(ret_slots)
-
-        def runner(interp, frame):
-            block_run(interp, frame)
-            return tuple(frame[s] for s in slots)
-    else:
-        def runner(interp, frame):
-            block_run(interp, frame)
-            return ()
-
     return CompiledFunction(
-        name, arg_slots, runner, ctx.template, ctx.slots, ctx.needs_env
+        name, arg_slots, block_run, tuple(ret_slots), ctx.template,
+        ctx.slots, ctx.needs_env,
     )
-
-
-# ---------------------------------------------------------------------------
-# Compilation cache
-# ---------------------------------------------------------------------------
-
-
-def get_compiled_function(func_op: Operation) -> CompiledFunction | None:
-    """The block-JIT artifact for ``func_op`` (None -> scalar path),
-    compiled on first use and cached on the module's root op.
-
-    Modules are assumed not to be mutated between executions (the
-    pipeline transforms before it ever executes); the pass manager and
-    the rewrite driver drop the cache after a mutation, and other
-    transforms must call :func:`repro.ir.core.invalidate_analysis`
-    themselves.
-    """
-    cache = analysis_cache(func_op)
-    entry = cache.get(id(func_op))
-    if entry is None or entry[0] is not func_op:
-        # a module-global lookup at call time, so a wrapper bound to the
-        # name (the benchmark's span tracer) sees every compile
-        entry = cache[id(func_op)] = (func_op, compile_function(func_op))
-    return entry[1]

@@ -441,7 +441,8 @@ class UnregisteredOp(Operation):
         super().__init__(**kwargs)
 
 
-def _root_op(op: Operation) -> Operation:
+def root_op(op: Operation) -> Operation:
+    """The outermost op enclosing ``op`` (``op`` itself at the top)."""
     parent = op.parent_op
     while parent is not None:
         op, parent = parent, parent.parent_op
@@ -456,7 +457,7 @@ def analysis_cache(op: Operation) -> dict:
     ``id(op)`` with ``op`` kept in the value, so an id recycled by the
     allocator can never alias a stale entry.
     """
-    root = _root_op(op)
+    root = root_op(op)
     cache = getattr(root, "analysis_cache", None)
     if cache is None:
         cache = root.analysis_cache = {}
@@ -467,7 +468,7 @@ def invalidate_analysis(op: Operation) -> None:
     """Drop every cached analysis of ``op``'s root — compiled functions
     and loop plans alike (called by the pass manager and the pattern
     rewriter after in-place mutation)."""
-    _root_op(op).analysis_cache = None
+    root_op(op).analysis_cache = None
 
 
 # ---------------------------------------------------------------------------

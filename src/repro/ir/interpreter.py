@@ -25,8 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.ir.compile import get_compiled_function
-from repro.ir.core import Block, IRError, Operation, SSAValue, analysis_cache
+import repro.ir.compile as jit
+from repro.ir.core import (
+    Block,
+    IRError,
+    Operation,
+    SSAValue,
+    analysis_cache,
+    root_op,
+)
 
 
 class InterpreterError(IRError):
@@ -54,6 +61,9 @@ OpImpl = Callable[["Interpreter", Operation, dict], Any]
 
 _GLOBAL_IMPLS: dict[str, OpImpl] = {}
 
+#: a function not yet looked up in the compiled table
+_UNCOMPILED = object()
+
 
 def impl(op_name: str) -> Callable[[OpImpl], OpImpl]:
     """Register a global op implementation (decorator)."""
@@ -65,10 +75,14 @@ def impl(op_name: str) -> Callable[[OpImpl], OpImpl]:
     return register
 
 
-def function_table(module: Operation) -> dict[str, Operation]:
-    """The ``{sym_name: func.func}`` table of ``module``, built by one
-    walk and kept in the module's analysis cache, so every interpreter of
-    one program (a fresh executor builds two per run) shares it."""
+def _module_tables(module: Operation) -> tuple[dict, dict, dict]:
+    """``(cache, functions, compiled)`` of ``module``: its root's analysis
+    cache, the ``{sym_name: func.func}`` table built by one walk, and the
+    ``{sym_name: CompiledFunction | None}`` block-JIT artifacts filled as
+    functions are first called.  Both tables live in that cache, so every
+    interpreter of one program (a fresh executor builds two per run)
+    shares them, and :func:`~repro.ir.core.invalidate_analysis` drops
+    them with the module's other analyses."""
     cache = analysis_cache(module)
     entry = cache.get(id(module))
     if entry is None or entry[0] is not module:
@@ -80,8 +94,14 @@ def function_table(module: Operation) -> dict[str, Operation]:
                 sym = op.attributes.get("sym_name")
                 if isinstance(sym, StringAttr):
                     table[sym.value] = op
-        entry = cache[id(module)] = (module, table)
-    return entry[1]
+        entry = cache[id(module)] = (module, table, {})
+    return cache, entry[1], entry[2]
+
+
+def function_table(module: Operation) -> dict[str, Operation]:
+    """The ``{sym_name: func.func}`` table of ``module`` (see
+    :func:`_module_tables`)."""
+    return _module_tables(module)[1]
 
 
 class Interpreter:
@@ -96,6 +116,9 @@ class Interpreter:
         vectorize: bool = True,
     ):
         self.module = module
+        #: the module's root op: its analysis cache holds the compiled
+        #: functions and the vectorizer's loop plans (read without a walk)
+        self.root = root_op(module)
         self.max_steps = max_steps
         self.steps = 0
         #: enable the block-JIT tier (falls back to scalar per function)
@@ -114,7 +137,10 @@ class Interpreter:
         #: optional :class:`~repro.reliability.report.RunReport` — engine
         #: tier degradations are recorded here when an executor armed one
         self.reliability_report = None
-        self._functions: dict[str, Operation] | None = None
+        #: ``(cache, functions, compiled)`` of the module (see
+        #: :func:`_module_tables`), fetched again once the root's cache
+        #: is dropped (:func:`~repro.ir.core.invalidate_analysis`)
+        self._tables: tuple[dict, dict, dict] | None = None
         #: functions whose block-JIT compilation crashed this session —
         #: recorded once, then permanently served by the scalar tier
         self._degraded_functions: set[str] = set()
@@ -122,9 +148,7 @@ class Interpreter:
     # -- function lookup ---------------------------------------------------------
 
     def functions(self) -> dict[str, Operation]:
-        if self._functions is None:
-            self._functions = function_table(self.module)
-        return self._functions
+        return function_table(self.module)
 
     def get_function(self, name: str) -> Operation:
         funcs = self.functions()
@@ -138,22 +162,33 @@ class Interpreter:
 
     def call(self, name: str, *args: Any) -> tuple[Any, ...]:
         """Call a function by symbol name with Python/NumPy arguments."""
-        func = self.get_function(name)
-        body = func.regions[0].block
+        tables = self._tables
+        if tables is None or tables[0] is not self.root.analysis_cache:
+            self.root = root_op(self.module)
+            tables = self._tables = _module_tables(self.module)
+        func = tables[1].get(name)
+        if func is None:
+            func = self.get_function(name)  # raises the missing-name error
+        blocks = func.regions[0].blocks
+        # Region.block raises the single-block error
+        body = blocks[0] if len(blocks) == 1 else func.regions[0].block
         if len(args) != len(body.args):
             raise InterpreterError(
                 f"function {name!r} expects {len(body.args)} arguments, "
                 f"got {len(args)}"
             )
         if self.compiled and name not in self._degraded_functions:
-            try:
-                compiled_fn = self._compiled_function(func)
-            except Exception as error:  # noqa: BLE001 - degrade, never crash
-                self._degraded_functions.add(name)
-                from repro.reliability.report import record_degradation
+            compiled = tables[2]
+            compiled_fn = compiled.get(name, _UNCOMPILED)
+            if compiled_fn is _UNCOMPILED:
+                try:
+                    compiled_fn = compiled[name] = self._compiled_function(func)
+                except Exception as error:  # noqa: BLE001 - degrade, never crash
+                    self._degraded_functions.add(name)
+                    from repro.reliability.report import record_degradation
 
-                record_degradation(self, "block-jit", "scalar", name, error)
-                compiled_fn = None
+                    record_degradation(self, "block-jit", "scalar", name, error)
+                    compiled_fn = None
             if compiled_fn is not None:
                 return compiled_fn.call(self, args)
         env: dict[SSAValue, Any] = {}
@@ -164,8 +199,11 @@ class Interpreter:
 
     def _compiled_function(self, func: Operation):
         """Block-JIT artifact for ``func`` (None -> scalar path); a method
-        so the degradation tests can make compilation crash."""
-        return get_compiled_function(func)
+        so the degradation tests can make compilation crash.  It looks
+        ``compile_function`` up on its module at call time, so a wrapper
+        bound to that name (the benchmark's span tracer) sees every
+        compile."""
+        return jit.compile_function(func)
 
     def run_block(
         self, block: Block, env: dict, args: Sequence[Any] = ()

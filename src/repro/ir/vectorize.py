@@ -576,19 +576,21 @@ def _classify_guarded(interp, loop: Operation) -> tuple:
     vectorizer's analysis must never take down a run the scalar tier
     could complete: the crash is recorded as a ``vectorized -> scalar``
     degradation (once — the cache is poisoned with a no-mode entry) and
-    the caller takes its normal scalar bail path.  The cache is consulted
-    here too, so the poisoned entry short-circuits before the crashed
+    the caller takes its normal scalar bail path.  A cached plan is read
+    from the cache of the interpreter's root op, with no walk up from
+    ``loop``; on a miss :func:`_classify` consults the loop's own root
+    cache too, so the poisoned entry short-circuits before the crashed
     planner runs again.
     """
-    cache = analysis_cache(loop)
-    cached = cache.get(id(loop))
-    if cached is not None and cached[0] is loop:
-        return cached
+    cache = getattr(interp.root, "analysis_cache", None)
+    if cache is not None:
+        cached = cache.get(id(loop))
+        if cached is not None and cached[0] is loop:
+            return cached
     try:
         return _classify(loop)
     except Exception as error:  # noqa: BLE001 - degrade, never crash
-        cached = (loop, None, None, None)
-        cache[id(loop)] = cached
+        cached = analysis_cache(loop)[id(loop)] = (loop, None, None, None)
         from repro.reliability.report import record_degradation
 
         record_degradation(
@@ -1811,6 +1813,24 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
     accounting then exactly match the scalar nested walk; False leaves
     no visible side effects, so the scalar walk can rerun safely.
     """
+    if not plan.chain and len(root_bounds) == 1:
+        # Depth 1, sized and charged directly: one level, no observer
+        # (the caller fired the loop's own) and one charge spec, one
+        # body visit per trip.  The launch path of a rank-1 kernel.
+        ((lb, ub, step),) = root_bounds
+        total = -(-(ub - lb) // step) if step > 0 and ub > lb else 0
+        if 0 < total < _MIN_TRIPS and not plan.span:
+            return False  # scalar wins on constant factors
+        if total:
+            ivs = (_Range(lb, step, total, 0, 1),)
+            frame = program.run(interp, env, ivs)
+            if (
+                plan.scatter is not None or plan.reduction is not None
+            ) and not _commit_roles(interp, env, plan, program, frame, ivs):
+                return False
+        interp.steps += total * plan.charge_specs[0][1]
+        return True
+
     sized = _size_levels(interp, env, root_bounds, plan)
     if sized is None:
         return False
@@ -1819,72 +1839,73 @@ def _run_nest(interp, env, root_bounds, plan: _NestPlan, program) -> bool:
         return False  # scalar wins on constant factors
 
     if total:
-        reduction = plan.reduction
         depth = len(trips)
-        if depth == 1:
-            lb, _, step = bounds[0]
-            spaces = [[_Range(lb, step, total, 0, 1)]]
-        else:
-            levels = [
-                _Range(lb, step, t, axis, depth)
-                for axis, ((lb, _, step), t) in enumerate(zip(bounds, trips))
-            ]
-            spaces = [levels]
-            if total > _MAX_NEST_ELEMS:
-                # Bound peak memory: evaluate chunks of outermost-dim
-                # slices (the whole-space temporaries scale with the
-                # *product* of the dims).  Chunks commit one by one, so a
-                # NaN check or an injectivity proof, which must pass over
-                # the whole space before anything is stored, keeps its
-                # nest scalar instead.
-                if plan.scatter is not None or (
-                    reduction is not None
-                    and _REDUCERS[reduction.op_name] in (np.minimum, np.maximum)
-                ):
-                    logger.debug(
-                        "scalar bail-out: nest exceeds the whole-space size "
-                        "bound (its NaN check or injectivity proof needs one "
-                        "pass); rerunning the loop on the scalar tier",
-                    )
-                    return False
-                spaces = (ivs for _, ivs in _outer_chunks(levels, total))
+        levels = [
+            _Range(lb, step, t, axis, depth)
+            for axis, ((lb, _, step), t) in enumerate(zip(bounds, trips))
+        ]
+        spaces = [levels]
+        if total > _MAX_NEST_ELEMS:
+            # Bound peak memory: evaluate chunks of outermost-dim slices
+            # (the whole-space temporaries scale with the *product* of
+            # the dims).  Chunks commit one by one, so a NaN check or an
+            # injectivity proof, which must pass over the whole space
+            # before anything is stored, keeps its nest scalar instead.
+            reduction = plan.reduction
+            if plan.scatter is not None or (
+                reduction is not None
+                and _REDUCERS[reduction.op_name] in (np.minimum, np.maximum)
+            ):
+                logger.debug(
+                    "scalar bail-out: nest exceeds the whole-space size "
+                    "bound (its NaN check or injectivity proof needs one "
+                    "pass); rerunning the loop on the scalar tier",
+                )
+                return False
+            spaces = (ivs for _, ivs in _outer_chunks(levels, total))
+        roles = plan.scatter is not None or plan.reduction is not None
         for ivs in spaces:
             frame = program.run(interp, env, ivs)
-            shape = tuple(iv.count for iv in ivs)
-            if plan.scatter is not None:
-                value = program.lookup(frame, interp, env)
-                if not _apply_stores(plan.scatter, value, shape):
-                    return False  # failed proof: nothing was mutated
-            elif reduction is not None:
-                value = program.lookup(frame, interp, env)
-                array = value(reduction.acc)
-                cells = [_dense(value(i)) for i in reduction.indices]
-                if len(trips) == 1 and any(map(_is_vector, cells)):
-                    # depth 1 with a varying cell: cells may collide
-                    width = None
-                    key = tuple([c if _is_vector(c) else int(c) for c in cells])
-                else:
-                    # each cell is invariant along the innermost level:
-                    # one representative per row
-                    width = trips[-1]
-                    key = tuple([
-                        np.broadcast_to(c, shape)[..., 0].reshape(-1)
-                        if _is_vector(c) else int(c)
-                        for c in cells
-                    ])
-                try:
-                    folded = _ordered_fold(
-                        reduction.op_name, array, key, value(reduction.expr),
-                        shape, width,
-                    )
-                except IndexError as error:
-                    # the scalar walk meets the cell at its load first
-                    raise SubscriptError(f"memref.load: {error}") from error
-                if not folded:
-                    return False  # single pass (see above): nothing stored
+            if roles and not _commit_roles(
+                interp, env, plan, program, frame, ivs
+            ):
+                return False
 
     _charge_levels(interp, plan, trips, stitches)
     return True
+
+
+def _commit_roles(interp, env, plan: _NestPlan, program, frame, ivs) -> bool:
+    """Apply the deferred stores or fold the reduction of one evaluated
+    space ``ivs``.  False when a runtime proof failed; nothing was
+    stored then (see :func:`_run_nest`)."""
+    shape = tuple([iv.count for iv in ivs])
+    value = program.lookup(frame, interp, env)
+    if plan.scatter is not None:
+        return _apply_stores(plan.scatter, value, shape)
+    reduction = plan.reduction
+    array = value(reduction.acc)
+    cells = [_dense(value(i)) for i in reduction.indices]
+    if len(ivs) == 1 and any(map(_is_vector, cells)):
+        # depth 1 with a varying cell: cells may collide
+        width = None
+        key = tuple([c if _is_vector(c) else int(c) for c in cells])
+    else:
+        # each cell is invariant along the innermost level: one
+        # representative per row
+        width = shape[-1]
+        key = tuple([
+            np.broadcast_to(c, shape)[..., 0].reshape(-1)
+            if _is_vector(c) else int(c)
+            for c in cells
+        ])
+    try:
+        return _ordered_fold(
+            reduction.op_name, array, key, value(reduction.expr), shape, width,
+        )
+    except IndexError as error:
+        # the scalar walk meets the cell at its load first
+        raise SubscriptError(f"memref.load: {error}") from error
 
 
 def _run_segmented(interp, env, lb, ub, step, plan: _SegmentedNest) -> bool:
@@ -2340,6 +2361,9 @@ def loop_vector_mode(loop: Operation) -> tuple[str | None, Any]:
 
 _INTS = (int, np.integer)
 
+#: an outer value the environment does not hold
+_MISSING = object()
+
 #: casts that keep the reference interpreter's value: the result aliases
 #: its operand's slot
 _ALIASES = ("arith.index_cast", "arith.extsi", "arith.trunci")
@@ -2568,9 +2592,13 @@ class _VectorProgram:
         for slot, vec in zip(self.iv_slots, ivs):
             frame[slot] = vec
         if resolve is None:
-            get = interp.get
+            # one read per value: a plain dict or the JIT's FrameEnv
+            read = env.get
             for slot, value in self.outer:
-                frame[slot] = get(env, value)
+                item = read(value, _MISSING)
+                if item is _MISSING:
+                    interp.get(env, value)  # raises the not-computed error
+                frame[slot] = item
         else:
             for slot, value in self.outer:
                 frame[slot] = resolve(value)

@@ -16,6 +16,7 @@ from repro.reliability.errors import (
     DmaError,
     EngineError,
     FrontendError,
+    LoopStepError,
     LoweringError,
     ReproError,
     ServiceError,
@@ -49,6 +50,7 @@ __all__ = [
     "DmaError",
     "EngineError",
     "FrontendError",
+    "LoopStepError",
     "LoweringError",
     "ReproError",
     "SubscriptError",

@@ -16,6 +16,7 @@ kernel* was involved when known (``kernel``) and a short source/op
       |     +-- WatchdogTimeout        (kernel step budget exhausted)
       +-- DivisionByZeroError (integer divide or remainder by zero)
       +-- SubscriptError      (a load or store subscript out of range)
+      +-- LoopStepError       (a loop ran with a zero or negative step)
       +-- EngineError         (execution-tier internal failure)
 
 ``LoweringError`` and ``DeviceBuildError`` also subclass
@@ -136,6 +137,17 @@ class SubscriptError(ReproError, IndexError):
     Every engine tier raises it, with the op's name before NumPy's
     message, so an out-of-range subscript fails the same way whichever
     tier runs the op."""
+
+    default_stage = "execution"
+
+
+class LoopStepError(ReproError, ValueError):
+    """An ``scf.for`` or ``omp.loop_nest`` ran with a zero or negative
+    step.
+
+    The frontend rejects such a step when it is an integer constant;
+    one computed at run time raises this on every engine tier, before
+    the loop observer fires and before the body runs."""
 
     default_stage = "execution"
 

@@ -60,15 +60,17 @@ class DeviceDataTable:
     def alloc(
         self, name: str, shape: tuple[int, ...], dtype, memory_space: int
     ) -> ClBuffer:
-        shape = tuple(shape)
+        if type(shape) is not tuple:
+            shape = tuple(shape)
         existing = self.buffers.get(name)
-        if (
-            existing is not None
-            and existing.data.shape == shape
-            and existing.data.dtype == np.dtype(dtype)
-            and existing.memory_space == memory_space
-        ):
-            return existing  # reuse resident allocation
+        if existing is not None:
+            data = existing.data
+            if (
+                data.shape == shape
+                and data.dtype == dtype
+                and existing.memory_space == memory_space
+            ):
+                return existing  # reuse resident allocation
         spec = self.board.validate_memory_space(memory_space)
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         if nbytes > spec.size_bytes and not self.oversubscribe:

@@ -224,12 +224,13 @@ class FpgaExecutor:
         extents are taken, in order, from ``sizes``."""
         if self._faults is not None:
             self._fault_gate("alloc")
-        sizes = iter(sizes)
-        shape = tuple(
-            int(next(sizes)) if extent == DYNAMIC else extent
-            for extent in extents
-        )
-        return self.table.alloc(name, shape, dtype, space).data
+        if sizes:
+            sizes = iter(sizes)
+            extents = tuple([
+                int(next(sizes)) if extent == DYNAMIC else extent
+                for extent in extents
+            ])
+        return self.table.alloc(name, extents, dtype, space).data
 
     def dma_start(self, source, dest, h2d: bool) -> None:
         """``memref.dma_start``: copy ``source`` into ``dest`` and charge
@@ -376,7 +377,8 @@ def _emit_alloc(op: Operation, ctx: FnCompiler):
         if executor is None:
             _no_executor("device.alloc")
         frame[res_i] = executor.alloc(
-            name, space, extents, dtype, [frame[s] for s in size_slots]
+            name, space, extents, dtype,
+            [frame[s] for s in size_slots] if size_slots else (),
         )
     return run
 

@@ -88,6 +88,15 @@ class KernelRunner:
             bitstream.device_module, compiled=compiled, vectorize=vectorize
         )
         self._compute_units = bitstream.compute_units
+        # Cycle accounting hooks the interpreter's loop observer (fired
+        # once per scf.for execution with the observed trip count) rather
+        # than overriding the scf.for impl, so device loops still run on
+        # the compiled/vectorized fast paths.  The observer is installed
+        # once and refers to the multiset only, which each run empties
+        # first: a bound method would tie the runner and its interpreter
+        # in a reference cycle that only the cyclic GC frees.
+        self._agg: dict[Operation, dict[int, int]] = {}
+        self._interp.loop_observer = _observer(self._agg)
 
     @property
     def interpreter_steps(self) -> int:
@@ -125,15 +134,8 @@ class KernelRunner:
         if budget is not None:
             budget_limit = interp.steps + budget
             interp.max_steps = min(saved_max, budget_limit)
-        # Cycle accounting hooks the interpreter's loop observer (fired
-        # once per scf.for execution with the observed trip count) rather
-        # than overriding the scf.for impl, so device loops still run on
-        # the compiled/vectorized fast paths.  The observer lives for one
-        # run and refers to its multiset only: a standing bound method
-        # would tie the runner and its interpreter in a reference cycle
-        # that only the cyclic GC frees.
-        agg: dict[Operation, dict[int, int]] = {}
-        interp.loop_observer = _observer(agg)
+        agg = self._agg
+        agg.clear()
         try:
             interp.call(kernel_name, *args)
         except InterpreterError as error:
@@ -146,13 +148,11 @@ class KernelRunner:
             raise
         finally:
             interp.max_steps = saved_max
-            interp.loop_observer = None
         cycles, per_cu = self._makespan(design, agg)
-        seconds = self.bitstream.board.cycles_to_seconds(cycles)
         return KernelRun(
-            cycles=cycles,
-            seconds=seconds,
-            per_cu_cycles=per_cu if self._compute_units > 1 else (),
+            cycles,
+            self.bitstream.board.cycles_to_seconds(cycles),
+            per_cu if self._compute_units > 1 else (),
         )
 
     # -- cycle accounting -------------------------------------------------------------
@@ -179,18 +179,20 @@ class KernelRunner:
         outer_cycles = [0.0] * n
         outer_iters = [0] * n
         inner_cycles = 0.0
+        loops = design.loops
         for op, per_loop in agg.items():
-            schedule = design.loops.get(op)
+            schedule = loops.get(op)
             if schedule is None:
                 continue
-            for trips, count in per_loop.items():
-                if schedule.outermost:
+            if schedule.outermost:
+                for trips, count in per_loop.items():
                     base, rem = divmod(trips, n)
                     for cu in range(n):
                         block = base + 1 if cu < rem else base
                         outer_cycles[cu] += count * schedule.cycles(block)
                         outer_iters[cu] += count * block
-                else:
+            else:
+                for trips, count in per_loop.items():
                     inner_cycles += count * schedule.cycles(trips)
         total_outer = sum(outer_iters)
         if total_outer == 0:

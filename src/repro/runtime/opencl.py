@@ -118,6 +118,8 @@ class ClCommandQueue:
         self._pending_in_s = 0.0
         #: the last launch's busy window output tiles may hide behind
         self._out_budget_s = 0.0
+        #: ``{bytes: seconds}`` of the whole transfers priced so far
+        self._dma_seconds: dict[int, float] = {}
         self.now_s = 0.0
         self.kernel_time_s = 0.0
         self.transfer_time_s = 0.0
@@ -131,15 +133,28 @@ class ClCommandQueue:
     def enqueue_transfer(self, source, dest: np.ndarray, h2d: bool) -> None:
         """``clEnqueueWriteBuffer`` (``h2d``) or ``clEnqueueReadBuffer``:
         copy ``source`` into ``dest`` and charge ``source``'s bytes."""
-        np.copyto(dest, source)
-        nbytes = int(np.asarray(source).nbytes)
+        if type(source) is np.ndarray:
+            # an equal-dtype copy needs none of copyto's casting checks
+            if source.dtype == dest.dtype:
+                dest[...] = source
+            else:
+                np.copyto(dest, source)
+            nbytes = source.nbytes
+        else:
+            np.copyto(dest, source)
+            nbytes = int(np.asarray(source).nbytes)
         if h2d:
             self.bytes_h2d += nbytes
         else:
             self.bytes_d2h += nbytes
         tile = self._tile
         if tile is None or nbytes <= tile:
-            seconds = self.board.dma_time_s(nbytes)
+            # a run moves few distinct sizes: each is priced once
+            seconds = self._dma_seconds.get(nbytes)
+            if seconds is None:
+                seconds = self._dma_seconds[nbytes] = self.board.dma_time_s(
+                    nbytes
+                )
             self.now_s += seconds
             self.transfer_time_s += seconds
             self.transfers += 1

@@ -31,6 +31,7 @@ from repro.ir.core import (
     SSAValue,
     semantic_attributes,
 )
+from repro.reliability.errors import LoopStepError
 
 #: Default operation latencies (cycles) for dependence-chain estimation.
 #: Calibrated against Vitis 2020.2 f32 figures.
@@ -401,6 +402,12 @@ def static_loop_step(for_op: Operation) -> Optional[int]:
 def trip_count(lb: int, ub: int, step: int) -> int:
     """Iterations of an ``scf.for`` over ``[lb, ub)`` by ``step``."""
     return max(0, -(-(ub - lb) // step)) if step > 0 else 0
+
+
+def step_error(op_name: str, step) -> LoopStepError:
+    """The error an ``scf.for`` or ``omp.loop_nest`` raises when it runs
+    with the non-positive ``step``: loops count up only."""
+    return LoopStepError(f"{op_name}: step {step} is not positive")
 
 
 def walk_same_loop_level(body: Block):

@@ -74,6 +74,68 @@ class TestSemaLines:
         assert "line 3" in str(err)
 
 
+_STEPPED = (
+    "subroutine s(y, z, n)\n"  # line 1
+    "  integer, intent(in) :: n\n"
+    "  integer, parameter :: back = -2\n"
+    "  real, intent(inout) :: y(n)\n"
+    "  real, intent(inout) :: z(n, n)\n"  # line 5
+    "  integer :: i, j\n"
+    "{body}"  # the loop opens on line 7
+    "end subroutine s\n"
+)
+
+#: a loop whose constant step is zero or negative, opening on ``line``
+NON_POSITIVE_STEPS = {
+    "host-minus-one": (7, "  do i = n, 1, -1\n    y(i) = 0.0\n  end do\n"),
+    "host-zero": (7, "  do i = 1, n, 0\n    y(i) = 0.0\n  end do\n"),
+    "host-parameter": (7, "  do i = n, 1, back\n    y(i) = 0.0\n  end do\n"),
+    "host-expression": (
+        7, "  do i = 1, n, 1 - 2\n    y(i) = 0.0\n  end do\n"
+    ),
+    "target-parallel-do": (
+        8,
+        "!$omp target parallel do\n"
+        "  do i = n, 1, -1\n    y(i) = 0.0\n  end do\n"
+        "!$omp end target parallel do\n",
+    ),
+    "collapse-inner": (
+        9,
+        "!$omp target parallel do collapse(2)\n"
+        "  do i = 1, n\n    do j = n, 1, -1\n"
+        "      z(j, i) = 0.0\n    end do\n  end do\n"
+        "!$omp end target parallel do\n",
+    ),
+}
+
+
+class TestNonPositiveStep:
+    """A constant DO step that is zero or negative is rejected at the DO
+    statement's line: loops lower to ``scf.for``, which counts up only,
+    and such a loop used to compile and run zero trips or spin."""
+
+    @pytest.mark.parametrize("case", sorted(NON_POSITIVE_STEPS))
+    def test_sema_rejects_at_the_do_line(self, case):
+        line, body = NON_POSITIVE_STEPS[case]
+        err = sema_error(_STEPPED.format(body=body))
+        assert err.line == line
+        assert "do loop step must be positive" in str(err)
+
+    def test_session_raises_a_frontend_error(self):
+        from repro.reliability.errors import FrontendError
+        from repro.session import Session
+
+        line, body = NON_POSITIVE_STEPS["target-parallel-do"]
+        with pytest.raises(FrontendError) as excinfo:
+            Session(_STEPPED.format(body=body)).frontend()
+        assert excinfo.value.line == line
+
+    @pytest.mark.parametrize("step", ["2", "n", "back + 3"])
+    def test_positive_or_runtime_step_compiles(self, step):
+        body = f"  do i = 1, n, {step}\n    y(i) = 0.0\n  end do\n"
+        analyze(parse_source(_STEPPED.format(body=body)))
+
+
 class TestWrappedErrors:
     def test_frontend_error_inherits_line(self):
         from repro.reliability.errors import FrontendError

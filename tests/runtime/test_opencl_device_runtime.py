@@ -50,6 +50,40 @@ class TestTransfer:
         assert queue.bytes_h2d == 4
         assert queue.now_s == BOARD.dma_time_s(4)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            np.arange(8, dtype=np.float64) / 3,  # wider than the buffer
+            np.arange(8, dtype=np.int16),
+            np.arange(8, dtype=np.float32)[::-1],  # a strided view
+            2.5,  # a Python float: 8 bytes once it is an array
+        ],
+        ids=["float64", "int16", "reversed-view", "python-float"],
+    )
+    def test_copies_and_charges_as_copyto_and_asarray(self, source):
+        """A transfer copies exactly as ``np.copyto`` and charges
+        ``np.asarray(source).nbytes``, whatever the source's dtype."""
+        want = np.zeros(8, dtype=np.float32)
+        np.copyto(want, source)
+        nbytes = np.asarray(source).nbytes
+        queue = _queue()
+        dev = np.zeros(8, dtype=np.float32)
+        queue.enqueue_transfer(source, dev, h2d=True)
+        queue.enqueue_transfer(source, dev, h2d=False)
+        assert dev.tobytes() == want.tobytes()
+        assert (queue.bytes_h2d, queue.bytes_d2h) == (nbytes, nbytes)
+        dt = BOARD.dma_time_s(nbytes)
+        assert queue.now_s == dt + dt
+
+    def test_unsafe_cast_still_raises(self):
+        """Only an equal-dtype copy skips ``np.copyto``: a cast it would
+        refuse (float to int) still raises and charges nothing."""
+        queue = _queue()
+        dev = np.zeros(4, dtype=np.int32)
+        with pytest.raises(TypeError):
+            queue.enqueue_transfer(np.ones(4, np.float64), dev, h2d=True)
+        assert (queue.transfers, queue.bytes_h2d, queue.now_s) == (0, 0, 0.0)
+
 
 class TestLaunch:
     def test_single_cu_charge(self):
