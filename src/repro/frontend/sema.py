@@ -226,7 +226,10 @@ class Analyzer:
             stmt.stop = self._resolve_expr(stmt.stop, info)
             if stmt.step is not None:
                 stmt.step = self._resolve_expr(stmt.step, info)
-                step = _fold_const(stmt.step, info.symbols)
+                try:
+                    step = _fold_const(stmt.step, info.symbols)
+                except ZeroDivisionError:
+                    step = None  # raises where the division runs
                 if isinstance(step, int) and step <= 0:
                     # loops lower to an exclusive-bound scf.for, which
                     # counts up only

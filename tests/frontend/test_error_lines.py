@@ -130,7 +130,8 @@ class TestNonPositiveStep:
             Session(_STEPPED.format(body=body)).frontend()
         assert excinfo.value.line == line
 
-    @pytest.mark.parametrize("step", ["2", "n", "back + 3"])
+    # 1/0 folds to no value: it raises DivisionByZeroError where it runs
+    @pytest.mark.parametrize("step", ["2", "n", "back + 3", "1/0"])
     def test_positive_or_runtime_step_compiles(self, step):
         body = f"  do i = 1, n, {step}\n    y(i) = 0.0\n  end do\n"
         analyze(parse_source(_STEPPED.format(body=body)))
