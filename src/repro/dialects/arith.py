@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable
 
 from repro.ir.attributes import Attribute, FloatAttr, IntegerAttr, StringAttr
@@ -330,26 +329,54 @@ def _divisor(value, op_name: str):
     return value
 
 
-#: Scalar combiner per binop — the single source of truth shared by the
-#: interpreter impls and the compiled-form emitters, so the two dispatch
-#: tiers cannot drift apart.
+def divsi(a: int, b: int) -> int:
+    """Integer division truncating toward zero, as ``arith.divsi`` and
+    Fortran's integer ``/`` define it; a zero ``b`` raises
+    :class:`~repro.reliability.errors.DivisionByZeroError`."""
+    return int(math.trunc(a / _divisor(b, "arith.divsi")))
+
+
+def remsi(a: int, b: int) -> int:
+    """The remainder of :func:`divsi` (sign of ``a``), as ``arith.remsi``."""
+    return int(math.fmod(a, _divisor(b, "arith.remsi")))
+
+
+#: Python expression per binop over its operands (``%s`` each, in order) —
+#: the single source of truth of the interpreter impls (through
+#: ``_BINOP_FNS``, made from it) and the block-JIT, which writes it
+#: inline, so the two dispatch tiers cannot drift apart.
+_BINOP_EXPRS: dict[str, str] = {
+    "arith.addi": "%s + %s",
+    "arith.subi": "%s - %s",
+    "arith.muli": "%s * %s",
+    "arith.divsi": "divsi(%s, %s)",
+    "arith.remsi": "remsi(%s, %s)",
+    "arith.andi": "%s & %s",
+    "arith.ori": "%s | %s",
+    "arith.xori": "%s ^ %s",
+    "arith.minsi": "min(%s, %s)",
+    "arith.maxsi": "max(%s, %s)",
+    "arith.addf": "%s + %s",
+    "arith.subf": "%s - %s",
+    "arith.mulf": "%s * %s",
+    "arith.divf": "%s / %s",
+    "arith.minimumf": "min(%s, %s)",
+    "arith.maximumf": "max(%s, %s)",
+}
+
+#: the functions binop expressions call, by the names they call them
+_EXPR_HELPERS = {"divsi": divsi, "remsi": remsi}
+
+
+def _function(expr: str) -> Callable:
+    """The Python function of an expression over its ``%s`` operands."""
+    names = ("a", "b")[: expr.count("%s")]
+    return eval(f"lambda {', '.join(names)}: {expr % names}", dict(_EXPR_HELPERS))
+
+
+#: Scalar combiner per binop, made from its expression.
 _BINOP_FNS: dict[str, Callable] = {
-    "arith.addi": operator.add,
-    "arith.subi": operator.sub,
-    "arith.muli": operator.mul,
-    "arith.divsi": lambda a, b: int(math.trunc(a / _divisor(b, "arith.divsi"))),
-    "arith.remsi": lambda a, b: int(math.fmod(a, _divisor(b, "arith.remsi"))),
-    "arith.andi": operator.and_,
-    "arith.ori": operator.or_,
-    "arith.xori": operator.xor,
-    "arith.minsi": min,
-    "arith.maxsi": max,
-    "arith.addf": operator.add,
-    "arith.subf": operator.sub,
-    "arith.mulf": operator.mul,
-    "arith.divf": operator.truediv,
-    "arith.minimumf": min,
-    "arith.maximumf": max,
+    name: _function(expr) for name, expr in _BINOP_EXPRS.items()
 }
 
 
@@ -370,25 +397,28 @@ def _register_binop(name: str, fn: Callable) -> None:
 for _name, _fn in _BINOP_FNS.items():
     _register_binop(_name, _fn)
 
-_CMP_FNS: dict[str, Callable] = {
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "slt": operator.lt,
-    "sle": operator.le,
-    "sgt": operator.gt,
-    "sge": operator.ge,
-    "olt": operator.lt,
-    "ole": operator.le,
-    "ogt": operator.gt,
-    "oge": operator.ge,
+#: Python comparison operator per ``arith.cmpi``/``arith.cmpf`` predicate.
+_CMP_OPS: dict[str, str] = {
+    "eq": "==",
+    "ne": "!=",
+    "slt": "<",
+    "sle": "<=",
+    "sgt": ">",
+    "sge": ">=",
+    "olt": "<",
+    "ole": "<=",
+    "ogt": ">",
+    "oge": ">=",
 }
+_CMP_EXPRS = {pred: f"bool(%s {sym} %s)" for pred, sym in _CMP_OPS.items()}
+_CMP_FNS = {pred: _function(expr) for pred, expr in _CMP_EXPRS.items()}
 
 
 def _run_cmp(interp: Interpreter, op: Operation, env: dict):
     predicate_attr = op.attributes["predicate"]
     assert isinstance(predicate_attr, StringAttr)
     lhs, rhs = interp.operand_values(op, env)
-    interp.set_results(op, env, [bool(_CMP_FNS[predicate_attr.value](lhs, rhs))])
+    interp.set_results(op, env, [_CMP_FNS[predicate_attr.value](lhs, rhs)])
     return None
 
 
@@ -452,124 +482,66 @@ def _run_truncf(interp: Interpreter, op: Operation, env: dict):
 
 # -- compiled-form emitters ---------------------------------------------------
 #
-# Block-JIT closures mirroring the interpreter impls above bit-for-bit:
-# same Python operator tables, same float32 rounding points.  Constant
-# operands are folded at compile time (transitively, since folded results
+# Statements mirroring the interpreter impls above bit-for-bit: the same
+# expressions, the same float32 rounding points.  An op of literal
+# operands is folded at compile time (transitively, since folded results
 # become literals themselves).
 
-import numpy as _np
+from repro.ir.compile import CannotCompile, FnCodegen, compiled_for, helpers
 
-from repro.ir.compile import NOT_CONST, FnCompiler, compiled_for
-
-_f32 = _np.float32
+helpers(**_EXPR_HELPERS)
 
 
 @compiled_for("arith.constant")
-def _emit_constant(op: Operation, ctx: FnCompiler):
-    from repro.ir.compile import CannotCompile
-
+def _emit_constant(op: Operation, gen: FnCodegen) -> None:
     attr = op.attributes["value"]
     if isinstance(attr, IntegerAttr):
         value = attr.value
     elif isinstance(attr, FloatAttr):
-        value = float(_f32(attr.value)) if attr.width == 32 else attr.value
+        value = attr.value
+        if attr.width == 32:
+            import numpy as np
+
+            value = float(np.float32(value))
     else:
         raise CannotCompile("arith.constant with non-numeric value")
-    ctx.set_literal(op.results[0], value)
-    return None
+    gen.set_literal(op.results[0], value)
 
 
-def _emit_binop(fn: Callable):
-    def emit(op: Operation, ctx: FnCompiler):
-        result = op.results[0]
-        ty = result.type
-        round32 = isinstance(ty, FloatType) and ty.width == 32
-        a, b = op.operands
-        lit_a, lit_b = ctx.literal(a), ctx.literal(b)
-        if lit_a is not NOT_CONST and lit_b is not NOT_CONST:
-            try:
-                value = fn(lit_a, lit_b)
-            except (ArithmeticError, ValueError):
-                value = NOT_CONST  # fold later, fail at run time as scalar
-            if value is not NOT_CONST:
-                if round32:
-                    value = float(_f32(value))
-                ctx.set_literal(result, value)
-                return None
-        ai, bi, ri = ctx.slot(a), ctx.slot(b), ctx.slot(result)
-        if round32:
-            def run(interp, frame, _fn=fn):
-                frame[ri] = float(_f32(_fn(frame[ai], frame[bi])))
-        else:
-            def run(interp, frame, _fn=fn):
-                frame[ri] = _fn(frame[ai], frame[bi])
-        return run
+def _emit_expr(expr: str, fold: Callable | None = None):
+    def emit(op: Operation, gen: FnCodegen) -> None:
+        gen.assign(op, expr, fold)
 
     return emit
 
 
-for _name, _fn in _BINOP_FNS.items():
-    compiled_for(_name)(_emit_binop(_fn))
+for _name, _expr in _BINOP_EXPRS.items():
+    compiled_for(_name)(_emit_expr(_expr, _BINOP_FNS[_name]))
 
 
-def _emit_cmp(op: Operation, ctx: FnCompiler):
-    predicate_attr = op.attributes["predicate"]
-    assert isinstance(predicate_attr, StringAttr)
-    fn = _CMP_FNS[predicate_attr.value]
-    a, b = op.operands
-    result = op.results[0]
-    lit_a, lit_b = ctx.literal(a), ctx.literal(b)
-    if lit_a is not NOT_CONST and lit_b is not NOT_CONST:
-        ctx.set_literal(result, bool(fn(lit_a, lit_b)))
-        return None
-    ai, bi, ri = ctx.slot(a), ctx.slot(b), ctx.slot(result)
-
-    def run(interp, frame, _fn=fn):
-        frame[ri] = bool(_fn(frame[ai], frame[bi]))
-    return run
-
-
-compiled_for("arith.cmpi")(_emit_cmp)
-compiled_for("arith.cmpf")(_emit_cmp)
+@compiled_for("arith.cmpi")
+@compiled_for("arith.cmpf")
+def _emit_cmp(op: Operation, gen: FnCodegen) -> None:
+    predicate = op.attributes["predicate"].value
+    gen.assign(op, _CMP_EXPRS[predicate], _CMP_FNS[predicate])
 
 
 @compiled_for("arith.select")
-def _emit_select(op: Operation, ctx: FnCompiler):
-    ci, ti, fi = (ctx.slot(o) for o in op.operands)
-    ri = ctx.slot(op.results[0])
-
-    def run(interp, frame):
-        frame[ri] = frame[ti] if frame[ci] else frame[fi]
-    return run
-
-
-def _emit_cast(convert: Callable):
-    def emit(op: Operation, ctx: FnCompiler):
-        source = op.operands[0]
-        result = op.results[0]
-        lit = ctx.literal(source)
-        if lit is not NOT_CONST:
-            ctx.set_literal(result, convert(lit))
-            return None
-        si, ri = ctx.slot(source), ctx.slot(result)
-
-        def run(interp, frame, _convert=convert):
-            frame[ri] = _convert(frame[si])
-        return run
-
-    return emit
+def _emit_select(op: Operation, gen: FnCodegen) -> None:
+    cond, true_value, false_value = map(gen.ref, op.operands)
+    gen.emit(
+        f"{gen.dest(op.results[0])} = {true_value} if {cond} else "
+        f"{false_value}"
+    )
 
 
-for _name in ("arith.index_cast", "arith.extsi", "arith.trunci"):
-    compiled_for(_name)(_emit_cast(int))
-compiled_for("arith.fptosi")(_emit_cast(int))
-compiled_for("arith.extf")(_emit_cast(float))
-compiled_for("arith.truncf")(_emit_cast(lambda v: float(_f32(v))))
-
-
-@compiled_for("arith.sitofp")
-def _emit_sitofp(op: Operation, ctx: FnCompiler):
-    ty = op.results[0].type
-    if isinstance(ty, FloatType) and ty.width == 32:
-        return _emit_cast(lambda v: float(_f32(float(v))))(op, ctx)
-    return _emit_cast(float)(op, ctx)
+for _name, _expr in (
+    ("arith.index_cast", "int(%s)"),
+    ("arith.extsi", "int(%s)"),
+    ("arith.trunci", "int(%s)"),
+    ("arith.fptosi", "int(%s)"),
+    ("arith.extf", "float(%s)"),
+    ("arith.truncf", "%s"),  # its f32 result is rounded
+    ("arith.sitofp", "float(%s)"),
+):
+    compiled_for(_name)(_emit_expr(_expr, _function(_expr)))

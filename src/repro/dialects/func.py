@@ -137,34 +137,30 @@ def _run_module(interp: Interpreter, op: Operation, env: dict):
 # -- compiled-form emitters ---------------------------------------------------
 
 
-from repro.ir.compile import FnCompiler, compiled_for
+from repro.ir.compile import FnCodegen, compiled_for
 
 
 @compiled_for("func.call", counts_own_steps=True)
-def _emit_call(op: Operation, ctx: FnCompiler):
-    callee_attr = op.attributes["callee"]
-    assert isinstance(callee_attr, SymbolRefAttr)
-    callee = callee_attr.symbol
-    arg_slots = tuple(ctx.slot_list(op.operands))
-    res_slots = tuple(ctx.slot_list(op.results))
-    n_results = len(res_slots)
-
-    def run(interp, frame):
-        interp.steps += 1
-        values = interp.call(callee, *[frame[s] for s in arg_slots])
-        if len(values) != n_results:
-            from repro.ir.interpreter import InterpreterError
-
-            raise InterpreterError(
-                f"func.call: implementation produced {len(values)} values "
-                f"for {n_results} results"
-            )
-        for slot, value in zip(res_slots, values):
-            frame[slot] = value
-    return run
+def _emit_call(op: Operation, gen: FnCodegen) -> None:
+    callee = op.attributes["callee"]
+    assert isinstance(callee, SymbolRefAttr)
+    count = len(op.results)
+    message = (
+        f"func.call: implementation produced {{len(vals)}} values for "
+        f"{count} results"
+    )
+    args = [gen.bind(callee.symbol, "callee"), *map(gen.ref, op.operands)]
+    gen.emit(
+        "interp.steps += 1",
+        f"vals = interp.call({', '.join(args)})",
+        f"if len(vals) != {count}:",
+        f"    raise InterpreterError(f{message!r})",
+    )
+    if count:
+        gen.emit(f"{''.join(f'{gen.dest(r)}, ' for r in op.results)}= vals")
 
 
 @compiled_for("func.func")
-def _emit_nested_func(op: Operation, ctx: FnCompiler):
+def _emit_nested_func(op: Operation, gen: FnCodegen) -> None:
     # A definition encountered mid-block is a no-op, as in the interpreter.
-    return None
+    pass

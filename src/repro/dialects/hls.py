@@ -198,22 +198,19 @@ def _run_stream_write(interp: Interpreter, op: Operation, env: dict):
 # -- compiled-form emitters ---------------------------------------------------
 
 
-from repro.ir.compile import FnCompiler, compiled_for
+from repro.ir.compile import FnCodegen, compiled_for, helpers
+
+helpers(protocol_names=PROTOCOL_NAMES)
 
 
 @compiled_for("hls.axi_protocol")
-def _emit_axi_protocol(op: Operation, ctx: FnCompiler):
-    src_i = ctx.slot(op.operands[0])
-    res_i = ctx.slot(op.results[0])
-
-    def run(interp, frame):
-        frame[res_i] = PROTOCOL_NAMES.get(int(frame[src_i]), "m_axi")
-    return run
+def _emit_axi_protocol(op: Operation, gen: FnCodegen) -> None:
+    gen.assign(op, "protocol_names.get(int(%s), 'm_axi')")
 
 
 @compiled_for("hls.interface")
 @compiled_for("hls.pipeline")
 @compiled_for("hls.unroll")
-def _emit_annotation(op: Operation, ctx: FnCompiler):
+def _emit_annotation(op: Operation, gen: FnCodegen) -> None:
     # Functional no-op; still bulk-counted as one interpreter step.
-    return None
+    pass

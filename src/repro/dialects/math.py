@@ -70,12 +70,17 @@ def _register_unary(name: str, fn) -> None:
         return None
 
 
-_register_unary("math.sqrt", _math.sqrt)
-_register_unary("math.absf", abs)
-_register_unary("math.exp", _math.exp)
-_register_unary("math.log", _math.log)
-_register_unary("math.sin", _math.sin)
-_register_unary("math.cos", _math.cos)
+#: ``(op name, Python function)`` of each unary op
+_UNARY_FNS = (
+    ("math.sqrt", _math.sqrt),
+    ("math.absf", abs),
+    ("math.exp", _math.exp),
+    ("math.log", _math.log),
+    ("math.sin", _math.sin),
+    ("math.cos", _math.cos),
+)
+for _name, _fn in _UNARY_FNS:
+    _register_unary(_name, _fn)
 
 
 @impl("math.powf")
@@ -88,43 +93,19 @@ def _run_powf(interp: Interpreter, op: Operation, env: dict):
 # -- compiled-form emitters ---------------------------------------------------
 
 
-from repro.ir.compile import FnCompiler, compiled_for
+from repro.ir.compile import FnCodegen, compiled_for, helpers
+
+helpers(**{name.replace(".", "_"): fn for name, fn in _UNARY_FNS})
 
 
-def _emit_unary(fn):
-    def emit(op: Operation, ctx: FnCompiler):
-        import numpy as np
-
-        src_i = ctx.slot(op.operands[0])
-        res_i = ctx.slot(op.results[0])
-        ty = op.results[0].type
-        if isinstance(ty, FloatType) and ty.width == 32:
-            def run(interp, frame, _fn=fn):
-                frame[res_i] = float(np.float32(_fn(frame[src_i])))
-        else:
-            def run(interp, frame, _fn=fn):
-                frame[res_i] = _fn(frame[src_i])
-        return run
-
-    return emit
+def _emit_unary(op: Operation, gen: FnCodegen) -> None:
+    gen.assign(op, f"{op.name.replace('.', '_')}(%s)")
 
 
-for _name, _fn in (
-    ("math.sqrt", _math.sqrt),
-    ("math.absf", abs),
-    ("math.exp", _math.exp),
-    ("math.log", _math.log),
-    ("math.sin", _math.sin),
-    ("math.cos", _math.cos),
-):
-    compiled_for(_name)(_emit_unary(_fn))
+for _name, _ in _UNARY_FNS:
+    compiled_for(_name)(_emit_unary)
 
 
 @compiled_for("math.powf")
-def _emit_powf(op: Operation, ctx: FnCompiler):
-    base_i, exp_i = (ctx.slot(o) for o in op.operands)
-    res_i = ctx.slot(op.results[0])
-
-    def run(interp, frame):
-        frame[res_i] = frame[base_i] ** frame[exp_i]
-    return run
+def _emit_powf(op: Operation, gen: FnCodegen) -> None:
+    gen.assign(op, "%s ** %s", rounds=False)

@@ -312,174 +312,128 @@ def _run_dma_wait(interp: Interpreter, op: Operation, env: dict):
 
 # -- compiled-form emitters ---------------------------------------------------
 #
-# Load/store dominate interpreted kernel bodies, so they get rank-
-# specialized closures; the DMA ops run once per transfer in the host
-# driver loop (SGESL n=512: ~6.6k each), so they get closures too.
+# Load/store dominate interpreted kernel bodies and the DMA ops run once
+# per transfer in the host driver loop (SGESL n=512: ~6.6k each), so each
+# is a few inline statements.
 
-from repro.ir.compile import FnCompiler, compiled_for
+from repro.ir.compile import FnCodegen, compiled_for, helpers
+
+helpers(
+    SubscriptError=SubscriptError, floating=np.floating, zeros=np.zeros,
+    copyto=np.copyto,
+)
+
+
+def _subscript(gen: FnCodegen, indices) -> str:
+    """The NumPy subscript of ``indices``: ``()`` for a rank-0 buffer."""
+    if not indices:
+        return "()"
+    ref = gen.ref
+    return ", ".join([f"int({ref(i)})" for i in indices])
+
+
+def _emit_subscripted(gen: FnCodegen, op: Operation, statement: str):
+    """``statement``; an out-of-range subscript in it raises
+    :class:`SubscriptError` naming ``op``."""
+    gen.emit(
+        "try:",
+        f"    {statement}",
+        "except IndexError as error:",
+        f"    raise SubscriptError(f'{op.name}: {{error}}') from error",
+    )
 
 
 @compiled_for("memref.load")
-def _emit_load(op: Operation, ctx: FnCompiler):
-    mem_i = ctx.slot(op.operands[0])
-    idx = tuple(ctx.slot_list(op.operands[1:]))
-    res_i = ctx.slot(op.results[0])
-    f32_dtype = np.float32
-
-    if not idx:
-        def run(interp, frame):
-            array = frame[mem_i]
-            element = array[()]
-            if isinstance(element, np.floating):
-                if array.dtype != f32_dtype:
-                    element = float(element)
-            frame[res_i] = element
-        return run
-
-    if len(idx) == 1:
-        (i0,) = idx
-
-        def run(interp, frame):
-            array = frame[mem_i]
-            try:
-                element = array[int(frame[i0])]
-            except IndexError as error:
-                raise SubscriptError(f"memref.load: {error}") from error
-            if isinstance(element, np.floating):
-                if array.dtype != f32_dtype:
-                    element = float(element)
-            frame[res_i] = element
-        return run
-
-    def run(interp, frame):
-        array = frame[mem_i]
-        try:
-            element = array[tuple(int(frame[i]) for i in idx)]
-        except IndexError as error:
-            raise SubscriptError(f"memref.load: {error}") from error
-        if isinstance(element, np.floating):
-            if array.dtype != f32_dtype:
-                element = float(element)
-        frame[res_i] = element
-    return run
+def _emit_load(op: Operation, gen: FnCodegen) -> None:
+    operands = op.operands
+    indices = operands[1:]
+    gen.emit(f"arr = {gen.ref(operands[0])}")
+    read = f"elem = arr[{_subscript(gen, indices)}]"
+    if indices:
+        _emit_subscripted(gen, op, read)
+    else:
+        gen.emit(read)
+    gen.emit(
+        "if isinstance(elem, floating) and arr.dtype != f32:",
+        "    elem = float(elem)",
+        f"{gen.dest(op.results[0])} = elem",
+    )
 
 
 @compiled_for("memref.store")
-def _emit_store(op: Operation, ctx: FnCompiler):
-    val_i = ctx.slot(op.operands[0])
-    mem_i = ctx.slot(op.operands[1])
-    idx = tuple(ctx.slot_list(op.operands[2:]))
-
-    if not idx:
-        def run(interp, frame):
-            frame[mem_i][()] = frame[val_i]
-        return run
-
-    if len(idx) == 1:
-        (i0,) = idx
-
-        def run(interp, frame):
-            try:
-                frame[mem_i][int(frame[i0])] = frame[val_i]
-            except IndexError as error:
-                raise SubscriptError(f"memref.store: {error}") from error
-        return run
-
-    def run(interp, frame):
-        try:
-            frame[mem_i][tuple(int(frame[i]) for i in idx)] = frame[val_i]
-        except IndexError as error:
-            raise SubscriptError(f"memref.store: {error}") from error
-    return run
+def _emit_store(op: Operation, gen: FnCodegen) -> None:
+    value, memory, *indices = op.operands
+    write = (
+        f"{gen.ref(memory)}[{_subscript(gen, indices)}] = {gen.ref(value)}"
+    )
+    if indices:
+        _emit_subscripted(gen, op, write)
+    else:
+        gen.emit(write)
 
 
 @compiled_for("memref.cast")
-def _emit_cast(op: Operation, ctx: FnCompiler):
-    src_i = ctx.slot(op.operands[0])
-    res_i = ctx.slot(op.results[0])
-
-    def run(interp, frame):
-        frame[res_i] = frame[src_i]
-    return run
+def _emit_cast(op: Operation, gen: FnCodegen) -> None:
+    gen.assign(op, "%s")
 
 
 @compiled_for("memref.dim")
-def _emit_dim(op: Operation, ctx: FnCompiler):
-    mem_i, dim_i = (ctx.slot(o) for o in op.operands)
-    res_i = ctx.slot(op.results[0])
-
-    def run(interp, frame):
-        frame[res_i] = int(frame[mem_i].shape[int(frame[dim_i])])
-    return run
+def _emit_dim(op: Operation, gen: FnCodegen) -> None:
+    gen.assign(op, "int(%s.shape[int(%s)])")
 
 
-def _emit_alloc(op: Operation, ctx: FnCompiler):
+def shape_source(gen: FnCodegen, extents, sizes) -> str:
+    """A tuple expression of ``extents`` whose ``DYNAMIC`` entries are
+    taken, in order, from the values ``sizes``."""
+    sizes = iter(sizes)
+    return "({})".format("".join(
+        f"int({gen.ref(next(sizes))}), " if extent == DYNAMIC else f"{extent}, "
+        for extent in extents
+    ))
+
+
+@compiled_for("memref.alloc")
+@compiled_for("memref.alloca")
+def _emit_alloc(op: Operation, gen: FnCodegen) -> None:
     ty = op.results[0].type
     assert isinstance(ty, MemRefType)
-    dtype = element_dtype(ty.element_type)
-    size_slots = iter(ctx.slot_list(op.operands))
-    # dynamic extents hold the operand slot; static ones -extent - 1
-    shape_spec = tuple(
-        next(size_slots) if extent == DYNAMIC else -extent - 1
-        for extent in ty.shape
+    shape = shape_source(gen, ty.shape, op.operands)
+    dtype = gen.bind(element_dtype(ty.element_type), "dtype")
+    gen.emit(
+        f"{gen.dest(op.results[0])} = "
+        f"zeros({shape}, dtype={dtype})"
     )
-    res_i = ctx.slot(op.results[0])
-    if all(entry < 0 for entry in shape_spec):
-        shape = tuple(-entry - 1 for entry in shape_spec)
-
-        def run(interp, frame):
-            frame[res_i] = np.zeros(shape, dtype=dtype)
-        return run
-
-    def run(interp, frame):
-        frame[res_i] = np.zeros(
-            tuple(
-                int(frame[entry]) if entry >= 0 else -entry - 1
-                for entry in shape_spec
-            ),
-            dtype=dtype,
-        )
-    return run
-
-
-compiled_for("memref.alloc")(_emit_alloc)
-compiled_for("memref.alloca")(_emit_alloc)
 
 
 @compiled_for("memref.dealloc")
-def _emit_dealloc(op: Operation, ctx: FnCompiler):
-    return None
+def _emit_dealloc(op: Operation, gen: FnCodegen) -> None:
+    pass
 
 
 @compiled_for("memref.copy")
-def _emit_copy(op: Operation, ctx: FnCompiler):
-    src_i, dst_i = (ctx.slot(o) for o in op.operands)
-
-    def run(interp, frame):
-        np.copyto(frame[dst_i], frame[src_i])
-    return run
+def _emit_copy(op: Operation, gen: FnCodegen) -> None:
+    source, dest = map(gen.ref, op.operands)
+    gen.emit(f"copyto({dest}, {source})")
 
 
 @compiled_for("memref.dma_start")
-def _emit_dma_start(op: Operation, ctx: FnCompiler):
-    src_i, dst_i = (ctx.slot(o) for o in op.operands)
-    res_i = ctx.slot(op.results[0])
+def _emit_dma_start(op: Operation, gen: FnCodegen) -> None:
+    source, dest = map(gen.ref, op.operands)
     h2d = op.operands[0].type.memory_space == 0
-
-    def run(interp, frame):
-        executor = interp.host_executor
-        if executor is None:
-            np.copyto(frame[dst_i], frame[src_i])
-        else:
-            executor.dma_start(frame[src_i], frame[dst_i], h2d)
-        frame[res_i] = 0
-    return run
+    gen.emit(
+        "ex = interp.host_executor",
+        "if ex is None:",
+        f"    copyto({dest}, {source})",
+        "else:",
+        f"    ex.dma_start({source}, {dest}, {h2d})",
+        f"{gen.dest(op.results[0])} = 0",
+    )
 
 
 @compiled_for("memref.wait")
-def _emit_dma_wait(op: Operation, ctx: FnCompiler):
-    def run(interp, frame):
-        executor = interp.host_executor
-        if executor is not None:
-            executor.dma_wait()
-    return run
+def _emit_dma_wait(op: Operation, gen: FnCodegen) -> None:
+    gen.emit(
+        "ex = interp.host_executor",
+        "if ex is not None:",
+        "    ex.dma_wait()",
+    )

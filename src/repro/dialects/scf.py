@@ -163,13 +163,15 @@ def _run_if(interp: Interpreter, op: Operation, env: dict):
 
 # -- compiled-form emitters ---------------------------------------------------
 #
-# Structured control flow compiles to native Python loops/branches around
-# compiled block bodies.  Loop closures invoke ``interp.loop_observer``
-# (cycle accounting) and the vectorized fast paths exactly like the
-# scalar ``_run_for`` does, and keep step accounting identical: one step
-# for the structured op plus the per-iteration body op count.
+# Structured control flow compiles to inline Python loops and branches
+# around the bodies' statements.  A loop invokes ``interp.loop_observer``
+# (cycle accounting) and its vectorized fast path exactly like the scalar
+# ``_run_for`` does, and keeps step accounting identical: one step for
+# the structured op plus the per-iteration body op count.
 
-from repro.ir.compile import CannotCompile, FnCompiler, compiled_for
+from repro.ir.compile import CannotCompile, FnCodegen, compiled_for, helpers
+
+helpers(step_error=step_error, trip_count=trip_count)
 
 
 def _single_block(op: Operation, region_index: int) -> Block:
@@ -179,9 +181,8 @@ def _single_block(op: Operation, region_index: int) -> Block:
     return regions[region_index].blocks[0]
 
 
-@compiled_for("scf.for", counts_own_steps=True)
-def _emit_for(op: Operation, ctx: FnCompiler):
-    from repro.ir.interpreter import InterpreterError
+def _fast_path(op: Operation):
+    """The whole-space entry ``op`` tries first, or None (the JIT walk)."""
     from repro.ir.vectorize import (
         loop_vector_mode,
         try_vectorized_loop,
@@ -189,83 +190,77 @@ def _emit_for(op: Operation, ctx: FnCompiler):
         try_vectorized_reduction,
     )
 
-    body = _single_block(op, 0)
-    last = body.ops[-1] if body.ops else None
-    if last is None or last.name != "scf.yield":
-        raise CannotCompile("scf.for body does not end in scf.yield")
-
-    lb_i, ub_i, st_i = (ctx.slot(o) for o in op.operands)
-    iv_slot = ctx.slot(body.args[0])
-    body_run = ctx.compile_body(body.ops, allow_terminators=("scf.yield",))
-
     try:
         mode, _ = loop_vector_mode(op)
-        crashed = False
     except Exception:  # noqa: BLE001 - degrade this loop, not the function
         # A planner crash must not take the whole function off the JIT:
         # the loop still enters a fast-path entry, whose guarded
         # classifier records the degradation on the first run (once: it
         # poisons the plan cache) and declines, so the JIT walk runs it.
-        mode, crashed = None, True
-    if mode in ("elementwise", "scatter_store") or crashed:
+        return try_vectorized_loop
+    if mode in ("elementwise", "scatter_store"):
         # scatter_store may still decline at runtime (failed injectivity
         # proof) — it returns False without side effects and the scalar
-        # loop below takes over, accounting normally.
-        fast_path = try_vectorized_loop
-    elif mode == "memref_reduction":
-        fast_path = try_vectorized_reduction
-    elif mode is not None:
+        # loop takes over, accounting normally.
+        return try_vectorized_loop
+    if mode == "memref_reduction":
+        return try_vectorized_reduction
+    if mode is not None:
         # Perfect loop-nest chains and segmented (triangular / CSR /
         # tiled) nests evaluate whole-space; a runtime decline (short
         # trip count, NaN min/max fold, failed injectivity or monotone
-        # proof) is side-effect free, so the scalar nested walk below
-        # stays correct.
-        fast_path = try_vectorized_nest
-    else:
-        fast_path = None
-    if fast_path is not None:
-        ctx.needs_env = True
+        # proof) is side-effect free, so the nested walk stays correct.
+        return try_vectorized_nest
+    return None
 
-    def run(interp, frame):
-        interp.steps += 1
-        lb, ub, step = frame[lb_i], frame[ub_i], frame[st_i]
-        if step <= 0:
-            raise step_error("scf.for", step)
-        obs = interp.loop_observer
-        if obs is not None:
-            obs(op, trip_count(lb, ub, step), 1)
-        if (
-            fast_path is not None
-            and interp.vectorize
-            and fast_path(interp, op, frame[0], lb, ub, step)
-        ):
-            return
-        max_steps = interp.max_steps
-        iv = lb
-        while iv < ub:
-            frame[iv_slot] = iv
-            body_run(interp, frame)
-            if interp.steps > max_steps:
-                raise InterpreterError("interpreter step limit exceeded")
-            iv += step
-    return run
+
+@compiled_for("scf.for", counts_own_steps=True)
+def _emit_for(op: Operation, gen: FnCodegen) -> None:
+    body = _single_block(op, 0)
+    last = body.ops[-1] if body.ops else None
+    if last is None or last.name != "scf.yield":
+        raise CannotCompile("scf.for body does not end in scf.yield")
+    n = gen.local()
+    lb, ub, st, iv = f"lb{n}", f"ub{n}", f"st{n}", f"iv{n}"
+    loop = gen.bind(op, "loop")
+    gen.emit(
+        "interp.steps += 1",
+        f"{lb}, {ub}, {st} = {', '.join(gen.ref(o) for o in op.operands)}",
+        f"if {st} <= 0:",
+        f"    raise step_error('scf.for', {st})",
+        "obs = interp.loop_observer",
+        "if obs is not None:",
+        f"    obs({loop}, trip_count({lb}, {ub}, {st}), 1)",
+    )
+    fast_path = _fast_path(op)
+    if fast_path is not None:
+        # captured now: a wrapper bound to the entry's name later does not
+        # see this loop
+        gen.needs_env = True
+        entry = gen.bind(fast_path, "entry")
+        # a handled loop starts its walk at the upper bound
+        gen.emit(
+            f"{iv} = {ub} if interp.vectorize and {entry}(interp, {loop}, "
+            f"frame[0], {lb}, {ub}, {st}) else {lb}"
+        )
+    else:
+        gen.emit(f"{iv} = {lb}")
+    gen.emit(f"max{n} = interp.max_steps", f"while {iv} < {ub}:")
+    gen.block(
+        body.ops, "scf.yield",
+        head=[f"{gen.dest(body.args[0])} = {iv}"],
+        tail=[
+            f"if interp.steps > max{n}:",
+            "    raise InterpreterError('interpreter step limit exceeded')",
+            f"{iv} += {st}",
+        ],
+    )
 
 
 @compiled_for("scf.if", counts_own_steps=True)
-def _emit_if(op: Operation, ctx: FnCompiler):
-    cond_i = ctx.slot(op.operands[0])
-    then_run, else_run = (
-        ctx.compile_body(
-            _single_block(op, region_index).ops,
-            allow_terminators=("scf.yield",),
-        )
-        for region_index in (0, 1)
-    )
-
-    def run(interp, frame):
-        interp.steps += 1
-        if frame[cond_i]:
-            then_run(interp, frame)
-        else:
-            else_run(interp, frame)
-    return run
+def _emit_if(op: Operation, gen: FnCodegen) -> None:
+    then_block, else_block = _single_block(op, 0), _single_block(op, 1)
+    gen.emit("interp.steps += 1", f"if {gen.ref(op.operands[0])}:")
+    gen.block(then_block.ops, "scf.yield")
+    gen.emit("else:")
+    gen.block(else_block.ops, "scf.yield")

@@ -35,6 +35,7 @@ from repro.frontend.ast_nodes import (
     UnOp,
     VarRef,
 )
+from repro.dialects.arith import divsi
 from repro.frontend.lexer import FortranSyntaxError
 
 
@@ -91,7 +92,10 @@ class ProgramInfo:
 
 
 def _fold_const(expr: Expr, symbols: dict[str, Symbol]) -> Optional[int | float]:
-    """Fold a compile-time constant expression (parameters + literals)."""
+    """Fold a compile-time constant expression (parameters + literals).
+
+    Integer ``/`` truncates toward zero, as ``arith.divsi`` does at run
+    time; a zero divisor raises ``ZeroDivisionError``."""
     if isinstance(expr, IntLit):
         return expr.value
     if isinstance(expr, RealLit):
@@ -113,12 +117,23 @@ def _fold_const(expr: Expr, symbols: dict[str, Symbol]) -> Optional[int | float]
             "+": lambda a, b: a + b,
             "-": lambda a, b: a - b,
             "*": lambda a, b: a * b,
-            "/": lambda a, b: a // b if isinstance(a, int) and isinstance(b, int) else a / b,
+            "/": lambda a, b: divsi(a, b) if isinstance(a, int) and isinstance(b, int) else a / b,
             "**": lambda a, b: a**b,
         }
         if expr.op in ops:
             return ops[expr.op](lhs, rhs)
     return None
+
+
+def _fold_const_at(
+    expr: Expr, symbols: dict[str, Symbol], line: int, where: str
+) -> Optional[int | float]:
+    """:func:`_fold_const` for a declaration on ``line``: a constant
+    division by zero is a :class:`SemanticError` there."""
+    try:
+        return _fold_const(expr, symbols)
+    except ZeroDivisionError:
+        raise SemanticError(f"division by zero in the {where}", line) from None
 
 
 class Analyzer:
@@ -159,7 +174,10 @@ class Analyzer:
                         f"parameter {decl.name!r} lacks an initializer",
                         decl.line,
                     )
-                value = _fold_const(decl.init, info.symbols)
+                value = _fold_const_at(
+                    decl.init, info.symbols, decl.line,
+                    f"parameter {decl.name!r} initializer",
+                )
                 if value is None:
                     raise SemanticError(
                         f"parameter {decl.name!r} initializer is not constant",
@@ -176,14 +194,17 @@ class Analyzer:
                     unit.line,
                 )
         # Array extents must be constants or scalar integer dummies/locals.
-        for sym in info.symbols.values():
-            for dim in sym.dims:
-                self._check_extent(dim, info, sym)
+        for decl in unit.decls:
+            for dim in decl.dims:
+                self._check_extent(dim, info, info.symbols[decl.name], decl.line)
         self._walk_stmts(unit.body, info)
         return info
 
-    def _check_extent(self, dim: Expr, info: UnitInfo, sym: Symbol) -> None:
-        if _fold_const(dim, info.symbols) is not None:
+    def _check_extent(
+        self, dim: Expr, info: UnitInfo, sym: Symbol, line: int
+    ) -> None:
+        where = f"array extent of {sym.name!r}"
+        if _fold_const_at(dim, info.symbols, line, where) is not None:
             return
         for ref in _collect_var_refs(dim):
             extent_sym = info.symbol(ref.name, ref.line)
@@ -226,6 +247,19 @@ class Analyzer:
             stmt.stop = self._resolve_expr(stmt.stop, info)
             if stmt.step is not None:
                 stmt.step = self._resolve_expr(stmt.step, info)
+            for part in ("start", "stop", "step"):
+                bound = getattr(stmt, part)
+                if bound is None:
+                    continue
+                base = expr_type(bound, info.symbols).base
+                if base != "integer":
+                    # loops lower to an index-typed scf.for
+                    raise SemanticError(
+                        f"do loop {part} must be an integer expression, "
+                        f"got {base}",
+                        stmt.line,
+                    )
+            if stmt.step is not None:
                 try:
                     step = _fold_const(stmt.step, info.symbols)
                 except ZeroDivisionError:

@@ -13,8 +13,8 @@ come from the analytic FPGA/CPU models, not from wall-clock interpretation.
 Three execution tiers produce identical results and identical step counts:
 
 1. scalar op-by-op dispatch (this module; ``compiled=False`` forces it);
-2. block-JIT compiled closures (:mod:`repro.ir.compile`, the default) —
-   each function is translated once into specialized Python closures;
+2. the block-JIT (:mod:`repro.ir.compile`, the default) — each function
+   is translated once into one generated Python function;
 3. NumPy whole-loop evaluation for provably safe loops
    (:mod:`repro.ir.vectorize`; ``vectorize=False`` disables it), entered
    from either of the first two tiers.
@@ -78,7 +78,7 @@ def impl(op_name: str) -> Callable[[OpImpl], OpImpl]:
 def _module_tables(module: Operation) -> tuple[dict, dict, dict]:
     """``(cache, functions, compiled)`` of ``module``: its root's analysis
     cache, the ``{sym_name: func.func}`` table built by one walk, and the
-    ``{sym_name: CompiledFunction | None}`` block-JIT artifacts filled as
+    ``{sym_name: compiled function | None}`` block-JIT artifacts filled as
     functions are first called.  Both tables live in that cache, so every
     interpreter of one program (a fresh executor builds two per run)
     shares them, and :func:`~repro.ir.core.invalidate_analysis` drops
@@ -190,7 +190,7 @@ class Interpreter:
                     record_degradation(self, "block-jit", "scalar", name, error)
                     compiled_fn = None
             if compiled_fn is not None:
-                return compiled_fn.call(self, args)
+                return compiled_fn(self, args)
         env: dict[SSAValue, Any] = {}
         result = self.run_block(body, env, args)
         if isinstance(result, Returned):

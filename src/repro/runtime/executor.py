@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.backend.vitis import Bitstream
 from repro.dialects import builtin
-from repro.dialects.memref import element_dtype
+from repro.dialects.memref import element_dtype, shape_source
 from repro.ir.attributes import IntegerAttr
 from repro.ir.core import IRError, Operation
 from repro.ir.interpreter import Interpreter, InterpreterError, impl
@@ -219,18 +219,11 @@ class FpgaExecutor:
     # these, so each op's fault gate, state change and charge is written
     # once for every tier.
 
-    def alloc(self, name: str, space: int, extents, dtype, sizes):
-        """``device.alloc``: the data of a new buffer whose ``DYNAMIC``
-        extents are taken, in order, from ``sizes``."""
+    def alloc(self, name: str, space: int, shape: tuple, dtype):
+        """``device.alloc``: the data of a new buffer of ``shape``."""
         if self._faults is not None:
             self._fault_gate("alloc")
-        if sizes:
-            sizes = iter(sizes)
-            extents = tuple([
-                int(next(sizes)) if extent == DYNAMIC else extent
-                for extent in extents
-            ])
-        return self.table.alloc(name, extents, dtype, space).data
+        return self.table.alloc(name, shape, dtype, space).data
 
     def dma_start(self, source, dest, h2d: bool) -> None:
         """``memref.dma_start``: copy ``source`` into ``dest`` and charge
@@ -306,10 +299,13 @@ def _alloc_spec(op: Operation) -> tuple:
 
 @impl("device.alloc")
 def _run_alloc(interp: Interpreter, op: Operation, env: dict):
-    data = _executor(interp, op).alloc(
-        *_alloc_spec(op), interp.operand_values(op, env)
+    executor = _executor(interp, op)
+    name, space, extents, dtype = _alloc_spec(op)
+    sizes = iter(interp.operand_values(op, env))
+    shape = tuple(
+        int(next(sizes)) if extent == DYNAMIC else extent for extent in extents
     )
-    interp.set_results(op, env, [data])
+    interp.set_results(op, env, [executor.alloc(name, space, shape, dtype)])
 
 
 @impl("device.lookup")
@@ -360,110 +356,88 @@ def _run_kernel_wait(interp: Interpreter, op: Operation, env: dict):
 # -- compiled-form emitters ------------------------------------------------------
 #
 # The host driver loop runs tens of thousands of device ops per run
-# (SGESL n=512: ~35k), so each closure reads attributes parsed at compile
-# time and makes at most one executor call.
+# (SGESL n=512: ~35k), so each op is one call to the executor method
+# that holds its fault gate, or to its buffer-table method, with the
+# attributes parsed at compile time.
 
-from repro.ir.compile import CannotCompile, FnCompiler, compiled_for
+from repro.ir.compile import CannotCompile, FnCodegen, compiled_for, helpers
+
+helpers(no_executor=_no_executor, KernelInstance=KernelInstance)
+
+
+def _executor_expr(op: Operation) -> str:
+    """An expression for the executor, raising :func:`_no_executor` at
+    this op without one (an executor is always true)."""
+    return f"(interp.host_executor or no_executor({op.name!r}))"
+
+
+def _name(op: Operation, gen: FnCodegen) -> str:
+    return gen.bind(_name_space(op)[0], "name")
 
 
 @compiled_for("device.alloc")
-def _emit_alloc(op: Operation, ctx: FnCompiler):
+def _emit_alloc(op: Operation, gen: FnCodegen) -> None:
     name, space, extents, dtype = _alloc_spec(op)
-    size_slots = tuple(ctx.slot_list(op.operands))
-    res_i = ctx.slot(op.results[0])
-
-    def run(interp, frame):
-        executor = interp.host_executor
-        if executor is None:
-            _no_executor("device.alloc")
-        frame[res_i] = executor.alloc(
-            name, space, extents, dtype,
-            [frame[s] for s in size_slots] if size_slots else (),
-        )
-    return run
+    gen.emit(
+        f"{gen.dest(op.results[0])} = {_executor_expr(op)}.alloc("
+        f"{gen.bind(name, 'name')}, {space}, "
+        f"{shape_source(gen, extents, op.operands)}, "
+        f"{gen.bind(dtype, 'dtype')})"
+    )
 
 
 @compiled_for("device.lookup")
-def _emit_lookup(op: Operation, ctx: FnCompiler):
-    name, space = _name_space(op)
-    res_i = ctx.slot(op.results[0])
-
-    def run(interp, frame):
-        executor = interp.host_executor
-        if executor is None:
-            _no_executor("device.lookup")
-        frame[res_i] = executor.table.lookup(name, space).data
-    return run
+def _emit_lookup(op: Operation, gen: FnCodegen) -> None:
+    space = _name_space(op)[1]
+    gen.emit(
+        f"{gen.dest(op.results[0])} = {_executor_expr(op)}"
+        f".table.lookup({_name(op, gen)}, {space}).data"
+    )
 
 
 @compiled_for("device.data_check_exists")
-def _emit_check_exists(op: Operation, ctx: FnCompiler):
-    name = _name_space(op)[0]
-    res_i = ctx.slot(op.results[0])
-
-    def run(interp, frame):
-        executor = interp.host_executor
-        if executor is None:
-            _no_executor("device.data_check_exists")
-        frame[res_i] = executor.table.check_exists(name)
-    return run
+def _emit_check_exists(op: Operation, gen: FnCodegen) -> None:
+    gen.emit(
+        f"{gen.dest(op.results[0])} = {_executor_expr(op)}"
+        f".table.check_exists({_name(op, gen)})"
+    )
 
 
 @compiled_for("device.data_acquire")
-def _emit_acquire(op: Operation, ctx: FnCompiler):
-    name = _name_space(op)[0]
-
-    def run(interp, frame):
-        executor = interp.host_executor
-        if executor is None:
-            _no_executor("device.data_acquire")
-        executor.table.acquire(name)
-    return run
+def _emit_acquire(op: Operation, gen: FnCodegen) -> None:
+    gen.emit(
+        f"{_executor_expr(op)}.table.acquire({_name(op, gen)})"
+    )
 
 
 @compiled_for("device.data_release")
-def _emit_release(op: Operation, ctx: FnCompiler):
-    name = _name_space(op)[0]
-
-    def run(interp, frame):
-        executor = interp.host_executor
-        if executor is None:
-            _no_executor("device.data_release")
-        executor.table.release(name)
-    return run
+def _emit_release(op: Operation, gen: FnCodegen) -> None:
+    gen.emit(
+        f"{_executor_expr(op)}.table.release({_name(op, gen)})"
+    )
 
 
 @compiled_for("device.kernel_create")
-def _emit_kernel_create(op: Operation, ctx: FnCompiler):
+def _emit_kernel_create(op: Operation, gen: FnCodegen) -> None:
     name = op.device_function
     if name is None:
         # the scalar impl raises the "run extract-device-module" error
         raise CannotCompile("device.kernel_create without device_function")
-    arg_slots = tuple(ctx.slot_list(op.operands))
-    res_i = ctx.slot(op.results[0])
-
-    def run(interp, frame):
-        if interp.host_executor is None:
-            _no_executor("device.kernel_create")
-        frame[res_i] = KernelInstance(name, [frame[s] for s in arg_slots])
-    return run
+    gen.emit(
+        _executor_expr(op),
+        f"{gen.dest(op.results[0])} = "
+        f"KernelInstance({gen.bind(name, 'kernel')}, "
+        f"[{', '.join(map(gen.ref, op.operands))}])",
+    )
 
 
 @compiled_for("device.kernel_launch")
-def _emit_kernel_launch(op: Operation, ctx: FnCompiler):
-    handle_i = ctx.slot(op.operands[0])
-
-    def run(interp, frame):
-        executor = interp.host_executor
-        if executor is None:
-            _no_executor("device.kernel_launch")
-        executor.launch(frame[handle_i])
-    return run
+def _emit_kernel_launch(op: Operation, gen: FnCodegen) -> None:
+    gen.emit(
+        f"{_executor_expr(op)}.launch({gen.ref(op.operands[0])})"
+    )
 
 
 @compiled_for("device.kernel_wait")
-def _emit_kernel_wait(op: Operation, ctx: FnCompiler):
-    def run(interp, frame):
-        if interp.host_executor is None:
-            _no_executor("device.kernel_wait")
-    return run
+def _emit_kernel_wait(op: Operation, gen: FnCodegen) -> None:
+    gen.emit(_executor_expr(op))

@@ -150,9 +150,7 @@ class KernelRunner:
             interp.max_steps = saved_max
         cycles, per_cu = self._makespan(design, agg)
         return KernelRun(
-            cycles,
-            self.bitstream.board.cycles_to_seconds(cycles),
-            per_cu if self._compute_units > 1 else (),
+            cycles, self.bitstream.board.cycles_to_seconds(cycles), per_cu
         )
 
     # -- cycle accounting -------------------------------------------------------------
@@ -162,7 +160,7 @@ class KernelRunner:
     ) -> tuple[float, tuple[float, ...]]:
         """Shard the observed iteration space over the CUs and return
         ``(makespan, per-CU cycles)``; a single-CU build is the N=1 case,
-        whose makespan is the serial cycle count.
+        whose makespan is the serial cycle count (with no per-CU tuple).
 
         Outermost loops are sharded exactly: ``divmod(trips, N)`` splits
         each observed execution into contiguous blocks, the remainder
@@ -176,10 +174,30 @@ class KernelRunner:
         across engine tiers whatever order they observe loops in)."""
         n = self._compute_units
         overhead = float(design.start_overhead_cycles)
+        loops = design.loops
+        if n == 1:
+            # the N=1 case in plain accumulators: the same float additions
+            # in the same order (the one CU's share of the inner cycles is
+            # a product by 1.0), so the cycles are bit-identical
+            outer = inner = 0.0
+            iters = 0
+            for op, per_loop in agg.items():
+                schedule = loops.get(op)
+                if schedule is None:
+                    continue
+                if schedule.outermost:
+                    for trips, count in per_loop.items():
+                        outer += count * schedule.cycles(trips)
+                        iters += count * trips
+                else:
+                    for trips, count in per_loop.items():
+                        inner += count * schedule.cycles(trips)
+            if iters == 0:
+                return overhead + inner, ()
+            return overhead + outer + inner, ()
         outer_cycles = [0.0] * n
         outer_iters = [0] * n
         inner_cycles = 0.0
-        loops = design.loops
         for op, per_loop in agg.items():
             schedule = loops.get(op)
             if schedule is None:

@@ -137,6 +137,111 @@ class TestNonPositiveStep:
         analyze(parse_source(_STEPPED.format(body=body)))
 
 
+#: a constant division by zero in a declaration, on ``line``
+ZERO_DIVISORS = {
+    "extent": (2, "subroutine s(y)\n  real, intent(inout) :: y(4/0)\n"),
+    "parameter": (
+        2,
+        "subroutine s(y)\n  integer, parameter :: m = 3/(2 - 2)\n"
+        "  real, intent(inout) :: y(4)\n",
+    ),
+    "extent-from-parameter": (
+        3,
+        "subroutine s(y)\n  integer, parameter :: z = 0\n"
+        "  real, intent(inout) :: y(8/z)\n",
+    ),
+}
+
+
+class TestConstantDivision:
+    """Sema folds integer ``/`` by truncating toward zero, as
+    ``arith.divsi`` does at run time, and a constant zero divisor in a
+    declaration is a typed error at its line."""
+
+    @pytest.mark.parametrize("case", sorted(ZERO_DIVISORS))
+    def test_zero_divisor_rejected_at_the_declaration(self, case):
+        line, head = ZERO_DIVISORS[case]
+        err = sema_error(head + "  y(1) = 0.0\nend subroutine s\n")
+        assert err.line == line
+        assert "division by zero" in str(err)
+
+    def test_session_raises_a_frontend_error_with_the_line(self):
+        from repro.reliability.errors import FrontendError
+        from repro.session import Session
+
+        line, head = ZERO_DIVISORS["extent"]
+        with pytest.raises(FrontendError) as excinfo:
+            Session(head + "  y(1) = 0.0\nend subroutine s\n").frontend()
+        assert excinfo.value.line == line
+
+    def test_negative_division_extent_truncates(self):
+        """``(-7)/2`` is -3 in Fortran, at compile time as at run time,
+        so ``tmp`` has 7 cells and ``tmp(7)`` is in bounds."""
+        import numpy as np
+
+        from repro.session import Session
+
+        source = (
+            "subroutine s(y, m)\n"
+            "  integer, intent(in) :: m\n"
+            "  real, intent(inout) :: y(2)\n"
+            "  real :: tmp((-7)/2 + 10)\n"
+            "  tmp(7) = 5.0\n"
+            "  y(1) = tmp(7)\n"
+            "  y(2) = (-7)/m\n"
+            "end subroutine s\n"
+        )
+        program = Session(source).program()
+        for compiled in (False, True):
+            y = np.zeros(2, np.float32)
+            program.executor(compiled=compiled).run(
+                "s", y, np.array(2, np.int32)
+            )
+            assert y.tolist() == [5.0, -3.0]
+
+
+#: a loop with a real DO bound, opening on ``line``
+REAL_BOUNDS = {
+    "host-start": (7, "  do i = 1.0, n\n    y(i) = 0.0\n  end do\n"),
+    "host-stop": (7, "  do i = 1, n * 0.5\n    y(i) = 0.0\n  end do\n"),
+    "host-step": (7, "  do i = 1, n, 2.0\n    y(i) = 0.0\n  end do\n"),
+    "target-parallel-do": (
+        8,
+        "!$omp target parallel do\n"
+        "  do i = 1.0, n\n    y(i) = 0.0\n  end do\n"
+        "!$omp end target parallel do\n",
+    ),
+    "collapse-inner": (
+        9,
+        "!$omp target parallel do collapse(2)\n"
+        "  do i = 1, n\n    do j = 1, real(n)\n"
+        "      z(j, i) = 0.0\n    end do\n  end do\n"
+        "!$omp end target parallel do\n",
+    ),
+}
+
+
+class TestRealDoBound:
+    """A DO start, stop or step that is not an integer is rejected at
+    the DO line; it used to fail later, in fir-to-core, with no line."""
+
+    @pytest.mark.parametrize("case", sorted(REAL_BOUNDS))
+    def test_sema_rejects_at_the_do_line(self, case):
+        line, body = REAL_BOUNDS[case]
+        err = sema_error(_STEPPED.format(body=body))
+        assert err.line == line
+        assert "must be an integer expression" in str(err)
+
+    def test_session_raises_a_frontend_error(self):
+        from repro.reliability.errors import FrontendError
+        from repro.session import Session
+
+        line, body = REAL_BOUNDS["host-start"]
+        with pytest.raises(FrontendError) as excinfo:
+            Session(_STEPPED.format(body=body)).frontend()
+        assert excinfo.value.line == line
+
+
 class TestWrappedErrors:
     def test_frontend_error_inherits_line(self):
         from repro.reliability.errors import FrontendError
