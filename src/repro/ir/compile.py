@@ -68,9 +68,6 @@ _SELF_STEPPING: set[str] = set()
 #: sentinel for "slot not yet computed" in frames
 _UNSET = object()
 
-#: sentinel returned by :meth:`FnCodegen.literal` for non-constants
-NOT_CONST = object()
-
 #: generated sources kept compiled per process
 _CODE_CACHE_SIZE = 256
 
@@ -218,10 +215,6 @@ class FnCodegen:
         ):
             text = repr(item)
             self.refs[value] = f"({text})" if text[0] == "-" else text
-
-    def literal(self, value: SSAValue) -> Any:
-        """The compile-time constant held by ``value``, or ``NOT_CONST``."""
-        return self.consts.get(value, NOT_CONST)
 
     def ref(self, value: SSAValue) -> str:
         """An expression reading ``value``: its literal, or its slot."""

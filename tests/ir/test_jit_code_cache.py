@@ -52,6 +52,7 @@ def test_unpickled_copies_compile_each_source_once(sgesl):
 
 def test_another_simdlen_compiles_anew(sgesl):
     workload, session = sgesl
+    jit._factory.cache_clear()
     _run(workload, session.program(KernelOverrides(simdlen=2)))
     before = jit._factory.cache_info().misses
     _run(workload, session.program(KernelOverrides(simdlen=4)))
